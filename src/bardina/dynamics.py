@@ -15,11 +15,16 @@ quadratic transport term.  Two consequences worth knowing about:
 * with g = 0 and a single-mode initial condition the discrete solution is
   exactly e^(-gamma*t) times the initial data.
 
-Tangent vectors are divergence-free velocity fields propagated by the exact
-derivative of the discrete step map: each tangent stage applies the
-linearized transport operator frozen at the corresponding base stage state.
-Lyapunov exponents come from Benettin renormalization with modified
-Gram-Schmidt in the filtered energy inner product.
+Tangent vectors are zero-mean divergence-free velocity fields at the public
+interface.  Inside the step they are propagated as vorticity perturbations
+zeta = curl theta, by the exact derivative of the discrete step map: one
+IF-RK4 routine advances the base and the tangents stage by stage, and each
+tangent stage applies -J(psibar', omegabar) - J(psibar, omegabar'), built
+from the same derivative samples as the base transport term at that stage.
+curl and stream_velocity convert at the edge; they are inverse to each other
+on zero-mean divergence-free fields.  Lyapunov exponents come from Benettin
+renormalization with modified Gram-Schmidt in the filtered energy inner
+product.
 """
 from __future__ import annotations
 
@@ -35,10 +40,13 @@ from .spectral import (
     ModelParams,
     SpectralField,
     VectorField,
+    _dealiased,
+    _gradient_samples,
     alpha_inner,
     curl,
     hermitianize,
     make_grid,
+    stream_velocity,
 )
 
 __all__ = [
@@ -70,6 +78,8 @@ class BlowUpError(RuntimeError):
 
 def _check_real_coeffs(grid: FourierGrid, coeffs: np.ndarray, what: str) -> None:
     scale = float(np.abs(coeffs).max())
+    if not math.isfinite(scale):
+        raise ValueError(f"{what} coefficients are not finite")
     tol = 1e-12 * max(scale, 1e-300)
     neg = grid._neg
     flipped = coeffs[..., neg, :][..., :, neg]
@@ -200,47 +210,59 @@ def _multipliers(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return inv_smooth, psi_mult
 
 
-def _phys(coeffs: np.ndarray, n: int) -> np.ndarray:
-    return np.fft.ifft2(coeffs).real * n**2
+def _base_samples(grid: FourierGrid, alpha: float, coeffs: np.ndarray):
+    """Samples of grad psibar and grad omegabar of a state, and max|ubar|.
 
-
-def _nonlinear(grid: FourierGrid, alpha: float, coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Transport term -J(psibar, omegabar) and max|ubar| of the state.
-
-    Inputs are masked with the 2/3 rule before multiplying, so retained
-    output modes are exact convolution values.  The velocity maximum comes
-    for free from the stream-function derivatives.
+    Four inverse transforms.  The transport term of the state and the
+    linearized transport of every tangent at that state are products of
+    these samples; the velocity maximum comes for free from ubar = (-d2 psibar,
+    d1 psibar).
     """
-    n = grid.n
-    inv_smooth, psi_mult = _multipliers(n, alpha)
+    inv_smooth, psi_mult = _multipliers(grid.n, alpha)
     c = np.where(grid.dealias, coeffs, 0.0)
-    psi = psi_mult * c
-    ob = inv_smooth * c
-    d1psi = _phys(1j * grid.k1 * psi, n)
-    d2psi = _phys(1j * grid.k2 * psi, n)
-    d1ob = _phys(1j * grid.k1 * ob, n)
-    d2ob = _phys(1j * grid.k2 * ob, n)
-    # ubar = (-d2 psi, d1 psi)
+    d1psi, d2psi = _gradient_samples(grid, psi_mult * c)
+    d1ob, d2ob = _gradient_samples(grid, inv_smooth * c)
     speed = float(np.sqrt(d1psi * d1psi + d2psi * d2psi).max())
-    jac = np.fft.fft2(d1psi * d2ob - d2psi * d1ob) / n**2
-    out = hermitianize(grid, np.where(grid.dealias, -jac, 0.0))
-    out[0, 0] = 0.0
-    return out, speed
+    return (d1psi, d2psi, d1ob, d2ob), speed
+
+
+def _transport(grid: FourierGrid, base) -> np.ndarray:
+    """-J(psibar, omegabar) from the samples of _base_samples; one transform."""
+    d1psi, d2psi, d1ob, d2ob = base
+    return _dealiased(grid, d2psi * d1ob - d1psi * d2ob)
+
+
+def _linear_transport(grid: FourierGrid, alpha: float, base, zeta: np.ndarray) -> np.ndarray:
+    """Linearized transport -J(psibar', omegabar) - J(psibar, omegabar') of a
+    vorticity perturbation zeta at the base of the given samples.
+
+    Exact derivative of _transport; four inverse and one forward transform.
+    The damping term is not included here; integrating factors handle it.
+    """
+    inv_smooth, psi_mult = _multipliers(grid.n, alpha)
+    z = np.where(grid.dealias, zeta, 0.0)
+    d1p, d2p = _gradient_samples(grid, psi_mult * z)
+    d1o, d2o = _gradient_samples(grid, inv_smooth * z)
+    d1psi, d2psi, d1ob, d2ob = base
+    return _dealiased(grid, d2p * d1ob - d1p * d2ob + d2psi * d1o - d1psi * d2o)
 
 
 def vorticity_rhs(state: SimState) -> SpectralField:
     """Full right-hand side -J(psibar, omegabar) - gamma*omega + curl g."""
     grid = state.grid
-    nl, _ = _nonlinear(grid, state.params.alpha, state.omega.coeffs)
-    out = nl - state.params.gamma * state.omega.coeffs + state.forcing_curl.coeffs
-    return SpectralField(grid, out)
+    base, _ = _base_samples(grid, state.params.alpha, state.omega.coeffs)
+    out = _transport(grid, base) - state.params.gamma * state.omega.coeffs
+    return SpectralField(grid, out + state.forcing_curl.coeffs)
 
 
-def _step_stages(state: SimState, dt: float):
-    """Run one integrating-factor RK4 step on w = omega - curl g / gamma.
+def _if_rk4(state: SimState, dt: float, zetas: list[np.ndarray]) -> list[np.ndarray]:
+    """One integrating-factor RK4 step of w = omega - curl g / gamma and of
+    tangent vorticities zeta, stage by stage.
 
-    Returns the new w coefficients, the four base stage states in omega form
-    (needed by the tangent propagator), and max|ubar| at the first stage.
+    Tangent stage k applies the linearized transport at base stage k with the
+    same integrating factors, so the tangents move by the exact derivative
+    of the discrete base map.  Returns the new w followed by the new zetas.
+    Every stage checks dt * max|ubar| against the grid spacing.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -251,35 +273,39 @@ def _step_stages(state: SimState, dt: float):
     e1 = math.exp(-gamma * dt / 2.0)
     e2 = e1 * e1
 
-    wn = state.omega.coeffs - shift
-    om1 = wn + shift
-    g1, speed = _nonlinear(grid, alpha, om1)
-    if dt * speed > grid.spacing():
-        raise CFLError(
-            f"dt*max|ubar| = {dt * speed:.3e} exceeds grid spacing "
-            f"{grid.spacing():.3e}; reduce dt"
-        )
-    s2 = e1 * (wn + (0.5 * dt) * g1)
-    om2 = s2 + shift
-    g2, _ = _nonlinear(grid, alpha, om2)
-    s3 = e1 * wn + (0.5 * dt) * g2
-    om3 = s3 + shift
-    g3, _ = _nonlinear(grid, alpha, om3)
-    s4 = e2 * wn + (dt * e1) * g3
-    om4 = s4 + shift
-    g4, _ = _nonlinear(grid, alpha, om4)
+    def rates(ys: list[np.ndarray]) -> list[np.ndarray]:
+        base, speed = _base_samples(grid, alpha, ys[0] + shift)
+        if dt * speed > grid.spacing():
+            raise CFLError(
+                f"dt*max|ubar| = {dt * speed:.3e} exceeds grid spacing "
+                f"{grid.spacing():.3e}; reduce dt"
+            )
+        return [_transport(grid, base)] + [
+            _linear_transport(grid, alpha, base, z) for z in ys[1:]
+        ]
 
-    w_new = e2 * wn + (dt / 6.0) * (e2 * g1 + 2.0 * e1 * g2 + 2.0 * e1 * g3 + g4)
-    return w_new, (om1, om2, om3, om4), speed
+    y = [state.omega.coeffs - shift, *zetas]
+    g1 = rates(y)
+    g2 = rates([e1 * (a + (0.5 * dt) * b) for a, b in zip(y, g1)])
+    g3 = rates([e1 * a + (0.5 * dt) * b for a, b in zip(y, g2)])
+    g4 = rates([e2 * a + (dt * e1) * b for a, b in zip(y, g3)])
+    return [
+        e2 * a + (dt / 6.0) * (e2 * b1 + 2.0 * e1 * b2 + 2.0 * e1 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(y, g1, g2, g3, g4)
+    ]
 
 
-def step(state: SimState, dt: float) -> SimState:
-    """Advance by one time step of size dt."""
-    w_new, _, _ = _step_stages(state, dt)
+def _advance(state: SimState, dt: float, w_new: np.ndarray) -> SimState:
     c = w_new + state.forcing_curl.coeffs / state.params.gamma
     if not np.isfinite(c).all():
         raise BlowUpError(f"non-finite coefficients after step at t = {state.time!r}")
     return SimState(SpectralField(state.grid, c), state.time + dt, state.params, state.forcing_curl)
+
+
+def step(state: SimState, dt: float) -> SimState:
+    """Advance by one time step of size dt."""
+    (w_new,) = _if_rk4(state, dt, [])
+    return _advance(state, dt, w_new)
 
 
 def _step_count(time: float, t_end: float, dt: float) -> int:
@@ -320,137 +346,66 @@ def simulate(
 # linearized flow
 
 
-def _base_shear(grid: FourierGrid, alpha: float, omega_coeffs: np.ndarray):
-    """Collocation samples of ubar and grad ubar for a base state.
-
-    Shared by every tangent vector at a given stage; six transforms total.
-    """
-    n = grid.n
-    _, psi_mult = _multipliers(n, alpha)
-    psi = psi_mult * np.where(grid.dealias, omega_coeffs, 0.0)
-    u1 = -1j * grid.k2 * psi
-    u2 = 1j * grid.k1 * psi
-    return (
-        _phys(u1, n),
-        _phys(u2, n),
-        _phys(1j * grid.k1 * u1, n),
-        _phys(1j * grid.k2 * u1, n),
-        _phys(1j * grid.k1 * u2, n),
-        _phys(1j * grid.k2 * u2, n),
-    )
-
-
-def _tangent_apply(
-    grid: FourierGrid, alpha: float, shear, theta_coeffs: np.ndarray
-) -> np.ndarray:
-    """Linearized transport -P[(ubar.grad)thetabar + (thetabar.grad)ubar].
-
-    The damping term is not included here; integrating factors handle it.
-    """
-    n = grid.n
-    inv_smooth, _ = _multipliers(n, alpha)
-    u1, u2, d1u1, d2u1, d1u2, d2u2 = shear
-    tb = inv_smooth * np.where(grid.dealias, theta_coeffs, 0.0)
-    tb1 = _phys(tb[0], n)
-    tb2 = _phys(tb[1], n)
-    d1tb1 = _phys(1j * grid.k1 * tb[0], n)
-    d2tb1 = _phys(1j * grid.k2 * tb[0], n)
-    d1tb2 = _phys(1j * grid.k1 * tb[1], n)
-    d2tb2 = _phys(1j * grid.k2 * tb[1], n)
-    w1 = u1 * d1tb1 + u2 * d2tb1 + tb1 * d1u1 + tb2 * d2u1
-    w2 = u1 * d1tb2 + u2 * d2tb2 + tb1 * d1u2 + tb2 * d2u2
-    c1 = np.fft.fft2(w1) / n**2
-    c2 = np.fft.fft2(w2) / n**2
-    inv_ksq = np.zeros_like(grid.k_sq)
-    nz = grid.k_sq > 0
-    inv_ksq[nz] = 1.0 / grid.k_sq[nz]
-    kdot = (grid.k1 * c1 + grid.k2 * c2) * inv_ksq
-    c1 -= grid.k1 * kdot
-    c2 -= grid.k2 * kdot
-    out = np.stack((c1, c2))
-    out = hermitianize(grid, np.where(grid.dealias, -out, 0.0))
-    out[:, 0, 0] = 0.0
-    return out
+def _check_tangent(grid: FourierGrid, theta: VectorField) -> None:
+    """Tangents must be zero-mean and divergence-free: the vorticity form the
+    propagator works in would drop any other part without notice."""
+    if theta.grid.n != grid.n:
+        raise ValueError("tangent and state live on different grids")
+    c = theta.coeffs
+    tol = 1e-12 * max(float(np.abs(c).max()), 1e-300)
+    if np.abs(c[:, 0, 0]).max() > tol:
+        raise ValueError("tangent must have zero mean")
+    if np.abs(grid.k1 * c[0] + grid.k2 * c[1]).max() > grid.n * tol:
+        raise ValueError("tangent must be divergence-free")
 
 
 def variational_rhs(theta: VectorField, state: SimState) -> VectorField:
     """Equation of variations: -gamma*theta - P[(ubar.grad)thetabar + (thetabar.grad)ubar].
 
     thetabar is the filtered tangent (1 - alpha*Laplacian)^(-1) theta and
-    ubar the filtered base velocity; P is the Leray projection.  Linear in
-    theta, and maps divergence-free fields to divergence-free fields.
+    ubar the filtered base velocity; P is the Leray projection.  Evaluated
+    in vorticity form, as -J(psibar', omegabar) - J(psibar, omegabar') - gamma*zeta
+    with zeta = curl theta, and converted back to velocity at the edge.
+    Linear in theta; theta must be zero-mean and divergence-free.
     """
     grid = state.grid
-    if theta.grid.n != grid.n:
-        raise ValueError("tangent and state live on different grids")
-    shear = _base_shear(grid, state.params.alpha, state.omega.coeffs)
-    out = _tangent_apply(grid, state.params.alpha, shear, theta.coeffs)
-    out -= state.params.gamma * theta.coeffs
-    return VectorField(grid, out)
+    _check_tangent(grid, theta)
+    alpha = state.params.alpha
+    zeta = curl(theta).coeffs
+    base, _ = _base_samples(grid, alpha, state.omega.coeffs)
+    out = _linear_transport(grid, alpha, base, zeta) - state.params.gamma * zeta
+    return stream_velocity(SpectralField(grid, out))
 
 
 @dataclass
 class TangentBundle:
-    """A base trajectory point together with tangent velocity fields."""
+    """A base trajectory point together with tangent velocity fields.
+
+    Tangents must be zero-mean and divergence-free on the base grid.
+    """
 
     base: SimState
     vectors: list[VectorField]
 
     def __post_init__(self) -> None:
-        n = self.base.grid.n
         for v in self.vectors:
-            if v.grid.n != n:
-                raise ValueError("tangent grid does not match the base grid")
+            _check_tangent(self.base.grid, v)
 
 
 def step_with_tangents(bundle: TangentBundle, dt: float) -> TangentBundle:
     """Advance base and tangents together by one step.
 
-    Each tangent is propagated by the exact Jacobian of the discrete base
-    map: stage k of the tangent applies the linearized transport operator
-    frozen at base stage state k, with the same integrating factors.
+    Tangents are propagated as vorticity perturbations zeta = curl theta by
+    the exact Jacobian of the discrete base map (see _if_rk4) and converted
+    back to velocity at the end.
     """
     state = bundle.base
     grid = state.grid
-    alpha = state.params.alpha
-    gamma = state.params.gamma
-    w_new, stage_states, _ = _step_stages(state, dt)
-    c = w_new + state.forcing_curl.coeffs / gamma
-    if not np.isfinite(c).all():
-        raise BlowUpError(f"non-finite coefficients after step at t = {state.time!r}")
-    new_base = SimState(
-        SpectralField(grid, c), state.time + dt, state.params, state.forcing_curl
+    w_new, *zetas = _if_rk4(state, dt, [curl(v).coeffs for v in bundle.vectors])
+    return TangentBundle(
+        _advance(state, dt, w_new),
+        [stream_velocity(SpectralField(grid, z)) for z in zetas],
     )
-
-    e1 = math.exp(-gamma * dt / 2.0)
-    e2 = e1 * e1
-    thetas = [v.coeffs for v in bundle.vectors]
-    m = len(thetas)
-
-    shear = _base_shear(grid, alpha, stage_states[0])
-    d1 = [_tangent_apply(grid, alpha, shear, thetas[j]) for j in range(m)]
-    shear = _base_shear(grid, alpha, stage_states[1])
-    d2 = [
-        _tangent_apply(grid, alpha, shear, e1 * (thetas[j] + (0.5 * dt) * d1[j]))
-        for j in range(m)
-    ]
-    shear = _base_shear(grid, alpha, stage_states[2])
-    d3 = [
-        _tangent_apply(grid, alpha, shear, e1 * thetas[j] + (0.5 * dt) * d2[j])
-        for j in range(m)
-    ]
-    shear = _base_shear(grid, alpha, stage_states[3])
-    d4 = [
-        _tangent_apply(grid, alpha, shear, e2 * thetas[j] + (dt * e1) * d3[j])
-        for j in range(m)
-    ]
-    new_vectors = []
-    for j in range(m):
-        nv = e2 * thetas[j] + (dt / 6.0) * (
-            e2 * d1[j] + 2.0 * e1 * d2[j] + 2.0 * e1 * d3[j] + d4[j]
-        )
-        new_vectors.append(VectorField(grid, nv))
-    return TangentBundle(new_base, new_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +449,10 @@ def _mgs_alpha(vectors: list[VectorField], alpha: float):
     """Modified Gram-Schmidt in the alpha-inner product.
 
     Returns the orthonormal fields and the diagonal norms r_jj (the growth
-    factors the Benettin accumulator needs).  A non-positive or non-finite
-    r_jj is returned as 0.0 and the vector replaced by zeros; the caller
-    decides how to re-seed.
+    factors the Benettin accumulator needs).  A non-finite r_jj, or one at
+    roundoff level against the input's own norm (the direction depends
+    numerically on the previous ones), is returned as 0.0 and the vector
+    replaced by zeros; the caller decides how to re-seed.
     """
     out: list[VectorField] = []
     norms: list[float] = []
@@ -506,7 +462,7 @@ def _mgs_alpha(vectors: list[VectorField], alpha: float):
             w -= alpha_inner(VectorField(v.grid, w), u, alpha) * u.coeffs
         r = alpha_inner(VectorField(v.grid, w), VectorField(v.grid, w), alpha)
         r = math.sqrt(r) if r > 0 else 0.0
-        if not math.isfinite(r) or r <= 0.0:
+        if not math.isfinite(r) or r <= 1e-12 * math.sqrt(alpha_inner(v, v, alpha)):
             norms.append(0.0)
             out.append(VectorField(v.grid, np.zeros_like(w)))
         else:
@@ -539,6 +495,9 @@ def _renormalize(
             for v, r in zip(vecs, norms)
         ]
         vecs, norms = _mgs_alpha(vecs, alpha)
+    # normalizing a strongly contracted direction amplifies the roundoff
+    # gradient part of the Gram-Schmidt differences; drop it
+    vecs = [stream_velocity(curl(v)) for v in vecs]
     return TangentBundle(bundle.base, vecs), growth, collapsed
 
 

@@ -68,8 +68,8 @@ class KolmogorovSpec:
 
     def __post_init__(self):
         # amplitude 0 is allowed and gives the zero forcing
-        if self.s < 1 or self.amplitude < 0 or self.gamma <= 0:
-            raise ValueError("need s >= 1, amplitude >= 0, gamma > 0")
+        if self.s < 1 or not 0 <= self.amplitude < math.inf or not 0 < self.gamma < math.inf:
+            raise ValueError("need s >= 1, finite amplitude >= 0, finite gamma > 0")
 
     @property
     def force_norm_sq(self) -> float:
@@ -101,7 +101,7 @@ def kolmogorov_forcing(spec: KolmogorovSpec, grid: FourierGrid) -> VectorField:
         ValueError: if the forcing wavenumber lies outside the de-aliased
             band of the grid.
     """
-    if spec.s > grid.n // 3:
+    if spec.s > (grid.n - 1) // 3:
         raise ValueError("forcing wavenumber outside the de-aliased band")
     g = zero_vector_field(grid)
     c = spec.gamma * spec.amplitude / (math.sqrt(2.0) * math.pi)
@@ -114,7 +114,7 @@ def kolmogorov_forcing(spec: KolmogorovSpec, grid: FourierGrid) -> VectorField:
 def stationary_vorticity(spec: KolmogorovSpec, grid: FourierGrid) -> SpectralField:
     """Vorticity of the stationary solution u = g/gamma:
     omega = -(amplitude*s/(sqrt2 pi)) cos(s x2).  Independent of alpha."""
-    if spec.s > grid.n // 3:
+    if spec.s > (grid.n - 1) // 3:
         raise ValueError("forcing wavenumber outside the de-aliased band")
     w = zero_field(grid)
     c = -spec.amplitude * spec.s / (math.sqrt(2.0) * math.pi)

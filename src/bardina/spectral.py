@@ -16,6 +16,7 @@ fields and never mutate their inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,7 +86,7 @@ def make_grid(n: int) -> FourierGrid:
     k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
     k1, k2 = np.meshgrid(k, k, indexing="ij")
     k_sq = (k1 * k1 + k2 * k2).astype(np.float64)
-    cut = n // 3
+    cut = (n - 1) // 3  # 3*cut < n: no product of two retained modes aliases onto one
     dealias = (np.abs(k1) <= cut) & (np.abs(k2) <= cut)
     neg = (-np.arange(n)) % n
     for arr in (k1, k2, k_sq, dealias, neg):
@@ -105,10 +106,10 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass
@@ -233,16 +234,24 @@ def divergence_coeffs(u: VectorField) -> np.ndarray:
     return 1j * (g.k1 * u.coeffs[0] + g.k2 * u.coeffs[1])
 
 
+@lru_cache(maxsize=16)
+def _inverse_laplacian(n: int) -> np.ndarray:
+    """Per-mode -1/|k|^2, with 0 at k = 0 (read-only, cached per grid size)."""
+    k_sq = make_grid(n).k_sq
+    inv_lap = np.zeros_like(k_sq)
+    nz = k_sq > 0
+    inv_lap[nz] = -1.0 / k_sq[nz]
+    inv_lap.setflags(write=False)
+    return inv_lap
+
+
 def stream_velocity(omega: SpectralField) -> VectorField:
     """Velocity with the given scalar curl: perp-gradient of inv-Laplacian.
 
     The k = 0 mode of omega is ignored (and must be zero for consistency).
     """
     g = omega.grid
-    inv_lap = np.zeros_like(g.k_sq)
-    nz = g.k_sq > 0
-    inv_lap[nz] = -1.0 / g.k_sq[nz]
-    psi = inv_lap * omega.coeffs
+    psi = _inverse_laplacian(g.n) * omega.coeffs
     return VectorField(g, np.stack((-1j * g.k2 * psi, 1j * g.k1 * psi)))
 
 
@@ -255,8 +264,30 @@ def velocity_from_vorticity(omega: SpectralField, alpha: float) -> VectorField:
     return stream_velocity(smooth(omega, alpha))
 
 
-def _phys(coeffs: np.ndarray, n: int) -> np.ndarray:
-    return np.fft.ifft2(coeffs).real * n**2
+def _gradient_samples(grid: FourierGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Collocation samples of d1 f and d2 f; two inverse transforms.
+
+    With coefficients already masked by the 2/3 rule, products of two such
+    samples carry no aliasing error on the retained modes.
+    """
+    n2 = grid.n**2
+    return (
+        np.fft.ifft2(1j * grid.k1 * coeffs).real * n2,
+        np.fft.ifft2(1j * grid.k2 * coeffs).real * n2,
+    )
+
+
+def _dealiased(grid: FourierGrid, samples: np.ndarray) -> np.ndarray:
+    """Transform a product of de-aliased samples back; one forward transform.
+
+    The result is masked with the 2/3 rule, made exactly Hermitian and has
+    its k = 0 mode zeroed.  With _gradient_samples this is the package's one
+    pseudo-spectral transport kernel.
+    """
+    c = np.fft.fft2(samples) / grid.n**2
+    c = hermitianize(grid, np.where(grid.dealias, c, 0.0))
+    c[0, 0] = 0.0
+    return c
 
 
 def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:
@@ -270,16 +301,9 @@ def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:
     g = a.grid
     if b.grid.n != g.n:
         raise ValueError("fields live on different grids")
-    ca = np.where(g.dealias, a.coeffs, 0.0)
-    cb = np.where(g.dealias, b.coeffs, 0.0)
-    d1a = _phys(1j * g.k1 * ca, g.n)
-    d2a = _phys(1j * g.k2 * ca, g.n)
-    d1b = _phys(1j * g.k1 * cb, g.n)
-    d2b = _phys(1j * g.k2 * cb, g.n)
-    jac = np.fft.fft2(d1a * d2b - d2a * d1b) / g.n**2
-    jac = hermitianize(g, np.where(g.dealias, jac, 0.0))
-    jac[0, 0] = 0.0
-    return SpectralField(g, jac)
+    d1a, d2a = _gradient_samples(g, np.where(g.dealias, a.coeffs, 0.0))
+    d1b, d2b = _gradient_samples(g, np.where(g.dealias, b.coeffs, 0.0))
+    return SpectralField(g, _dealiased(g, d1a * d2b - d2a * d1b))
 
 
 def leray_project(u: VectorField) -> VectorField:

@@ -83,6 +83,16 @@ class TestSimState:
         with pytest.raises(ValueError, match="zero mean"):
             SimState(SpectralField(grid, c), 0.0, PARAMS, zero_field(grid))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, rng, bad):
+        grid = make_grid(16)
+        c = random_field(grid, rng, band=3).coeffs.copy()
+        c[1, 2] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            SimState(SpectralField(grid, c), 0.0, PARAMS, zero_field(grid))
+        with pytest.raises(ValueError, match="not finite"):
+            SimState(zero_field(grid), 0.0, PARAMS, SpectralField(grid, c))
+
     def test_rejects_grid_mismatch(self):
         with pytest.raises(ValueError, match="grids"):
             SimState(zero_field(make_grid(16)), 0.0, PARAMS, zero_field(make_grid(32)))
@@ -191,18 +201,36 @@ class TestStep:
         with pytest.raises(CFLError, match="grid spacing"):
             step(st, 0.5)
 
+    def test_cfl_guard_checks_later_stages(self, rng, monkeypatch):
+        # a speed above the limit on the third stage only must still trip
+        import bardina.dynamics as dyn
+
+        grid = make_grid(16)
+        st = make_state(random_field(grid, rng, band=3), PARAMS)
+        real = dyn._base_samples
+        calls = []
+
+        def fast_third_stage(g, alpha, coeffs):
+            base, speed = real(g, alpha, coeffs)
+            calls.append(speed)
+            return base, (1e9 if len(calls) == 3 else speed)
+
+        monkeypatch.setattr(dyn, "_base_samples", fast_third_stage)
+        with pytest.raises(CFLError, match="grid spacing"):
+            step(st, 1e-3)
+        assert len(calls) == 3
+
     def test_blowup_detection(self, rng, monkeypatch):
         import bardina.dynamics as dyn
 
         grid = make_grid(16)
         st = make_state(random_field(grid, rng, band=3), PARAMS)
-        real = dyn._nonlinear
+        real = dyn._transport
 
-        def poisoned(g, alpha, coeffs):
-            out, speed = real(g, alpha, coeffs)
-            return out * np.inf, speed
+        def poisoned(g, base):
+            return real(g, base) * np.inf
 
-        monkeypatch.setattr(dyn, "_nonlinear", poisoned)
+        monkeypatch.setattr(dyn, "_transport", poisoned)
         with pytest.raises(BlowUpError, match="non-finite"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -460,6 +488,22 @@ class TestTangentStepping:
         want = math.exp(-PARAMS.gamma * 0.1) * th.coeffs
         assert np.abs(bundle.vectors[0].coeffs - want).max() < 1e-15
 
+    def test_rejects_tangent_outside_tangent_space(self, rng):
+        # a mean or a gradient part would vanish in the curl without notice
+        grid = make_grid(32)
+        st = make_state(random_field(grid, rng, band=6), PARAMS)
+        th = _random_divfree(grid, rng)
+        with_mean = th.copy()
+        with_mean.coeffs[0, 0, 0] = 0.1
+        grad = gradient(random_field(grid, rng, band=6))
+        with_grad = VectorField(grid, th.coeffs + 1e-6 * grad.coeffs)
+        for bad, what in ((with_mean, "zero mean"), (with_grad, "divergence-free")):
+            with pytest.raises(ValueError, match=what):
+                TangentBundle(st, [th, bad])
+            with pytest.raises(ValueError, match=what):
+                variational_rhs(bad, st)
+        TangentBundle(st, [th])  # the clean tangent passes
+
     def test_tangent_grid_mismatch(self, rng):
         st = make_state(random_field(make_grid(32), rng, band=4), PARAMS)
         th = _random_divfree(make_grid(16), rng, band=3)
@@ -497,6 +541,20 @@ class TestGramSchmidt:
         gram = [[alpha_inner(a, b, PARAMS.alpha) for a in renewed.vectors]
                 for b in renewed.vectors]
         assert np.abs(np.array(gram) - np.eye(2)).max() < 1e-10
+
+    def test_nearly_dependent_pair_stays_in_tangent_space(self, rng):
+        # normalizing a remainder of 1e-7 amplifies the roundoff of the
+        # differences; the renormalized family must still be tangents
+        grid = make_grid(32)
+        st = make_state(zero_field(grid), PARAMS)
+        v, u = make_tangents(grid, 2, PARAMS.alpha, rng)
+        bundle = TangentBundle(st, [v, VectorField(grid, v.coeffs + 1e-7 * u.coeffs)])
+        renewed, growth, collapsed = _renormalize(bundle, rng)
+        assert not collapsed
+        assert growth[1] == pytest.approx(1e-7, rel=1e-6)
+        gram = [[alpha_inner(a, b, PARAMS.alpha) for a in renewed.vectors]
+                for b in renewed.vectors]
+        assert np.abs(np.array(gram) - np.eye(2)).max() < 1e-8
 
 
 class TestLyapunov:

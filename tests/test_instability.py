@@ -71,6 +71,12 @@ class TestForcing:
         with pytest.raises(ValueError):
             inst.kolmogorov_forcing(inst.KolmogorovSpec(s=11, amplitude=1.0, gamma=1.0), g)
 
+    @pytest.mark.parametrize("amplitude,gamma", [(-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                                                 (1.0, 0.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_spec_rejects_bad_values(self, amplitude, gamma):
+        with pytest.raises(ValueError):
+            inst.KolmogorovSpec(s=2, amplitude=amplitude, gamma=gamma)
+
 
 class TestRegion:
     def test_frozen_counts(self):

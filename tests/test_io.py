@@ -152,6 +152,16 @@ class TestStateCheckpoint:
         with pytest.raises(ValueError, match="disagrees"):
             load_state(p)
 
+    def test_nan_payload_rejected(self, tmp_path, rng):
+        st = self._state(rng)
+        p = str(tmp_path / "state.ebv")
+        save_state(st, p)
+        blob = bytearray(open(p, "rb").read())
+        struct.pack_into("<d", blob, 32 + 16 * 5, float("nan"))  # real part of one mode
+        open(p, "wb").write(bytes(blob))
+        with pytest.raises(ValueError, match="not finite"):
+            load_state(p)
+
     def test_restart_is_bit_identical(self, tmp_path, rng):
         # run to T in one go vs checkpoint at T/2 and resume: same bytes
         st = self._state(rng)

@@ -1,0 +1,73 @@
+"""Property tests of the transport kernel through the public functions.
+
+Random even grids n in [8, 64], filter scales alpha in [2^-12, 1] and seeds.
+The vorticity equation, its linearization and `jacobian` all go through the
+same de-aliased kernel, so these identities pin it from three sides.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bardina.dynamics import make_state, make_tangents, variational_rhs, vorticity_rhs
+from bardina.spectral import (
+    ModelParams,
+    curl,
+    jacobian,
+    make_grid,
+    random_field,
+    stream_velocity,
+)
+
+GRIDS = st.integers(4, 32).map(lambda half: 2 * half)
+ALPHAS = st.floats(2.0**-12, 1.0)
+SEEDS = st.integers(0, 2**32 - 1)
+FEW = settings(max_examples=25, deadline=None)
+
+
+def _rng(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+@FEW
+@given(n=GRIDS, alpha=ALPHAS, seed=SEEDS)
+def test_linearization_is_polarized_vorticity_rhs(n, alpha, seed):
+    # the transport term is quadratic, so with zero forcing
+    # curl L(theta) = (F(omega + zeta) - F(omega - zeta)) / 2 with zeta = curl theta
+    rng = _rng(seed)
+    grid = make_grid(n)
+    params = ModelParams(alpha=alpha, gamma=1.0)
+    omega = random_field(grid, rng)
+    (theta,) = make_tangents(grid, 1, alpha, rng)
+    zeta = curl(theta)
+    got = curl(variational_rhs(theta, make_state(omega, params))).coeffs
+    plus = vorticity_rhs(make_state(omega + zeta, params)).coeffs
+    minus = vorticity_rhs(make_state(omega - zeta, params)).coeffs
+    scale = max(np.abs(plus).max(), np.abs(minus).max())
+    assert np.abs(got - 0.5 * (plus - minus)).max() <= 1e-12 * scale
+
+
+@FEW
+@given(n=GRIDS, seed=SEEDS)
+def test_jacobian_antisymmetric_and_skew(n, seed):
+    rng = _rng(seed)
+    grid = make_grid(n)
+    a, b = random_field(grid, rng), random_field(grid, rng)
+    jab = jacobian(a, b)
+    assert np.abs(jab.coeffs + jacobian(b, a).coeffs).max() <= 1e-15 * np.abs(jab.coeffs).max()
+    # (a, J(a, b)) = (b, J(a, b)) = 0
+    for f in (a, b):
+        ip = (2.0 * np.pi) ** 2 * float(np.vdot(f.coeffs, jab.coeffs).real)
+        assert abs(ip) <= 1e-12 * np.sqrt(f.l2_norm_sq() * jab.l2_norm_sq())
+
+
+@FEW
+@given(n=GRIDS, alpha=ALPHAS, seed=SEEDS)
+def test_velocity_vorticity_round_trip(n, alpha, seed):
+    rng = _rng(seed)
+    grid = make_grid(n)
+    for theta in make_tangents(grid, 2, alpha, rng):
+        back = stream_velocity(curl(theta)).coeffs
+        assert np.abs(back - theta.coeffs).max() <= 1e-14 * np.abs(theta.coeffs).max()
+    omega = random_field(grid, rng)
+    back = curl(stream_velocity(omega)).coeffs
+    assert np.abs(back - omega.coeffs).max() <= 1e-14 * np.abs(omega.coeffs).max()

@@ -43,7 +43,7 @@ class TestGrid:
 
     def test_dealias_cut_is_two_thirds(self):
         g = make_grid(96)
-        cut = 96 // 3
+        cut = 31  # largest |k| with 3|k| < n
         inside = (np.abs(g.k1) <= cut) & (np.abs(g.k2) <= cut)
         assert np.array_equal(g.dealias, inside)
 
@@ -61,7 +61,9 @@ class TestModelParams:
         p = ModelParams(alpha=0.25, gamma=2.0)
         assert p.alpha == 0.25 and p.gamma == 2.0
 
-    @pytest.mark.parametrize("alpha,gamma", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("alpha,gamma", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                             (math.inf, 1.0), (math.nan, 1.0),
+                                             (1.0, math.inf), (1.0, math.nan)])
     def test_rejects_nonpositive(self, alpha, gamma):
         with pytest.raises(ValueError):
             ModelParams(alpha=alpha, gamma=gamma)
