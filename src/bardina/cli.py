@@ -22,6 +22,9 @@ suite failed (or a computation error), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import glob
 import hashlib
 import json
 import math
@@ -178,12 +181,43 @@ def _require(cfg: RunConfig, *names: str) -> None:
         )
 
 
-def _limit_threads(threads: int) -> None:
-    # best effort: cap the BLAS pools used by the dense eigensolver; the FFT
-    # path is single-threaded regardless
-    if threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
+def _openblas_pool():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _limit_threads(threads: int):
+    # cap the BLAS pool of the dense eigensolver while one command runs, and
+    # pass the cap on to child processes; the FFT path is single-threaded
+    if threads <= 0:
+        yield
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = str(threads)
+    pool = _openblas_pool()
+    if pool is None:
+        print("bardina: no OpenBLAS thread setter found; --threads/EBA_THREADS reach "
+              "child processes only", file=sys.stderr)
+        yield
+        return
+    get, put = pool
+    before = get()
+    put(min(threads, before))
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _check_grid(cfg: RunConfig) -> int:
@@ -279,18 +313,17 @@ def _cmd_lyapunov(cfg: RunConfig) -> int:
 
 def _cmd_instability(cfg: RunConfig) -> int:
     _require(cfg, "alpha", "gamma", "s")
-    chains = instability.region_lattice(cfg.s, cfg.delta)
     amplitude = cfg.amplitude
     if amplitude is None:
         amplitude = instability.threshold_amplitude(cfg.s, cfg.delta, cfg.alpha, cfg.gamma)
     spec = instability.KolmogorovSpec(s=cfg.s, amplitude=amplitude, gamma=cfg.gamma)
+    chains = [instability.Chain.from_spec(spec, t=t, r=r, alpha=cfg.alpha)
+              for t, r in instability.region_lattice(cfg.s, cfg.delta)]
     rows = []
-    for t, r in chains:
-        ch = instability.Chain.from_spec(spec, t=t, r=r, alpha=cfg.alpha)
-        sigma = instability.solve_sigma(ch)
+    for ch, sigma in zip(chains, instability.solve_sigmas(chains).tolist()):
         lo, hi = instability.sigma_bounds(ch, cfg.delta)
         oracle = instability.chain_matrix_eigen(ch)
-        rows.append((cfg.s, t, r, cfg.delta, ch.coupling, sigma, lo, hi, oracle))
+        rows.append((cfg.s, ch.t, ch.r, cfg.delta, ch.coupling, sigma, lo, hi, oracle))
     body = _csv(
         rows,
         ("s", "t", "r", "delta", "Lambda", "sigma",
@@ -370,14 +403,14 @@ def _suite_sigma_bounds(cfg: RunConfig):
     for s in (8, 16, 32):
         amplitude = instability.threshold_amplitude(s, delta, alpha, gamma)
         spec = instability.KolmogorovSpec(s=s, amplitude=amplitude, gamma=gamma)
-        for t, r in instability.region_lattice(s, delta):
-            ch = instability.Chain.from_spec(spec, t=t, r=r, alpha=alpha)
-            sigma = instability.solve_sigma(ch)
+        chains = [instability.Chain.from_spec(spec, t=t, r=r, alpha=alpha)
+                  for t, r in instability.region_lattice(s, delta)]
+        for ch, sigma in zip(chains, instability.solve_sigmas(chains).tolist()):
             lo, hi = instability.sigma_bounds(ch, delta)
             margin = min(sigma - lo, hi - sigma)
             good = margin >= 0.0 and sigma > 0.0
             ok &= good
-            rows.append((s, t, r, sigma, lo, hi, margin, "PASS" if good else "FAIL"))
+            rows.append((s, ch.t, ch.r, sigma, lo, hi, margin, "PASS" if good else "FAIL"))
     return ("s", "t", "r", "sigma", "sigma_lower_bound", "sigma_upper_bound",
             "margin", "status"), rows, ok
 
@@ -489,8 +522,8 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _effective_config(args)
-        _limit_threads(cfg.threads)
-        return _COMMANDS[cfg.subcommand](cfg)
+        with _limit_threads(cfg.threads):
+            return _COMMANDS[cfg.subcommand](cfg)
     except ConfigError as exc:
         print(f"bardina: {exc}", file=sys.stderr)
         return 2

@@ -42,6 +42,7 @@ from .spectral import (
     VectorField,
     _dealiased,
     _gradient_samples,
+    _inverse_laplacian,
     alpha_inner,
     curl,
     hermitianize,
@@ -105,6 +106,8 @@ class SimState:
     def __post_init__(self) -> None:
         if self.forcing_curl.grid.n != self.omega.grid.n:
             raise ValueError("omega and forcing_curl live on different grids")
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time!r}")
         _check_real_coeffs(self.omega.grid, self.omega.coeffs, "omega")
         _check_real_coeffs(self.forcing_curl.grid, self.forcing_curl.coeffs, "forcing_curl")
 
@@ -188,11 +191,8 @@ def _r0_sq_from_curl(params: ModelParams, forcing_curl: SpectralField) -> float:
     # radius for the dynamics actually being integrated.
     grid = forcing_curl.grid
     mag = (forcing_curl.coeffs * np.conj(forcing_curl.coeffs)).real
-    inv_ksq = np.zeros_like(grid.k_sq)
-    nz = grid.k_sq > 0
-    inv_ksq[nz] = 1.0 / grid.k_sq[nz]
     norm = (2.0 * np.pi) ** 2
-    g_sq = norm * float(np.sum(mag * inv_ksq))
+    g_sq = norm * float(np.sum(mag * -_inverse_laplacian(grid.n)))
     curl_sq = norm * float(np.sum(mag))
     return min(g_sq / params.alpha, curl_sq) / params.gamma**2
 

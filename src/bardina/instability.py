@@ -5,45 +5,31 @@ u = g / gamma.  Linearizing the damped filtered-vorticity equation around
 it couples Fourier modes only along vertical ladders k = (t, s n + r),
 n in Z, so the eigenvalue problem splits into independent three-term
 recurrences ("chains").  For chains whose base mode lies in an explicit
-admissible region the recurrence has a unique real eigenvalue, found here
-as the root of a continued-fraction identity and cross-checked against a
-truncated tridiagonal matrix.  Counting the admissible lattice points and
-driving them all unstable with a large enough forcing amplitude yields the
-attractor-dimension lower bound assembled in :mod:`bardina.bounds`.
+admissible region the recurrence has a unique real eigenvalue, solved for
+a batch of chains at once as the root of a continued-fraction identity
+and cross-checked against a truncated tridiagonal matrix.  Counting the
+admissible lattice points and driving them all unstable with a large enough
+forcing amplitude gives the dimension lower bound of :mod:`bardina.bounds`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import FourierGrid, SpectralField, VectorField, zero_field, zero_vector_field
 
 __all__ = [
-    "KolmogorovSpec",
-    "Chain",
-    "RecurrenceCoeffs",
-    "ContinuedFractionError",
-    "BracketError",
-    "kolmogorov_forcing",
-    "stationary_vorticity",
-    "threshold_amplitude",
-    "region_lattice",
-    "in_region",
-    "continued_fraction_g",
-    "f_sigma",
-    "solve_sigma",
-    "solve_lambda0",
-    "sigma_bounds",
-    "coupling_bounds",
-    "chain_matrix",
-    "chain_matrix_eigen",
-    "unstable_count",
+    "KolmogorovSpec", "Chain", "RecurrenceCoeffs", "ContinuedFractionError", "BracketError",
+    "kolmogorov_forcing", "stationary_vorticity", "threshold_amplitude", "region_lattice",
+    "in_region", "continued_fraction_g", "f_sigma", "solve_sigma", "solve_sigmas", "solve_lambda0",
+    "sigma_bounds", "coupling_bounds", "chain_matrix", "chain_matrix_eigen", "unstable_count",
 ]
 
 SIGMA_TOL = 1e-12  # relative bisection tolerance on eigenvalues
 GAMMA_OFFSET = 1e-10  # bracket offset from -gamma, in units of gamma
+_MAX_DEPTH = 1 << 15  # g needs depth ~ (gamma+sigma)^(-1/2) near -gamma; doubled up to this
 
 
 class ContinuedFractionError(RuntimeError):
@@ -127,6 +113,11 @@ def stationary_vorticity(spec: KolmogorovSpec, grid: FourierGrid) -> SpectralFie
 # chains and the admissible lattice region
 
 
+def _admissible(s: int, t: int, r: int) -> bool:
+    return (3 * (t * t + r * r) < s * s and t * t + (r - s) ** 2 > s * s
+            and t * t + (r + s) ** 2 > s * s and -s < 6 * r < s)
+
+
 def in_region(s: int, t: int, r: int, delta: float) -> bool:
     """Admissibility of the base mode (t, r): inside the open disk of
     radius s/sqrt(3), outside both unit-shifted disks of radius s, strip
@@ -135,16 +126,7 @@ def in_region(s: int, t: int, r: int, delta: float) -> bool:
     """
     if not 0.0 < delta < 1.0 / math.sqrt(3.0):
         raise ValueError("delta must lie in (0, 1/sqrt(3))")
-    s2 = s * s
-    if 3 * (t * t + r * r) >= s2:
-        return False
-    if t * t + (r - s) * (r - s) <= s2:
-        return False
-    if t * t + (r + s) * (r + s) <= s2:
-        return False
-    if 6 * r <= -s or 6 * r >= s:
-        return False
-    return t >= delta * s
+    return _admissible(s, t, r) and t >= delta * s
 
 
 def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
@@ -154,14 +136,10 @@ def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
     """
     if not 0.0 < delta < 1.0 / math.sqrt(3.0):
         raise ValueError("delta must lie in (0, 1/sqrt(3))")
-    out = []
     t_max = int(math.floor(s / math.sqrt(3.0)))
     r_hi = (s - 1) // 6  # strict |r| < s/6
-    for t in range(max(1, int(math.ceil(delta * s))), t_max + 1):
-        for r in range(-r_hi, r_hi + 1):
-            if in_region(s, t, r, delta):
-                out.append((t, r))
-    return out
+    return [(t, r) for t in range(max(1, int(math.ceil(delta * s))), t_max + 1)
+            for r in range(-r_hi, r_hi + 1) if in_region(s, t, r, delta)]
 
 
 @dataclass(frozen=True)
@@ -197,13 +175,7 @@ class Chain:
 
     def admissible(self) -> bool:
         """The delta-independent region conditions (delta -> 0 limit)."""
-        s2 = self.s**2
-        return (
-            3 * (self.t**2 + self.r**2) < s2
-            and self.t**2 + (self.r - self.s) ** 2 > s2
-            and self.t**2 + (self.r + self.s) ** 2 > s2
-            and -self.s < 6 * self.r < self.s
-        )
+        return _admissible(self.s, self.t, self.r)
 
     def mode_sq(self, n) -> np.ndarray:
         """|k_n|^2 = t^2 + (s n + r)^2, exact in float for moderate depth."""
@@ -214,6 +186,13 @@ class Chain:
         return RecurrenceCoeffs(self)
 
 
+def _ladder_a(s, t, r, alpha, coupling, n):
+    """A_n = (K + alpha K^2) / (coupling t (K - s^2)), K = t^2 + (s n + r)^2; broadcasts."""
+    kn = s * n + r
+    k_sq = t * t + kn * kn
+    return (k_sq + alpha * k_sq * k_sq) / (coupling * t * (k_sq - s * s))
+
+
 @dataclass(frozen=True)
 class RecurrenceCoeffs:
     """Coefficients of the three-term recurrence d_n e_n + e_{n-1} - e_{n+1} = 0."""
@@ -222,19 +201,75 @@ class RecurrenceCoeffs:
 
     def A(self, n) -> np.ndarray:
         c = self.chain
-        K = c.mode_sq(n)
-        return (K + c.alpha * K * K) / (c.coupling * c.t * (K - c.s**2))
+        return _ladder_a(c.s, c.t, c.r, c.alpha, c.coupling, np.asarray(n, dtype=np.float64))
 
     def d(self, n, sigma: float) -> np.ndarray:
         return (self.chain.gamma + sigma) * self.A(n)
 
 
-def _cf_one_sided(rec: RecurrenceCoeffs, sigma: float, n_max: int, sign: int) -> float:
-    """1/(d_{sign*1} + 1/(d_{sign*2} + ...)), truncated at depth n_max."""
-    acc = float(rec.d(sign * n_max, sigma))
-    for n in range(n_max - 1, 0, -1):
-        acc = float(rec.d(sign * n, sigma)) + 1.0 / acc
-    return 1.0 / acc
+def _columns(chains) -> np.ndarray:
+    """A batch of chains: one column each, rows s, t, r, alpha, gamma, coupling."""
+    return np.array([(c.s, c.t, c.r, c.alpha, c.gamma, c.coupling) for c in chains],
+                    dtype=np.float64).reshape(-1, 6).T
+
+
+def _f(cols: np.ndarray, sigma) -> np.ndarray:
+    s, t, r, alpha, gamma, coupling = cols
+    q = t * t + r * r
+    return (gamma + sigma) * (q + alpha * q * q) / (coupling * t * (s * s - q))
+
+
+def _cf(cols: np.ndarray, sigma: np.ndarray, n_max: int, max_depth: int) -> np.ndarray:
+    # g at depth 2n once depths n and 2n agree to 1e-10; n doubles per chain from n_max
+    def sweep(cols, sigma, depth):
+        # both tails 1/(d_1 + 1/(d_2 + ... + 1/d_depth)), d of shape (depth, tail, chain)
+        n = np.arange(1.0, depth + 1.0)[:, None, None] * np.array([[1.0], [-1.0]])
+        d = (cols[4] + sigma) * _ladder_a(*cols[:4], cols[5], n)
+        acc = d[-1]
+        for d_n in d[-2::-1]:
+            acc = d_n + 1.0 / acc
+        return 1.0 / acc[0] + 1.0 / acc[1]
+
+    depth, todo = n_max, np.arange(sigma.size)
+    g = sweep(cols, sigma, depth)
+    while todo.size:
+        deeper = sweep(cols[:, todo], sigma[todo], 2 * depth)
+        moved = np.abs(g[todo] - deeper)
+        g[todo] = deeper
+        bad = moved > 1e-10
+        todo, depth = todo[bad], 2 * depth
+        if todo.size and depth > max_depth:
+            raise ContinuedFractionError(f"depth doubling moved g by {moved[bad][0]:.3e} "
+                                         f"at sigma={float(sigma[todo[0]])!r}")
+    return g
+
+
+def _gap(cols: np.ndarray, sigma: np.ndarray, n_max: int) -> np.ndarray:
+    return _f(cols, sigma) - _cf(cols, sigma, n_max, _MAX_DEPTH)
+
+
+def _expand(holds, x: np.ndarray, step) -> np.ndarray:
+    """Step x[i] in place until holds(x[i], i), 80 tries; returns the i never there."""
+    todo = np.arange(x.size)
+    for _ in range(80):
+        todo = todo[~holds(x[todo], todo)]
+        if not todo.size:
+            break
+        x[todo] = step(x[todo], todo)
+    return todo
+
+
+def _bisect(above, lo: np.ndarray, hi: np.ndarray, floor: np.ndarray, tol: float) -> np.ndarray:
+    """Halve each [lo, hi] until hi - lo <= tol*max(floor, |hi|); above(x, i): x[i] past root i."""
+    todo = np.arange(lo.size)
+    while True:
+        todo = todo[hi[todo] - lo[todo] > tol * np.maximum(floor[todo], np.abs(hi[todo]))]
+        if not todo.size:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[todo] + hi[todo])
+        up = above(mid, todo)
+        hi[todo[up]] = mid[up]
+        lo[todo[~up]] = mid[~up]
 
 
 def continued_fraction_g(chain: Chain, sigma: float, n_max: int = 32) -> float:
@@ -248,14 +283,7 @@ def continued_fraction_g(chain: Chain, sigma: float, n_max: int = 32) -> float:
     """
     if sigma <= -chain.gamma:
         raise ValueError("sigma must exceed -gamma")
-    rec = chain.recurrence()
-    g1 = _cf_one_sided(rec, sigma, n_max, +1) + _cf_one_sided(rec, sigma, n_max, -1)
-    g2 = _cf_one_sided(rec, sigma, 2 * n_max, +1) + _cf_one_sided(rec, sigma, 2 * n_max, -1)
-    if abs(g1 - g2) > 1e-10:
-        raise ContinuedFractionError(
-            f"depth doubling moved g by {abs(g1 - g2):.3e} at sigma={sigma!r}"
-        )
-    return g2
+    return float(_cf(_columns([chain]), np.array([sigma], dtype=np.float64), n_max, n_max)[0])
 
 
 def f_sigma(chain: Chain, sigma: float) -> float:
@@ -263,29 +291,7 @@ def f_sigma(chain: Chain, sigma: float) -> float:
     f(sigma) = (gamma+sigma)(q + alpha q^2)/(coupling * t * (s^2 - q)),
     q = t^2 + r^2.  Vanishes at sigma = -gamma and increases linearly.
     """
-    q = float(chain.t**2 + chain.r**2)
-    return (
-        (chain.gamma + sigma)
-        * (q + chain.alpha * q * q)
-        / (chain.coupling * chain.t * (chain.s**2 - q))
-    )
-
-
-def _gap(chain: Chain, sigma: float, n_max: int) -> float:
-    return f_sigma(chain, sigma) - continued_fraction_g(chain, sigma, n_max)
-
-
-def _gap_adaptive(chain: Chain, sigma: float, n_max: int) -> float:
-    # near sigma = -gamma all d_n shrink together and the fraction needs
-    # depth ~ (gamma+sigma)^(-1/2); grow it instead of failing outright
-    depth = n_max
-    while True:
-        try:
-            return _gap(chain, sigma, depth)
-        except ContinuedFractionError:
-            depth *= 2
-            if depth > 1 << 15:
-                raise
+    return float(_f(_columns([chain]), sigma)[0])
 
 
 def sigma_bounds(chain: Chain, delta: float) -> tuple[float, float]:
@@ -309,6 +315,30 @@ def coupling_bounds(chain: Chain, delta: float) -> tuple[float, float]:
     return base * delta, base * 55.0 / (21.0 * delta * delta)
 
 
+def solve_sigmas(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarray:
+    """Array of :func:`solve_sigma` over the chains, found in one lockstep bisection;
+    each entry is bit-identical to solving that chain alone, and it raises
+    as :func:`solve_sigma` does for the first chain that fails."""
+    chains = list(chains)
+    if not all(c.admissible() for c in chains):
+        raise ValueError("chain base mode outside the admissible region")
+    cols = _columns(chains)
+    gamma = cols[4]
+
+    def above(sigma, i):
+        return _gap(cols[:, i], sigma, n_max) > 0.0
+
+    lo = -gamma + GAMMA_OFFSET * gamma
+    # the gap is negative at lo (f ~ 0+, g > 0), where g converges too slowly to probe
+    hi = np.maximum([sigma_bounds(c, c.t / c.s)[1] for c in chains], lo + gamma)
+    stuck = _expand(above, hi, lambda sigma, i: 2.0 * sigma + gamma[i])  # keeps hi > -gamma
+    if stuck.size:
+        c, top = chains[stuck[0]], float(hi[stuck[0]])
+        samples = [(x, f_sigma(c, x), continued_fraction_g(c, x, n_max)) for x in (0.0, top)]
+        raise BracketError(f"no sign change up to sigma={top!r}; (sigma, f, g) = {samples}")
+    return _bisect(above, lo, hi, gamma, tol)
+
+
 def solve_sigma(chain: Chain, tol: float = SIGMA_TOL, n_max: int = 32) -> float:
     """Unique real eigenvalue of the chain: the root of f(sigma) = g(sigma).
 
@@ -322,29 +352,7 @@ def solve_sigma(chain: Chain, tol: float = SIGMA_TOL, n_max: int = 32) -> float:
             (the sign structure of the recurrence is then lost).
         BracketError: if no sign change is found (diagnostic payload).
     """
-    if not chain.admissible():
-        raise ValueError("chain base mode outside the admissible region")
-    gam = chain.gamma
-    lo = -gam + GAMMA_OFFSET * gam
-    # at lo the gap is negative by construction (f ~ 0+, g > 0), and the
-    # fraction converges too slowly there to probe it directly
-    _, hi0 = sigma_bounds(chain, chain.t / chain.s)
-    hi = max(hi0, lo + gam)
-    for _ in range(80):
-        if _gap_adaptive(chain, hi, n_max) > 0.0:
-            break
-        hi = 2.0 * hi + gam  # expand keeping hi > -gamma
-    else:
-        samples = [(s_, f_sigma(chain, s_), continued_fraction_g(chain, s_, n_max))
-                   for s_ in (0.0, hi)]
-        raise BracketError(f"no sign change up to sigma={hi!r}; (sigma, f, g) = {samples}")
-    while hi - lo > tol * max(gam, abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if _gap_adaptive(chain, mid, n_max) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return float(solve_sigmas([chain], tol, n_max)[0])
 
 
 def solve_lambda0(chain: Chain, tol: float = SIGMA_TOL, n_max: int = 32) -> float:
@@ -356,27 +364,19 @@ def solve_lambda0(chain: Chain, tol: float = SIGMA_TOL, n_max: int = 32) -> floa
     """
     if not chain.admissible():
         raise ValueError("chain base mode outside the admissible region")
+    cols, zero = _columns([chain]), np.zeros(1)
+
+    def gap(coupling, i):
+        return _gap(np.vstack((cols[:5, i], coupling)), zero[i], n_max)
+
     b_lo, b_hi = coupling_bounds(chain, chain.t / chain.s)
-    lo, hi = 0.5 * b_lo, 2.0 * b_hi
-    for _ in range(80):
-        if _gap_adaptive(replace(chain, coupling=lo), 0.0, n_max) > 0.0:
-            break
-        lo *= 0.5
-    else:
+    lo, hi = np.array([0.5 * b_lo]), np.array([2.0 * b_hi])
+    if _expand(lambda c, i: gap(c, i) > 0.0, lo, lambda c, i: 0.5 * c).size:
         raise BracketError("no positive gap at small coupling")
-    for _ in range(80):
-        if _gap_adaptive(replace(chain, coupling=hi), 0.0, n_max) < 0.0:
-            break
-        hi *= 2.0
-    else:
+    if _expand(lambda c, i: gap(c, i) < 0.0, hi, lambda c, i: 2.0 * c).size:
         raise BracketError("no negative gap at large coupling")
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if _gap_adaptive(replace(chain, coupling=mid), 0.0, n_max) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # the gap falls with the coupling, so a coupling without a positive gap is above the root
+    return float(_bisect(lambda c, i: ~(gap(c, i) > 0.0), lo, hi, zero, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +424,9 @@ def unstable_count(s: int, delta: float, alpha: float, gamma: float) -> int:
     """
     lam = threshold_amplitude(s, delta, alpha, gamma)
     spec = KolmogorovSpec(s=s, amplitude=lam, gamma=gamma)
-    count = 0
-    for t, r in region_lattice(s, delta):
-        sigma = solve_sigma(Chain.from_spec(spec, alpha, t, r))
+    lattice = region_lattice(s, delta)
+    sigmas = solve_sigmas([Chain.from_spec(spec, alpha, t, r) for t, r in lattice])
+    for (t, r), sigma in zip(lattice, sigmas):
         if not sigma > 0.0:
             raise RuntimeError(f"chain (t={t}, r={r}) failed instability certification")
-        count += 2
-    return count
+    return 2 * len(lattice)

@@ -309,13 +309,10 @@ def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:
 def leray_project(u: VectorField) -> VectorField:
     """Remove the gradient part: uhat -> uhat - k (k.uhat)/|k|^2."""
     g = u.grid
-    inv = np.zeros_like(g.k_sq)
-    nz = g.k_sq > 0
-    inv[nz] = 1.0 / g.k_sq[nz]
-    kdotu = (g.k1 * u.coeffs[0] + g.k2 * u.coeffs[1]) * inv
+    kdotu = (g.k1 * u.coeffs[0] + g.k2 * u.coeffs[1]) * _inverse_laplacian(g.n)
     out = u.coeffs.copy()
-    out[0] -= g.k1 * kdotu
-    out[1] -= g.k2 * kdotu
+    out[0] += g.k1 * kdotu
+    out[1] += g.k2 * kdotu
     return VectorField(g, out)
 
 

@@ -1,13 +1,17 @@
 """Command line interface: parsing, precedence, determinism, exit codes."""
+import ctypes
+import glob
 import json
 import os
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import bardina.cli as cli
+from bardina import instability
 from bardina.cli import ConfigError, load_config, parse_and_dispatch
 
 
@@ -98,6 +102,49 @@ class TestConfigFile:
                        "--threads", "2")
         assert rc == 0
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def _openblas_pool():
+    """(get, set) of numpy's bundled OpenBLAS thread count, found independently of the CLI."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for stem in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                     "openblas_%s_num_threads"):
+            get = getattr(handle, stem % "get", None)
+            put = getattr(handle, stem % "set", None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, put
+    pytest.skip("numpy does not bundle an OpenBLAS with a thread setter")
+
+
+class TestThreadCap:
+    def test_threads_flag_caps_blas_pool_for_the_command(self, capsys, monkeypatch):
+        get, put = _openblas_pool()
+        original = get()
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)  # restored at teardown
+        seen = []
+        oracle = instability.chain_matrix_eigen
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(instability, "chain_matrix_eigen", spy)
+        put(2)
+        try:
+            before = get()
+            rc, _, err = run(capsys, "instability", "--s", "12", "--alpha", "0.0069",
+                             "--gamma", "1", "--threads", "1")
+            after = get()
+        finally:
+            put(original)
+        assert rc == 0 and err == ""
+        assert seen and set(seen) == {1}
+        assert after == before
 
 
 class TestUsageErrors:

@@ -93,6 +93,12 @@ class TestSimState:
         with pytest.raises(ValueError, match="not finite"):
             SimState(zero_field(grid), 0.0, PARAMS, SpectralField(grid, c))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, bad):
+        grid = make_grid(16)
+        with pytest.raises(ValueError, match="time must be finite"):
+            SimState(zero_field(grid), bad, PARAMS, zero_field(grid))
+
     def test_rejects_grid_mismatch(self):
         with pytest.raises(ValueError, match="grids"):
             SimState(zero_field(make_grid(16)), 0.0, PARAMS, zero_field(make_grid(32)))

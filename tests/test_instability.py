@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bardina import instability as inst
 from bardina.spectral import curl, divergence_coeffs, make_grid
@@ -234,6 +236,51 @@ class TestSolveSigma:
             assert abs(inst.solve_sigma(ch) - inst.chain_matrix_eigen(ch, depth=150)) < 1e-8
 
 
+class TestSolveSigmas:
+    @staticmethod
+    def _lattice_chains(s, gamma, factors=(1.0,)):
+        alpha = 1.0 / s**2
+        lam = inst.threshold_amplitude(s, 0.35, alpha, gamma)
+        spec = inst.KolmogorovSpec(s=s, amplitude=lam, gamma=gamma)
+        chains = [inst.Chain.from_spec(spec, alpha, t, r) for t, r in inst.region_lattice(s, 0.35)]
+        factors = np.resize(factors, len(chains))
+        return [replace(c, coupling=c.coupling * f) for c, f in zip(chains, factors)]
+
+    @staticmethod
+    def _bits(x):
+        return np.asarray(x, dtype=np.float64).view(np.int64)
+
+    @settings(max_examples=12, deadline=None)
+    @given(s=st.integers(4, 48), k=st.integers(-2, 2),
+           factors=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=8), data=st.data())
+    def test_matches_single_chain_solves_in_any_order(self, s, k, factors, data):
+        chains = self._lattice_chains(s, 2.0**k, factors)
+        if chains:
+            chains = data.draw(st.lists(st.sampled_from(chains), min_size=1, max_size=12))
+        got = inst.solve_sigmas(chains)
+        want = [inst.solve_sigma(c) for c in chains]
+        assert np.array_equal(self._bits(got), self._bits(want))
+        order = data.draw(st.permutations(range(len(chains))))
+        shuffled = inst.solve_sigmas([chains[i] for i in order])
+        assert np.array_equal(self._bits(shuffled), self._bits(got)[list(order)])
+
+    def test_mixed_depths(self):
+        # at n_max = 4 the chains need different numbers of depth doublings
+        chains = self._lattice_chains(24, 1.0)
+        shallow = inst.solve_sigmas(chains, n_max=4)
+        alone = [inst.solve_sigma(c, n_max=4) for c in chains]
+        assert np.array_equal(self._bits(shallow), self._bits(alone))
+        assert np.array_equal(self._bits(shallow), self._bits(inst.solve_sigmas(chains)))
+
+    def test_empty_batch(self):
+        assert inst.solve_sigmas([]).shape == (0,)
+
+    def test_rejects_inadmissible_chain_in_batch(self):
+        bad = inst.Chain(s=8, t=1, r=1, alpha=ALPHA, gamma=1.0, coupling=0.4)
+        with pytest.raises(ValueError):
+            inst.solve_sigmas([PINNED, bad])
+
+
 class TestLambda0:
     def test_sign_change_around_root(self):
         lam0 = inst.solve_lambda0(PINNED)
@@ -321,6 +368,6 @@ class TestUnstableCount:
         assert abs(counts[48] / counts[24] - 4.0) <= 1.0
 
     def test_certification_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(inst, "solve_sigma", lambda ch: -1.0)
+        monkeypatch.setattr(inst, "solve_sigmas", lambda chains: np.full(len(chains), -1.0))
         with pytest.raises(RuntimeError):
             inst.unstable_count(12, 0.35, alpha=1 / 144, gamma=1.0)

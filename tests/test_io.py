@@ -162,6 +162,17 @@ class TestStateCheckpoint:
         with pytest.raises(ValueError, match="not finite"):
             load_state(p)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_header_time_rejected(self, tmp_path, rng, bad):
+        st = self._state(rng)
+        p = str(tmp_path / "state.ebv")
+        save_state(st, p)
+        blob = bytearray(open(p, "rb").read())
+        struct.pack_into("<d", blob, 24, bad)  # header: magic, n, alpha, gamma, time
+        open(p, "wb").write(bytes(blob))
+        with pytest.raises(ValueError, match="time must be finite"):
+            load_state(p)
+
     def test_restart_is_bit_identical(self, tmp_path, rng):
         # run to T in one go vs checkpoint at T/2 and resume: same bytes
         st = self._state(rng)
