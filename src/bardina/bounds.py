@@ -7,9 +7,11 @@ positive root gives dim <= ||curl g||^2 / (8 pi alpha gamma^4).
 The lower bound counts unstable directions of a stationary Kolmogorov flow
 at wavenumber s ~ 1/sqrt(alpha) driven with the amplitude of
 :func:`bardina.instability.threshold_amplitude`; the count is asymptotic to
-the area of the admissible region, and optimizing the product
-area(delta) * delta^4 over the region parameter produces the constant
-c1 ~ 6.5e-7 multiplying the same ratio ||curl g||^2 / (alpha gamma^4).
+the area of the admissible region, which is bounded by three circles and
+two lines and so has a closed form (:func:`area_a`).  Maximizing the product
+area(delta) * delta^4 over the region parameter by one golden-section search
+produces the constant c1 ~ 6.5e-7 multiplying the same ratio
+||curl g||^2 / (alpha gamma^4).
 """
 from __future__ import annotations
 
@@ -70,44 +72,45 @@ def lambda_choice(s: int, delta: float, alpha: float, gamma: float) -> float:
     return instability.threshold_amplitude(s, delta, alpha, gamma)
 
 
-def area_a(delta: float, resolution: int = 1000) -> float:
-    """Normalized area of the admissible region (wavenumber s scaled to 1)
-    by midpoint quadrature on a resolution x resolution grid.
+def _sqrt_antiderivative(x: float, c: float) -> float:
+    # antiderivative of sqrt(c - x^2) on [-sqrt(c), sqrt(c)]
+    return 0.5 * (x * math.sqrt(c - x * x) + c * math.asin(x / math.sqrt(c)))
 
-    The grid spans [delta, 1/sqrt3] x [-1/6, 1/6], so the two straight
-    cuts fall on cell edges and only the circular arcs are sampled.
+
+def area_a(delta: float) -> float:
+    """Normalized area of the admissible region (wavenumber s scaled to 1).
+
+    The region delta < t, t^2 + r^2 < 1/3, t^2 + (r -+ 1)^2 > 1 is symmetric
+    in r, so a(delta) = 2 int_0^R [sqrt(1/3 - r^2) - max(delta, sqrt(2r - r^2))] dr
+    with R = min(1/6, sqrt(1/3 - delta^2)); the two lower curves cross at
+    r_delta = 1 - sqrt(1 - delta^2), and each piece integrates in closed form.
     """
     if not 0.0 < delta < DELTA_MAX:
         raise ValueError("delta must lie in (0, 1/sqrt(3))")
-    if resolution < 8:
-        raise ValueError("resolution too small")
-    ht = (DELTA_MAX - delta) / resolution
-    hr = (1.0 / 3.0) / resolution
-    t = delta + ht * (np.arange(resolution) + 0.5)
-    r = -1.0 / 6.0 + hr * (np.arange(resolution) + 0.5)
-    t2 = (t * t)[:, None]
-    inside = (t2 + r * r < 1.0 / 3.0) & (t2 + (r - 1.0) ** 2 > 1.0) & (t2 + (r + 1.0) ** 2 > 1.0)
-    return float(np.count_nonzero(inside)) * ht * hr
+    top = min(1.0 / 6.0, math.sqrt(1.0 / 3.0 - delta * delta))
+    cross = min(1.0 - math.sqrt(1.0 - delta * delta), top)
+    upper = _sqrt_antiderivative(top, 1.0 / 3.0)  # the value at r = 0 is 0
+    # sqrt(2r - r^2) = sqrt(1 - (r - 1)^2)
+    arc = _sqrt_antiderivative(top - 1.0, 1.0) - _sqrt_antiderivative(cross - 1.0, 1.0)
+    return 2.0 * (upper - delta * cross - arc)
 
 
-@lru_cache(maxsize=4)
-def _optimize_c1(grid_points: int, resolution: int) -> tuple[float, float]:
-    deltas = np.linspace(0.05, DELTA_MAX - 0.005, grid_points)
-    vals = np.array([area_a(float(d), resolution) * d**4 for d in deltas])
-    i = int(vals.argmax())
-    lo = deltas[max(i - 1, 0)]
-    hi = deltas[min(i + 1, grid_points - 1)]
-    # golden-section refinement on the bracket at doubled resolution
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    fine = 2 * resolution
+@lru_cache(maxsize=1)
+def lower_bound_constant() -> tuple[float, float]:
+    """(c1, delta_star): maximum of area(delta)*delta^4 over the region
+    parameter, times the arithmetic prefactor (1/8)(21/(110 pi))^2.
 
+    area(delta)*delta^4 is unimodal on (0, 1/sqrt3), so one golden-section
+    search over the whole interval finds the maximizer; cached per process.
+    """
     def score(d: float) -> float:
-        return area_a(d, fine) * d**4
+        return area_a(d) * d**4
 
-    a, b = lo, hi
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 0.0, DELTA_MAX
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
     fc, fd = score(c), score(d)
-    for _ in range(40):
+    while b - a > 1e-10:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -116,18 +119,8 @@ def _optimize_c1(grid_points: int, resolution: int) -> tuple[float, float]:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = score(d)
-    delta_star = float(0.5 * (a + b))
+    delta_star = 0.5 * (a + b)
     return C1_PREFACTOR * score(delta_star), delta_star
-
-
-def lower_bound_constant(grid_points: int = 160, resolution: int = 1000) -> tuple[float, float]:
-    """(c1, delta_star): maximum of area(delta)*delta^4 over the region
-    parameter, times the arithmetic prefactor (1/8)(21/(110 pi))^2.
-
-    Coarse grid scan followed by golden-section refinement; results are
-    cached per (grid_points, resolution).
-    """
-    return _optimize_c1(grid_points, resolution)
 
 
 def lower_bound(alpha: float, gamma: float) -> float:
@@ -139,15 +132,7 @@ def lower_bound(alpha: float, gamma: float) -> float:
         ValueError: if alpha is so large that the admissible region holds
             no lattice points ("no lower bound certified at this alpha").
     """
-    if alpha <= 0 or gamma <= 0:
-        raise ValueError("alpha and gamma must be positive")
-    s = math.ceil(1.0 / math.sqrt(alpha))
-    c1, delta_star = lower_bound_constant()
-    if s < 4 or not instability.region_lattice(s, delta_star):
-        raise ValueError(f"no lower bound certified at this alpha (s={s}: region empty)")
-    lam = instability.threshold_amplitude(s, delta_star, alpha, gamma)
-    curl_sq = (gamma * lam * s) ** 2
-    return c1 * curl_sq / (alpha * gamma**4)
+    return dimension_report(alpha, gamma).lower
 
 
 @dataclass(frozen=True)
@@ -166,12 +151,18 @@ class DimensionReport:
 
 def dimension_report(alpha: float, gamma: float) -> DimensionReport:
     """Evaluate both bounds on the same forcing g_s; lower <= upper always
-    (their ratio is the alpha-independent constant 8 pi c1)."""
+    (their ratio is the alpha-independent constant 8 pi c1).
+
+    Raises:
+        ValueError: on non-positive alpha or gamma, or if the admissible
+            region holds no lattice points at s = ceil(1/sqrt(alpha)).
+    """
     if alpha <= 0 or gamma <= 0:
         raise ValueError("alpha and gamma must be positive")
     s = math.ceil(1.0 / math.sqrt(alpha))
     c1, delta_star = lower_bound_constant()
-    lower = lower_bound(alpha, gamma)  # raises if not certifiable
+    if s < 4 or not instability.region_lattice(s, delta_star):
+        raise ValueError(f"no lower bound certified at this alpha (s={s}: region empty)")
     lam = instability.threshold_amplitude(s, delta_star, alpha, gamma)
     curl_sq = (gamma * lam * s) ** 2
     return DimensionReport(
@@ -180,7 +171,7 @@ def dimension_report(alpha: float, gamma: float) -> DimensionReport:
         s=s,
         curl_g_norm_sq=curl_sq,
         upper=upper_bound(alpha, gamma, curl_sq),
-        lower=lower,
+        lower=c1 * curl_sq / (alpha * gamma**4),
         constant_c1=c1,
         delta_star=delta_star,
     )

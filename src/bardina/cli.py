@@ -131,6 +131,9 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
                 merged["threads"] = int(env)
             except ValueError:
                 raise ConfigError(f"EBA_THREADS = {env!r} is not an integer")
+    if merged["threads"] < 0:
+        raise ConfigError(f"threads = {merged['threads']} (--threads, config file or "
+                          "EBA_THREADS) must be >= 0, 0 = auto")
     return RunConfig(**merged)
 
 
@@ -200,7 +203,7 @@ def _openblas_pool():
 def _limit_threads(threads: int):
     # cap the BLAS pool of the dense eigensolver while one command runs, and
     # pass the cap on to child processes; the FFT path is single-threaded
-    if threads <= 0:
+    if threads == 0:
         yield
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

@@ -7,10 +7,15 @@ pairs, row-major, with both wavenumber axes stored in the shifted order
 component count right after the header, followed by the components in
 order.  A simulation state is two scalar files: the vorticity at the given
 path and curl of the forcing next to it with the suffix ".forcing".
+
+Every file is written to a temporary file in the same directory, synced and
+renamed over the target, so a reader sees the old file or the new one,
+never a torn one.
 """
 from __future__ import annotations
 
 import os
+import secrets
 import struct
 
 import numpy as np
@@ -39,21 +44,30 @@ def _unshifted(raw: np.ndarray) -> np.ndarray:
     return np.fft.ifftshift(raw.astype(np.complex128), axes=(-2, -1))
 
 
+def _write_atomic(path: str, *chunks: bytes) -> None:
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_scalar(path: str, field: SpectralField, params: ModelParams, time: float) -> None:
-    n = field.grid.n
-    header = _HEADER.pack(MAGIC, n, params.alpha, params.gamma, time)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(_shifted(field.coeffs).tobytes())
+    header = _HEADER.pack(MAGIC, field.grid.n, params.alpha, params.gamma, time)
+    _write_atomic(path, header, _shifted(field.coeffs).tobytes())
 
 
 def write_vector(path: str, field: VectorField, params: ModelParams, time: float) -> None:
-    n = field.grid.n
-    header = _HEADER.pack(MAGIC, n, params.alpha, params.gamma, time)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(struct.pack("<B", field.coeffs.shape[0]))
-        fh.write(_shifted(field.coeffs).tobytes())
+    header = _HEADER.pack(MAGIC, field.grid.n, params.alpha, params.gamma, time)
+    count = struct.pack("<B", field.coeffs.shape[0])
+    _write_atomic(path, header, count, _shifted(field.coeffs).tobytes())
 
 
 def _read_header(path: str, blob: bytes) -> tuple[int, ModelParams, float]:
@@ -93,9 +107,13 @@ def read_vector(path: str) -> tuple[VectorField, ModelParams, float]:
 
 
 def save_state(state: SimState, path: str) -> None:
-    """Write a SimState as two scalar files: path and path + ".forcing"."""
-    write_scalar(path, state.omega, state.params, state.time)
+    """Write a SimState as two scalar files: path and path + ".forcing".
+
+    The forcing file goes first, so the vorticity file never exists
+    without a forcing file next to it.
+    """
     write_scalar(path + ".forcing", state.forcing_curl, state.params, state.time)
+    write_scalar(path, state.omega, state.params, state.time)
 
 
 def load_state(path: str) -> SimState:

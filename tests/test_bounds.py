@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bardina import bounds, instability
 
@@ -65,23 +67,61 @@ class TestTraceBound:
             bounds.trace_bound_q(0.5, 0.1, 1.0, 1.0)
 
 
+def _midpoint_area(delta: float, n: int = 10**6) -> float:
+    """Midpoint rule on the 1D reduction, an independent route to area_a.
+
+    The integrand f(r) = sqrt(1/3 - r^2) - max(delta, sqrt(2r - r^2)), clipped
+    at 0, is smooth on [0, 1/6] but for two kinks, so each cell of width h
+    errs by at most (h^2/4) times the variation of f' over it; that variation
+    totals at most 0.62 + 2/delta (the circle r^2 + t^2 = 1/3 contributes 0.31
+    before and 0.31 at the clip, the arc 1/delta after the kink at
+    r_delta and 1/delta at it).
+    """
+    h = (1.0 / 6.0) / n
+    r = h * (np.arange(n) + 0.5)
+    gap = np.sqrt(1.0 / 3.0 - r * r) - np.maximum(delta, np.sqrt(2.0 * r - r * r))
+    return 2.0 * float(np.sum(np.maximum(gap, 0.0))) * h
+
+
+def _midpoint_error_bound(delta: float, n: int = 10**6) -> float:
+    # twice the per-half bound of _midpoint_area, plus summation rounding;
+    # below 1e-12 for every delta >= 0.03
+    h = (1.0 / 6.0) / n
+    return h * h * (0.62 + 2.0 / delta) / 2.0 + 1e-15
+
+
+DELTAS = st.floats(0.0, bounds.DELTA_MAX, exclude_min=True, exclude_max=True)
+
+
 class TestArea:
     def test_frozen_values(self):
+        # the frozen values are rounded to 12 decimals (5e-13)
         for delta, ref in AREA_ORACLE.items():
-            assert bounds.area_a(delta, 2000) == pytest.approx(ref, abs=5e-6)
+            assert bounds.area_a(delta) == pytest.approx(ref, abs=1e-11)
+
+    @settings(max_examples=25, deadline=None)
+    @given(delta=DELTAS)
+    def test_matches_midpoint_rule(self, delta):
+        err = abs(bounds.area_a(delta) - _midpoint_area(delta))
+        assert err <= _midpoint_error_bound(delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=DELTAS, b=DELTAS)
+    def test_decreasing(self, a, b):
+        lo, hi = min(a, b), max(a, b)
+        # a'(delta) = -2 min(r_delta, R) is ~ -delta^2 near 0: allow rounding
+        assert bounds.area_a(hi) <= bounds.area_a(lo) + 1e-15
+        if hi - lo >= 1e-3:
+            assert bounds.area_a(hi) < bounds.area_a(lo)
 
     def test_degenerates_at_upper_end(self):
-        assert bounds.area_a(0.575, 2000) < 2e-3
-        vals = [bounds.area_a(d, 1000) for d in (0.45, 0.5, 0.55)]
+        assert bounds.area_a(0.575) < 2e-3
+        vals = [bounds.area_a(d) for d in (0.45, 0.5, 0.55)]
         assert vals[0] > vals[1] > vals[2]
-
-    def test_resolution_convergence(self):
-        for delta in (0.2, 0.35, 0.5):
-            assert abs(bounds.area_a(delta, 1000) - bounds.area_a(delta, 2000)) < 1e-4
 
     def test_lattice_count_converges_to_area(self):
         d96 = len(instability.region_lattice(96, 0.35))
-        assert d96 / 96**2 == pytest.approx(bounds.area_a(0.35, 2000), rel=0.1)
+        assert d96 / 96**2 == pytest.approx(bounds.area_a(0.35), rel=0.1)
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
@@ -98,16 +138,28 @@ class TestLowerBoundConstant:
         c1, _ = bounds.lower_bound_constant()
         assert abs(c1 - 6.46e-7) / 6.46e-7 < 0.05
 
+    def test_score_has_single_interior_maximum(self):
+        deltas = np.linspace(0.0, bounds.DELTA_MAX, 20003)[1:-1]
+        score = np.array([bounds.area_a(d) * d**4 for d in deltas])
+        rising = np.diff(score) > 0
+        assert rising[0] and not rising[-1]
+        assert np.count_nonzero(rising[1:] != rising[:-1]) == 1
+        assert deltas[score.argmax()] == pytest.approx(DELTA_STAR, abs=deltas[1] - deltas[0])
+
     def test_against_frozen_optimum(self):
+        # near the maximum f(d) = f* - |f''| (d - d*)^2 / 2 with f* = 1.41e-3
+        # and f'' = -0.18, so comparing values of f resolves d* only to
+        # sqrt(2 eps f* / |f''|) ~ 2e-9; 1e-6 leaves room for the search's
+        # rounding and moves f by 1e-10 relative at most
         c1, delta_star = bounds.lower_bound_constant()
-        assert c1 == pytest.approx(C1_CONSTANT, rel=1e-3)
-        assert delta_star == pytest.approx(DELTA_STAR, abs=5e-3)
-        assert c1 / bounds.C1_PREFACTOR == pytest.approx(ADELTA4_MAX, rel=1e-3)
+        assert c1 == pytest.approx(C1_CONSTANT, rel=1e-10)
+        assert delta_star == pytest.approx(DELTA_STAR, abs=1e-6)
+        assert c1 / bounds.C1_PREFACTOR == pytest.approx(ADELTA4_MAX, rel=1e-10)
 
     def test_consistent_with_area(self):
         c1, delta_star = bounds.lower_bound_constant()
-        direct = bounds.area_a(delta_star, 2000) * delta_star**4
-        assert c1 / bounds.C1_PREFACTOR == pytest.approx(direct, rel=1e-6)
+        direct = bounds.area_a(delta_star) * delta_star**4
+        assert c1 / bounds.C1_PREFACTOR == pytest.approx(direct, rel=1e-14)
 
 
 class TestLambdaChoice:

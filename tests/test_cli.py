@@ -103,6 +103,23 @@ class TestConfigFile:
         assert rc == 0
         assert os.environ["OMP_NUM_THREADS"] == "2"
 
+    def test_negative_threads_flag_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("EBA_THREADS", raising=False)
+        rc, out, err = run(capsys, "bounds", "--alpha", "0.004", "--gamma", "1",
+                           "--threads", "-4")
+        assert rc == 2 and out == ""
+        assert "threads = -4" in err
+        assert os.environ["OMP_NUM_THREADS"] == "1"
+
+    def test_negative_threads_env_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("EBA_THREADS", "-4")
+        rc, out, err = run(capsys, "bounds", "--alpha", "0.004", "--gamma", "1")
+        assert rc == 2 and out == ""
+        assert "EBA_THREADS" in err
+        assert os.environ["OMP_NUM_THREADS"] == "1"
+
 
 def _openblas_pool():
     """(get, set) of numpy's bundled OpenBLAS thread count, found independently of the CLI."""

@@ -261,10 +261,12 @@ class TestModeCounts:
 class TestAreaOracleConsistency:
     def test_frozen_values_sane(self):
         # spot-check the frozen 1D-reduction areas against a direct
-        # quadrature at modest resolution (the bounds tests reuse them)
+        # quadrature at modest resolution (the bounds tests reuse them);
+        # this trapezoid rule is off by at most 1.3e-10 at these four
+        # deltas, and the old frozen values were off by up to 1.4e-7
         for delta, ref in AREA_ORACLE.items():
             rs = np.linspace(-1.0 / 6, 1.0 / 6, 20001)
             upper = np.sqrt(np.maximum(1.0 / 3 - rs**2, 0.0))
             lower = np.maximum(delta, np.sqrt(np.maximum(2 * np.abs(rs) - rs**2, 0.0)))
             a = np.trapezoid(np.maximum(upper - lower, 0.0), rs)
-            assert a == pytest.approx(ref, abs=2e-7)
+            assert a == pytest.approx(ref, abs=1e-9)

@@ -1,4 +1,5 @@
 """Checkpoint format: exact layout, round trips, restart identity."""
+import os
 import struct
 
 import numpy as np
@@ -172,6 +173,53 @@ class TestStateCheckpoint:
         open(p, "wb").write(bytes(blob))
         with pytest.raises(ValueError, match="time must be finite"):
             load_state(p)
+
+    @pytest.mark.parametrize("fail_at, nth", [("fsync", 1), ("replace", 1), ("fsync", 2)])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, rng, monkeypatch,
+                                                   fail_at, nth):
+        # the forcing file is written first (nth = 1), the vorticity second
+        old = self._state(rng)
+        p = str(tmp_path / "state.ebv")
+        save_state(old, p)
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        new = step(old, 0.01)
+        real, calls = getattr(os, fail_at), []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == nth:
+                raise OSError("disk full")
+            return real(*args)
+
+        monkeypatch.setattr(os, fail_at, failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_state(new, p)
+        monkeypatch.undo()
+
+        assert sorted(os.listdir(tmp_path)) == sorted(before)  # no temporary file left
+        assert (tmp_path / "state.ebv").read_bytes() == before["state.ebv"]
+        if nth == 1:
+            assert (tmp_path / "state.ebv.forcing").read_bytes() == before["state.ebv.forcing"]
+        back = load_state(p)
+        assert np.array_equal(back.omega.coeffs, old.omega.coeffs)
+        assert back.time == old.time
+
+    def test_failed_vector_write_keeps_previous_file(self, tmp_path, rng, monkeypatch):
+        grid = make_grid(16)
+        p = str(tmp_path / "v.ebv")
+        first = VectorField(grid, np.stack([_real_field(grid, rng).coeffs] * 2))
+        write_vector(p, first, PARAMS, 1.0)
+        blob = open(p, "rb").read()
+
+        def failing(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_vector(p, VectorField(grid, 2.0 * first.coeffs), PARAMS, 2.0)
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == ["v.ebv"]
+        assert open(p, "rb").read() == blob
 
     def test_restart_is_bit_identical(self, tmp_path, rng):
         # run to T in one go vs checkpoint at T/2 and resume: same bytes
