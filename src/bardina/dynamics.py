@@ -23,8 +23,9 @@ tangent stage applies -J(psibar', omegabar) - J(psibar, omegabar'), built
 from the same derivative samples as the base transport term at that stage.
 curl and stream_velocity convert at the edge; they are inverse to each other
 on zero-mean divergence-free fields.  Lyapunov exponents come from Benettin
-renormalization with modified Gram-Schmidt in the filtered energy inner
-product.
+renormalization: lyapunov_spectrum keeps its tangents as one stack of
+vorticities and orthonormalizes it in the filtered energy inner product by a
+QR factorization of the weighted stack.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ from .spectral import (
     _dealiased,
     _gradient_samples,
     _inverse_laplacian,
-    alpha_inner,
     curl,
     hermitianize,
     make_grid,
@@ -424,81 +424,74 @@ class LyapunovReport:
 
 
 def _random_tangent(grid: FourierGrid, rng: np.random.Generator) -> np.ndarray:
-    """Random divergence-free velocity coefficients on the dealiased band."""
+    """Random tangent vorticity on the dealiased band: -|k|^2 times a random
+    stream function (its velocity is divergence-free by construction)."""
     n = grid.n
     c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     c = np.where(grid.dealias, c / (1.0 + grid.k_sq), 0.0)
     c[0, 0] = 0.0
-    c = hermitianize(grid, c)
-    # stream-function construction guarantees k . uhat = 0 mode by mode
-    return np.stack((-1j * grid.k2 * c, 1j * grid.k1 * c))
+    return -grid.k_sq * hermitianize(grid, c)
+
+
+def _orthonormalize(zetas: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormalize a stack of tangent vorticities (m, n, n) in the alpha
+    inner product of their velocities, by one QR factorization.
+
+    That inner product weighs |zeta(k)|^2 by (2 pi)^2 / (|k|^2 (1+alpha|k|^2)),
+    so QR of the weighted real view (2 n^2, m) is Gram-Schmidt in it.  Returns
+    the orthonormal stack and the growth factors |r_jj|, which the Benettin
+    accumulator needs.  A non-finite r_jj, or one at roundoff level against
+    the input's own norm (the direction depends numerically on the previous
+    ones), is returned as 0.0 and the slice zeroed; the caller decides how to
+    re-seed.
+    """
+    m, n = zetas.shape[0], zetas.shape[-1]
+    weight = 2.0 * np.pi * np.sqrt(-_multipliers(n, alpha)[1])
+    cols = (weight * zetas).view(np.float64).reshape(m, -1).T
+    q, r = np.linalg.qr(cols)
+    growth = np.abs(np.diag(r))
+    growth[~(growth > 1e-12 * np.linalg.norm(cols, axis=0))] = 0.0
+    q[:, growth == 0.0] = 0.0
+    unweight = np.divide(1.0, weight, out=np.zeros_like(weight), where=weight > 0)
+    return unweight * np.ascontiguousarray(q.T).view(complex).reshape(m, n, n), growth
+
+
+def _seed_tangents(grid: FourierGrid, m: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
+    """m random alpha-orthonormal tangent vorticities, stacked."""
+    zetas, growth = _orthonormalize(np.stack([_random_tangent(grid, rng) for _ in range(m)]), alpha)
+    if growth.min() <= 0.0:
+        raise RuntimeError("random tangent seed collapsed; try another seed")
+    return zetas
 
 
 def make_tangents(
     grid: FourierGrid, n: int, alpha: float, rng: np.random.Generator
 ) -> list[VectorField]:
     """n random alpha-orthonormal divergence-free tangent fields."""
-    vecs = [VectorField(grid, _random_tangent(grid, rng)) for _ in range(n)]
-    ortho, norms = _mgs_alpha(vecs, alpha)
-    if min(norms) <= 0.0:
-        raise RuntimeError("random tangent seed collapsed; try another seed")
-    return ortho
-
-
-def _mgs_alpha(vectors: list[VectorField], alpha: float):
-    """Modified Gram-Schmidt in the alpha-inner product.
-
-    Returns the orthonormal fields and the diagonal norms r_jj (the growth
-    factors the Benettin accumulator needs).  A non-finite r_jj, or one at
-    roundoff level against the input's own norm (the direction depends
-    numerically on the previous ones), is returned as 0.0 and the vector
-    replaced by zeros; the caller decides how to re-seed.
-    """
-    out: list[VectorField] = []
-    norms: list[float] = []
-    for v in vectors:
-        w = v.coeffs.copy()
-        for u in out:
-            w -= alpha_inner(VectorField(v.grid, w), u, alpha) * u.coeffs
-        r = alpha_inner(VectorField(v.grid, w), VectorField(v.grid, w), alpha)
-        r = math.sqrt(r) if r > 0 else 0.0
-        if not math.isfinite(r) or r <= 1e-12 * math.sqrt(alpha_inner(v, v, alpha)):
-            norms.append(0.0)
-            out.append(VectorField(v.grid, np.zeros_like(w)))
-        else:
-            norms.append(r)
-            out.append(VectorField(v.grid, w / r))
-    return out, norms
+    return [stream_velocity(SpectralField(grid, z)) for z in _seed_tangents(grid, n, alpha, rng)]
 
 
 def _renormalize(
-    bundle: TangentBundle, rng: np.random.Generator
-) -> tuple[TangentBundle, list[float], bool]:
-    """Orthonormalize the bundle; re-seed collapsed directions.
+    zetas: np.ndarray, alpha: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Orthonormalize a tangent vorticity stack; re-seed collapsed directions.
 
-    Returns the renormalized bundle, the growth factors of the interval just
+    Returns the renormalized stack, the growth factors of the interval just
     ended, and whether any direction collapsed (growth factors are then
     meaningless and the caller must drop the interval).
     """
-    alpha = bundle.base.params.alpha
-    grid = bundle.base.grid
-    vecs, growth = _mgs_alpha(bundle.vectors, alpha)
-    collapsed = any(r == 0.0 for r in growth)
+    grid = make_grid(zetas.shape[-1])
+    zetas, growth = _orthonormalize(zetas, alpha)
     norms = growth
     tries = 0
-    while any(r == 0.0 for r in norms):
+    while (norms == 0.0).any():
         tries += 1
         if tries > 5:
             raise RuntimeError("tangent family keeps collapsing; cannot re-seed")
-        vecs = [
-            v if r > 0.0 else VectorField(grid, _random_tangent(grid, rng))
-            for v, r in zip(vecs, norms)
-        ]
-        vecs, norms = _mgs_alpha(vecs, alpha)
-    # normalizing a strongly contracted direction amplifies the roundoff
-    # gradient part of the Gram-Schmidt differences; drop it
-    vecs = [stream_velocity(curl(v)) for v in vecs]
-    return TangentBundle(bundle.base, vecs), growth, collapsed
+        for j in np.flatnonzero(norms == 0.0):
+            zetas[j] = _random_tangent(grid, rng)
+        zetas, norms = _orthonormalize(zetas, alpha)
+    return zetas, growth, bool((growth == 0.0).any())
 
 
 def lyapunov_spectrum(
@@ -513,10 +506,11 @@ def lyapunov_spectrum(
 ) -> LyapunovReport:
     """Estimate the n leading Lyapunov exponents along a trajectory.
 
-    The bundle is renormalized every renorm_every steps; log growth factors
-    are accumulated over t_average after discarding t_transient.  Standard
-    errors come from splitting the averaging window into `blocks` contiguous
-    blocks.  Defaults: t_transient = 50/gamma, t_average = 500/gamma.
+    The tangents are renormalized every renorm_every steps; log growth
+    factors are accumulated over t_average after discarding t_transient.
+    Standard errors come from splitting the averaging window into `blocks`
+    (>= 2) contiguous blocks.  Defaults: t_transient = 50/gamma,
+    t_average = 500/gamma.
 
     If a tangent collapses to zero (numerically degenerate family) it is
     re-seeded with a fresh random vector, a warning is issued, and the
@@ -526,43 +520,44 @@ def lyapunov_spectrum(
         raise ValueError("need at least one tangent vector")
     if renorm_every < 1:
         raise ValueError("renorm_every must be >= 1")
+    if blocks < 2:
+        raise ValueError(f"blocks must be >= 2 for a standard error, got {blocks}")
     gamma = initial.params.gamma
     if t_transient is None:
         t_transient = 50.0 / gamma
     if t_average is None:
         t_average = 500.0 / gamma
+    if not 0.0 <= t_transient < math.inf:
+        raise ValueError(f"t_transient must be finite and >= 0, got {t_transient!r}")
+    if not 0.0 < t_average < math.inf:
+        raise ValueError(f"t_average must be finite and > 0, got {t_average!r}")
     span = renorm_every * dt
-    n_trans = max(0, int(round(t_transient / span)))
+    n_trans = int(round(t_transient / span))
     n_avg = int(round(t_average / span))
-    if n_avg < max(blocks, 2):
+    if n_avg < blocks:
         raise ValueError("t_average too short for the requested block count")
 
     rng = np.random.default_rng(np.random.Philox(seed))
-    grid = initial.grid
-    bundle = TangentBundle(initial, make_tangents(grid, n, initial.params.alpha, rng))
-
-    def advance_and_renorm(b: TangentBundle):
-        for _ in range(renorm_every):
-            b = step_with_tangents(b, dt)
-        return _renormalize(b, rng)
-
-    for _ in range(n_trans):
-        bundle, _, collapsed = advance_and_renorm(bundle)
-        if collapsed:
-            warnings.warn("tangent family collapsed during transient; re-seeded")
-
+    alpha = initial.params.alpha
+    state, zetas = initial, _seed_tangents(initial.grid, n, alpha, rng)
     logs = np.zeros((n_avg, n))
     keep = np.ones(n_avg, dtype=bool)
-    for i in range(n_avg):
-        bundle, norms, collapsed = advance_and_renorm(bundle)
-        if collapsed:
+    for i in range(-n_trans, n_avg):
+        for _ in range(renorm_every):
+            w_new, *zetas = _if_rk4(state, dt, zetas)
+            state = _advance(state, dt, w_new)
+        zetas, norms, collapsed = _renormalize(np.stack(zetas), alpha, rng)
+        if i < 0:
+            if collapsed:
+                warnings.warn("tangent family collapsed during transient; re-seeded")
+        elif collapsed:
             warnings.warn("tangent family collapsed; interval dropped from averages")
             keep[i] = False
         else:
             logs[i] = np.log(norms)
 
     kept = logs[keep]
-    if len(kept) < max(blocks, 2):
+    if len(kept) < blocks:
         raise RuntimeError("too many collapsed intervals; averages unusable")
     exponents = kept.sum(axis=0) / (len(kept) * span)
 

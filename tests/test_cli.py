@@ -3,6 +3,7 @@ import ctypes
 import glob
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -288,6 +289,24 @@ class TestLyapunovCommand:
         for row in rows[1:]:
             assert float(row.split(",")[1]) == pytest.approx(-1.0, abs=1e-6)
         assert "# lyapunov_dimension = 0.0" in out
+
+    def test_readme_example_runs(self, capsys):
+        # the documented command line, with windows shortened to keep it quick
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as f:
+            text = f.read().replace("\\\n", " ")
+        (line,) = [l for l in text.splitlines() if l.startswith("bardina lyapunov ")]
+        argv = shlex.split(line)[1:] + ["--t-transient", "0.5", "--t-average", "4"]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, err
+        assert len(data_lines(out)) == 5
+
+    @pytest.mark.parametrize("flag, value", [("--t-transient", "inf"), ("--t-average", "nan")])
+    def test_bad_window_exits_1(self, capsys, flag, value):
+        rc, _, err = run(capsys, "lyapunov", "--alpha", "0.0625", "--gamma", "1",
+                         "--grid", "32", "--dt", "0.05", flag, value)
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in err
 
 
 class TestInstabilityCommand:

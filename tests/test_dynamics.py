@@ -17,6 +17,7 @@ from bardina.spectral import (
     leray_project,
     make_grid,
     random_field,
+    stream_velocity,
     velocity_from_vorticity,
     zero_field,
 )
@@ -35,7 +36,7 @@ from bardina.dynamics import (
     variational_rhs,
     vorticity_rhs,
 )
-from bardina.dynamics import _mgs_alpha, _r0_sq_from_curl, _renormalize
+from bardina.dynamics import _orthonormalize, _r0_sq_from_curl, _renormalize
 from bardina.instability import (
     Chain,
     KolmogorovSpec,
@@ -530,18 +531,17 @@ class TestGramSchmidt:
     def test_growth_factors(self, rng):
         grid = make_grid(32)
         vecs = make_tangents(grid, 2, PARAMS.alpha, rng)
-        scaled = [VectorField(grid, 3.0 * vecs[0].coeffs),
-                  VectorField(grid, 0.25 * vecs[1].coeffs)]
-        _, norms = _mgs_alpha(scaled, PARAMS.alpha)
+        scaled = np.stack([3.0 * curl(vecs[0]).coeffs, 0.25 * curl(vecs[1]).coeffs])
+        _, norms = _orthonormalize(scaled, PARAMS.alpha)
         assert norms[0] == pytest.approx(3.0, rel=1e-12)
         assert norms[1] == pytest.approx(0.25, rel=1e-12)
 
     def test_collapse_reseeds_and_flags(self, rng):
         grid = make_grid(32)
         st = make_state(zero_field(grid), PARAMS)
-        v = make_tangents(grid, 1, PARAMS.alpha, rng)[0]
-        bundle = TangentBundle(st, [v, v.copy()])  # degenerate pair
-        renewed, growth, collapsed = _renormalize(bundle, rng)
+        zeta = curl(make_tangents(grid, 1, PARAMS.alpha, rng)[0]).coeffs
+        zetas, growth, collapsed = _renormalize(np.stack([zeta, zeta.copy()]), PARAMS.alpha, rng)
+        renewed = TangentBundle(st, [stream_velocity(SpectralField(grid, z)) for z in zetas])
         assert collapsed
         assert growth[1] == 0.0
         gram = [[alpha_inner(a, b, PARAMS.alpha) for a in renewed.vectors]
@@ -553,9 +553,9 @@ class TestGramSchmidt:
         # differences; the renormalized family must still be tangents
         grid = make_grid(32)
         st = make_state(zero_field(grid), PARAMS)
-        v, u = make_tangents(grid, 2, PARAMS.alpha, rng)
-        bundle = TangentBundle(st, [v, VectorField(grid, v.coeffs + 1e-7 * u.coeffs)])
-        renewed, growth, collapsed = _renormalize(bundle, rng)
+        v, u = (curl(t).coeffs for t in make_tangents(grid, 2, PARAMS.alpha, rng))
+        zetas, growth, collapsed = _renormalize(np.stack([v, v + 1e-7 * u]), PARAMS.alpha, rng)
+        renewed = TangentBundle(st, [stream_velocity(SpectralField(grid, z)) for z in zetas])
         assert not collapsed
         assert growth[1] == pytest.approx(1e-7, rel=1e-6)
         gram = [[alpha_inner(a, b, PARAMS.alpha) for a in renewed.vectors]
@@ -564,6 +564,23 @@ class TestGramSchmidt:
 
 
 class TestLyapunov:
+    @pytest.mark.parametrize("bad, what", [
+        (dict(t_transient=math.inf), "t_transient"),
+        (dict(t_transient=math.nan), "t_transient"),
+        (dict(t_transient=-1.0), "t_transient"),
+        (dict(t_average=math.nan), "t_average must be"),
+        (dict(t_average=math.inf), "t_average must be"),
+        (dict(t_average=0.0), "t_average must be"),
+        (dict(blocks=1), "blocks"),
+        (dict(blocks=0), "blocks"),
+    ], ids=["transient_inf", "transient_nan", "transient_negative", "average_nan",
+            "average_inf", "average_zero", "one_block", "no_blocks"])
+    def test_rejects_bad_window(self, bad, what):
+        st = make_state(zero_field(make_grid(16)), PARAMS)
+        kw = dict(n=1, dt=0.05, renorm_every=2, t_transient=0.1, t_average=1.0, seed=1, blocks=2)
+        with pytest.raises(ValueError, match=what):
+            lyapunov_spectrum(st, **{**kw, **bad})
+
     def test_unforced_all_exponents_equal_damping(self):
         grid = make_grid(32)
         st = make_state(zero_field(grid), PARAMS)

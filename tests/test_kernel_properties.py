@@ -2,15 +2,19 @@
 
 Random even grids n in [8, 64], filter scales alpha in [2^-12, 1] and seeds.
 The vorticity equation, its linearization and `jacobian` all go through the
-same de-aliased kernel, so these identities pin it from three sides.
+same de-aliased kernel, so these identities pin it from three sides.  The
+tangent orthonormalization is pinned by the factorization it must produce.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bardina.dynamics import make_state, make_tangents, variational_rhs, vorticity_rhs
+from bardina.dynamics import _check_real_coeffs, _orthonormalize
 from bardina.spectral import (
     ModelParams,
+    SpectralField,
+    alpha_inner,
     curl,
     jacobian,
     make_grid,
@@ -71,3 +75,32 @@ def test_velocity_vorticity_round_trip(n, alpha, seed):
     omega = random_field(grid, rng)
     back = curl(stream_velocity(omega)).coeffs
     assert np.abs(back - omega.coeffs).max() <= 1e-14 * np.abs(omega.coeffs).max()
+
+
+@FEW
+@given(
+    n=st.sampled_from([16, 32]),
+    alpha=ALPHAS,
+    log_scales=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=6),
+    seed=SEEDS,
+)
+def test_orthonormalize_is_alpha_qr(n, alpha, log_scales, seed):
+    # Q is alpha-orthonormal and real, and R = (q_i, a_j)_alpha satisfies
+    # R^T R = Gram(a): the Cholesky factor of the Gram matrix is unique up to
+    # signs, so this pins the growth factors |r_jj| without a second algorithm
+    rng = _rng(seed)
+    grid = make_grid(n)
+    m = len(log_scales)
+    zetas = np.stack([10.0**e * random_field(grid, rng).coeffs for e in log_scales])
+    ortho, growth = _orthonormalize(zetas, alpha)
+    a = [stream_velocity(SpectralField(grid, z)) for z in zetas]
+    q = [stream_velocity(SpectralField(grid, z)) for z in ortho]
+    for z in ortho:
+        _check_real_coeffs(grid, z, "orthonormalized tangent")
+    qq = np.array([[alpha_inner(qi, qj, alpha) for qj in q] for qi in q])
+    assert np.abs(qq - np.eye(m)).max() <= 1e-12
+    r = np.triu([[alpha_inner(qi, aj, alpha) for aj in a] for qi in q])
+    gram = np.array([[alpha_inner(ai, aj, alpha) for aj in a] for ai in a])
+    size = np.sqrt(np.diag(gram))
+    assert np.all(np.abs(r.T @ r - gram) <= 1e-12 * np.outer(size, size))
+    np.testing.assert_allclose(growth, np.abs(np.diag(r)), rtol=1e-12)
