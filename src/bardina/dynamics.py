@@ -18,11 +18,14 @@ quadratic transport term.  Two consequences worth knowing about:
 Tangent vectors are zero-mean divergence-free velocity fields at the public
 interface.  Inside the step they are propagated as vorticity perturbations
 zeta = curl theta, by the exact derivative of the discrete step map: one
-IF-RK4 routine advances the base and the tangents stage by stage, and each
-tangent stage applies -J(psibar', omegabar) - J(psibar, omegabar'), built
-from the same derivative samples as the base transport term at that stage.
-curl and stream_velocity convert at the edge; they are inverse to each other
-on zero-mean divergence-free fields.  Lyapunov exponents come from Benettin
+IF-RK4 routine advances the base and the tangents stage by stage as one
+stack of rfft2 half spectra, base in row 0, and each tangent stage applies
+-J(psibar', omegabar) - J(psibar, omegabar'), built from the same derivative
+samples as the base transport term at that stage.  The derivatives come from
+one masked operator table per (n, alpha); the new stack is expanded to the
+full FFT layout of the public fields once per step.  curl and
+stream_velocity convert at the edge; they are inverse to each other on
+zero-mean divergence-free fields.  Lyapunov exponents come from Benettin
 renormalization: lyapunov_spectrum keeps its tangents as one stack of
 vorticities and orthonormalizes it in the filtered energy inner product by a
 QR factorization of the weighted stack.
@@ -41,9 +44,12 @@ from .spectral import (
     ModelParams,
     SpectralField,
     VectorField,
-    _dealiased,
-    _gradient_samples,
+    _full,
+    _half,
+    _half_tables,
     _inverse_laplacian,
+    _samples,
+    _spectrum,
     curl,
     hermitianize,
     make_grid,
@@ -198,101 +204,84 @@ def _r0_sq_from_curl(params: ModelParams, forcing_curl: SpectralField) -> float:
 
 
 @lru_cache(maxsize=16)
-def _multipliers(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode factors: 1/(1+alpha|k|^2) and the stream multiplier of it."""
-    grid = make_grid(n)
-    inv_smooth = 1.0 / (1.0 + alpha * grid.k_sq)
-    psi_mult = np.zeros_like(grid.k_sq)
-    nz = grid.k_sq > 0
-    psi_mult[nz] = -inv_smooth[nz] / grid.k_sq[nz]
-    for arr in (inv_smooth, psi_mult):
-        arr.setflags(write=False)
-    return inv_smooth, psi_mult
+def _operators(n: int, alpha: float) -> np.ndarray:
+    """Masked half-spectrum maps of omega to grad psibar and grad omegabar."""
+    k_sq = _half(make_grid(n).k_sq)
+    inv_smooth = 1.0 / (1.0 + alpha * k_sq)
+    psi_mult = -np.divide(inv_smooth, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
+    grad = _half_tables(n)[1]
+    ops = np.concatenate((grad * psi_mult, grad * inv_smooth))
+    ops.setflags(write=False)
+    return ops
 
 
-def _base_samples(grid: FourierGrid, alpha: float, coeffs: np.ndarray):
-    """Samples of grad psibar and grad omegabar of a state, and max|ubar|.
+def _rates(grid: FourierGrid, alpha: float, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Transport rates of a half-spectrum stack (1+m, n, n//2+1), and max|ubar|.
 
-    Four inverse transforms.  The transport term of the state and the
-    linearized transport of every tangent at that state are products of
-    these samples; the velocity maximum comes for free from ubar = (-d2 psibar,
-    d1 psibar).
+    Row 0, the base omega, gets -J(psibar, omegabar); each other row, a
+    perturbation zeta, gets its exact derivative -J(psibar', omegabar) -
+    J(psibar, omegabar').  One inverse transform per row keeps the peak
+    memory low; one batched forward transform.  No damping term.
     """
-    inv_smooth, psi_mult = _multipliers(grid.n, alpha)
-    c = np.where(grid.dealias, coeffs, 0.0)
-    d1psi, d2psi = _gradient_samples(grid, psi_mult * c)
-    d1ob, d2ob = _gradient_samples(grid, inv_smooth * c)
+    ops = _operators(grid.n, alpha)
+    d1psi, d2psi, d1ob, d2ob = _samples(grid, ops * y[0])
     speed = float(np.sqrt(d1psi * d1psi + d2psi * d2psi).max())
-    return (d1psi, d2psi, d1ob, d2ob), speed
-
-
-def _transport(grid: FourierGrid, base) -> np.ndarray:
-    """-J(psibar, omegabar) from the samples of _base_samples; one transform."""
-    d1psi, d2psi, d1ob, d2ob = base
-    return _dealiased(grid, d2psi * d1ob - d1psi * d2ob)
-
-
-def _linear_transport(grid: FourierGrid, alpha: float, base, zeta: np.ndarray) -> np.ndarray:
-    """Linearized transport -J(psibar', omegabar) - J(psibar, omegabar') of a
-    vorticity perturbation zeta at the base of the given samples.
-
-    Exact derivative of _transport; four inverse and one forward transform.
-    The damping term is not included here; integrating factors handle it.
-    """
-    inv_smooth, psi_mult = _multipliers(grid.n, alpha)
-    z = np.where(grid.dealias, zeta, 0.0)
-    d1p, d2p = _gradient_samples(grid, psi_mult * z)
-    d1o, d2o = _gradient_samples(grid, inv_smooth * z)
-    d1psi, d2psi, d1ob, d2ob = base
-    return _dealiased(grid, d2p * d1ob - d1p * d2ob + d2psi * d1o - d1psi * d2o)
+    prod = np.empty((len(y), grid.n, grid.n))
+    prod[0] = d2psi * d1ob - d1psi * d2ob
+    for j in range(1, len(y)):
+        d1p, d2p, d1o, d2o = _samples(grid, ops * y[j])
+        prod[j] = d2p * d1ob - d1p * d2ob + d2psi * d1o - d1psi * d2o
+    return _spectrum(grid, prod), speed
 
 
 def vorticity_rhs(state: SimState) -> SpectralField:
     """Full right-hand side -J(psibar, omegabar) - gamma*omega + curl g."""
     grid = state.grid
-    base, _ = _base_samples(grid, state.params.alpha, state.omega.coeffs)
-    out = _transport(grid, base) - state.params.gamma * state.omega.coeffs
+    rates, _ = _rates(grid, state.params.alpha, _half(state.omega.coeffs)[None])
+    out = _full(grid, rates[0]) - state.params.gamma * state.omega.coeffs
     return SpectralField(grid, out + state.forcing_curl.coeffs)
 
 
-def _if_rk4(state: SimState, dt: float, zetas: list[np.ndarray]) -> list[np.ndarray]:
-    """One integrating-factor RK4 step of w = omega - curl g / gamma and of
-    tangent vorticities zeta, stage by stage.
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
-    Tangent stage k applies the linearized transport at base stage k with the
-    same integrating factors, so the tangents move by the exact derivative
-    of the discrete base map.  Returns the new w followed by the new zetas.
-    Every stage checks dt * max|ubar| against the grid spacing.
+
+def _if_rk4(state: SimState, dt: float, zetas=()) -> np.ndarray:
+    """One integrating-factor RK4 step of w = omega - curl g / gamma and of a
+    stack of tangent vorticities zeta (m, n, n), stage by stage.
+
+    All stages run on one stack of half spectra, the base in row 0.  Tangent
+    stage k applies the linearized transport at base stage k with the same
+    integrating factors, so the tangents move by the exact derivative of the
+    discrete base map.  Returns the full-layout stack of the new w and the
+    new zetas.  Every stage checks dt * max|ubar| against the grid spacing.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     grid = state.grid
     alpha = state.params.alpha
     gamma = state.params.gamma
-    shift = state.forcing_curl.coeffs / gamma
+    shift = _half(state.forcing_curl.coeffs) / gamma
     e1 = math.exp(-gamma * dt / 2.0)
     e2 = e1 * e1
 
-    def rates(ys: list[np.ndarray]) -> list[np.ndarray]:
-        base, speed = _base_samples(grid, alpha, ys[0] + shift)
+    def rates(stage: np.ndarray) -> np.ndarray:
+        stage[0] += shift  # the base transport is taken at omega = w + curl g / gamma
+        g, speed = _rates(grid, alpha, stage)
         if dt * speed > grid.spacing():
             raise CFLError(
                 f"dt*max|ubar| = {dt * speed:.3e} exceeds grid spacing "
                 f"{grid.spacing():.3e}; reduce dt"
             )
-        return [_transport(grid, base)] + [
-            _linear_transport(grid, alpha, base, z) for z in ys[1:]
-        ]
+        return g
 
-    y = [state.omega.coeffs - shift, *zetas]
-    g1 = rates(y)
-    g2 = rates([e1 * (a + (0.5 * dt) * b) for a, b in zip(y, g1)])
-    g3 = rates([e1 * a + (0.5 * dt) * b for a, b in zip(y, g2)])
-    g4 = rates([e2 * a + (dt * e1) * b for a, b in zip(y, g3)])
-    return [
-        e2 * a + (dt / 6.0) * (e2 * b1 + 2.0 * e1 * b2 + 2.0 * e1 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(y, g1, g2, g3, g4)
-    ]
+    zetas = np.reshape(zetas, (-1, grid.n, grid.n))
+    y = np.concatenate(((_half(state.omega.coeffs) - shift)[None], _half(zetas)))
+    g1 = rates(y.copy())
+    g2 = rates(e1 * (y + (0.5 * dt) * g1))
+    g3 = rates(e1 * y + (0.5 * dt) * g2)
+    g4 = rates(e2 * y + (dt * e1) * g3)
+    return _full(grid, e2 * y + (dt / 6.0) * (e2 * g1 + 2.0 * e1 * g2 + 2.0 * e1 * g3 + g4))
 
 
 def _advance(state: SimState, dt: float, w_new: np.ndarray) -> SimState:
@@ -304,8 +293,7 @@ def _advance(state: SimState, dt: float, w_new: np.ndarray) -> SimState:
 
 def step(state: SimState, dt: float) -> SimState:
     """Advance by one time step of size dt."""
-    (w_new,) = _if_rk4(state, dt, [])
-    return _advance(state, dt, w_new)
+    return _advance(state, dt, _if_rk4(state, dt)[0])
 
 
 def _step_count(time: float, t_end: float, dt: float) -> int:
@@ -329,6 +317,7 @@ def simulate(
     """
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
+    _check_dt(dt)
     n_steps = _step_count(state.time, t_end, dt)
     rows = [state.diagnostics()]
     for obs in observers:
@@ -372,8 +361,8 @@ def variational_rhs(theta: VectorField, state: SimState) -> VectorField:
     _check_tangent(grid, theta)
     alpha = state.params.alpha
     zeta = curl(theta).coeffs
-    base, _ = _base_samples(grid, alpha, state.omega.coeffs)
-    out = _linear_transport(grid, alpha, base, zeta) - state.params.gamma * zeta
+    rates, _ = _rates(grid, alpha, _half(np.stack((state.omega.coeffs, zeta))))
+    out = _full(grid, rates[1]) - state.params.gamma * zeta
     return stream_velocity(SpectralField(grid, out))
 
 
@@ -401,10 +390,10 @@ def step_with_tangents(bundle: TangentBundle, dt: float) -> TangentBundle:
     """
     state = bundle.base
     grid = state.grid
-    w_new, *zetas = _if_rk4(state, dt, [curl(v).coeffs for v in bundle.vectors])
+    out = _if_rk4(state, dt, [curl(v).coeffs for v in bundle.vectors])
     return TangentBundle(
-        _advance(state, dt, w_new),
-        [stream_velocity(SpectralField(grid, z)) for z in zetas],
+        _advance(state, dt, out[0]),
+        [stream_velocity(SpectralField(grid, z)) for z in out[1:]],
     )
 
 
@@ -446,7 +435,9 @@ def _orthonormalize(zetas: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nda
     re-seed.
     """
     m, n = zetas.shape[0], zetas.shape[-1]
-    weight = 2.0 * np.pi * np.sqrt(-_multipliers(n, alpha)[1])
+    k_sq = make_grid(n).k_sq
+    inv = np.divide(1.0 / (1.0 + alpha * k_sq), k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
+    weight = 2.0 * np.pi * np.sqrt(inv)
     cols = (weight * zetas).view(np.float64).reshape(m, -1).T
     q, r = np.linalg.qr(cols)
     growth = np.abs(np.diag(r))
@@ -522,6 +513,7 @@ def lyapunov_spectrum(
         raise ValueError("renorm_every must be >= 1")
     if blocks < 2:
         raise ValueError(f"blocks must be >= 2 for a standard error, got {blocks}")
+    _check_dt(dt)
     gamma = initial.params.gamma
     if t_transient is None:
         t_transient = 50.0 / gamma
@@ -544,9 +536,9 @@ def lyapunov_spectrum(
     keep = np.ones(n_avg, dtype=bool)
     for i in range(-n_trans, n_avg):
         for _ in range(renorm_every):
-            w_new, *zetas = _if_rk4(state, dt, zetas)
-            state = _advance(state, dt, w_new)
-        zetas, norms, collapsed = _renormalize(np.stack(zetas), alpha, rng)
+            out = _if_rk4(state, dt, zetas)
+            state, zetas = _advance(state, dt, out[0]), out[1:]
+        zetas, norms, collapsed = _renormalize(zetas, alpha, rng)
         if i < 0:
             if collapsed:
                 warnings.warn("tangent family collapsed during transient; re-seeded")

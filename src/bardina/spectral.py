@@ -13,6 +13,14 @@ Conventions used throughout the package:
 Fields are thin dataclasses around a complex (n, n) coefficient array plus
 the grid that interprets it.  Operators are free functions; they return new
 fields and never mutate their inputs.
+
+The product kernel works on rfft2 half spectra k2 = 0 .. n/2, shape
+(n, n//2+1): the slice of the full layout that determines a real field.
+Derivatives are read off cached, read-only multiplier tables with the 2/3
+mask and the k = 0 mode folded in; products go back through one rfft2 and
+the mask.  Only the k2 = 0 column of a half spectrum can be inexactly
+Hermitian and is symmetrized; the expansion to the full layout is exact,
+so results are exactly real without a full symmetrization per transform.
 """
 from __future__ import annotations
 
@@ -264,34 +272,47 @@ def velocity_from_vorticity(omega: SpectralField, alpha: float) -> VectorField:
     return stream_velocity(smooth(omega, alpha))
 
 
-def _gradient_samples(grid: FourierGrid, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collocation samples of d1 f and d2 f; two inverse transforms.
-
-    With coefficients already masked by the 2/3 rule, products of two such
-    samples carry no aliasing error on the retained modes.
-    """
-    n2 = grid.n**2
-    return (
-        np.fft.ifft2(1j * grid.k1 * coeffs).real * n2,
-        np.fft.ifft2(1j * grid.k2 * coeffs).real * n2,
-    )
+def _half(coeffs: np.ndarray) -> np.ndarray:
+    """The rfft2 half spectrum k2 = 0 .. n/2 of full-layout coefficients (a view)."""
+    return coeffs[..., : coeffs.shape[-1] // 2 + 1]
 
 
-def _dealiased(grid: FourierGrid, samples: np.ndarray) -> np.ndarray:
-    """Transform a product of de-aliased samples back; one forward transform.
+@lru_cache(maxsize=16)
+def _half_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-spectrum 2/3-rule mask with k = 0 dropped, and i*k1, i*k2 masked."""
+    g = make_grid(n)
+    mask = _half(g.dealias).astype(np.float64)
+    mask[0, 0] = 0.0
+    grad = 1j * np.stack((_half(g.k1), _half(g.k2))) * mask
+    for arr in (mask, grad):
+        arr.setflags(write=False)
+    return mask, grad
 
-    The result is masked with the 2/3 rule, made exactly Hermitian and has
-    its k = 0 mode zeroed.  With _gradient_samples this is the package's one
-    pseudo-spectral transport kernel.
-    """
-    c = np.fft.fft2(samples) / grid.n**2
-    c = hermitianize(grid, np.where(grid.dealias, c, 0.0))
-    c[0, 0] = 0.0
+
+def _samples(grid: FourierGrid, half: np.ndarray) -> np.ndarray:
+    """Collocation samples of real fields given by masked half spectra."""
+    return np.fft.irfft2(half, s=(grid.n, grid.n), norm="forward")
+
+
+def _spectrum(grid: FourierGrid, samples: np.ndarray) -> np.ndarray:
+    """Masked half spectrum of de-aliased products; its k2 = 0 column, the
+    only one rfft2 leaves inexactly Hermitian, is made exactly Hermitian."""
+    c = np.fft.rfft2(samples, norm="forward") * _half_tables(grid.n)[0]
+    c[..., 0] = 0.5 * (c[..., 0] + np.conj(c[..., grid._neg, 0]))
     return c
 
 
+def _full(grid: FourierGrid, half: np.ndarray) -> np.ndarray:
+    """Full-layout coefficients of real fields from their half spectra, exactly."""
+    n = grid.n
+    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    out[..., : n // 2 + 1] = half
+    out[..., n // 2 + 1 :] = np.conj(half[..., grid._neg, 1 : n // 2][..., ::-1])
+    return out
+
+
 def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:
-    """De-aliased Jacobian J(a, b) = d1a d2b - d2a d1b.
+    """De-aliased Jacobian J(a, b) = d1a d2b - d2a d1b of two real fields.
 
     Inputs are masked with the 2/3 rule, derivatives multiplied out in
     physical space, and the product transformed back and masked again, so
@@ -301,9 +322,10 @@ def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:
     g = a.grid
     if b.grid.n != g.n:
         raise ValueError("fields live on different grids")
-    d1a, d2a = _gradient_samples(g, np.where(g.dealias, a.coeffs, 0.0))
-    d1b, d2b = _gradient_samples(g, np.where(g.dealias, b.coeffs, 0.0))
-    return SpectralField(g, _dealiased(g, d1a * d2b - d2a * d1b))
+    grad = _half_tables(g.n)[1]
+    d1a, d2a = _samples(g, grad * _half(a.coeffs))
+    d1b, d2b = _samples(g, grad * _half(b.coeffs))
+    return SpectralField(g, _full(g, _spectrum(g, d1a * d2b - d2a * d1b)))
 
 
 def leray_project(u: VectorField) -> VectorField:

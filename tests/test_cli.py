@@ -266,6 +266,14 @@ class TestSimulate:
         assert out == ""
         assert p.read_text().startswith("# bardina ")
 
+    @pytest.mark.parametrize("dt", ["0", "-0.01", "nan", "inf"])
+    def test_bad_dt_exits_1(self, capsys, dt):
+        rc, out, err = run(capsys, "simulate", "--alpha", "0.0625", "--gamma", "1",
+                           "--grid", "32", "--dt", dt, "--t-end", "0.1")
+        assert rc == 1
+        assert out == ""
+        assert "dt must be positive and finite" in err
+
     def test_kolmogorov_forcing_spec(self, capsys):
         rc, out, _ = run(capsys, "simulate", "--alpha", "0.0625", "--gamma", "1",
                          "--grid", "32", "--dt", "0.01", "--t-end", "0.05",
@@ -301,8 +309,12 @@ class TestLyapunovCommand:
         assert rc == 0, err
         assert len(data_lines(out)) == 5
 
-    @pytest.mark.parametrize("flag, value", [("--t-transient", "inf"), ("--t-average", "nan")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-transient", "inf"), ("--t-average", "nan"),
+        ("--dt", "0"), ("--dt", "-0.01"), ("--dt", "nan"), ("--dt", "inf"),
+    ])
     def test_bad_window_exits_1(self, capsys, flag, value):
+        # the last of two --dt flags wins
         rc, _, err = run(capsys, "lyapunov", "--alpha", "0.0625", "--gamma", "1",
                          "--grid", "32", "--dt", "0.05", flag, value)
         assert rc == 1

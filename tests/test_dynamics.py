@@ -214,15 +214,15 @@ class TestStep:
 
         grid = make_grid(16)
         st = make_state(random_field(grid, rng, band=3), PARAMS)
-        real = dyn._base_samples
+        real = dyn._rates
         calls = []
 
-        def fast_third_stage(g, alpha, coeffs):
-            base, speed = real(g, alpha, coeffs)
+        def fast_third_stage(g, alpha, y):
+            rates, speed = real(g, alpha, y)
             calls.append(speed)
-            return base, (1e9 if len(calls) == 3 else speed)
+            return rates, (1e9 if len(calls) == 3 else speed)
 
-        monkeypatch.setattr(dyn, "_base_samples", fast_third_stage)
+        monkeypatch.setattr(dyn, "_rates", fast_third_stage)
         with pytest.raises(CFLError, match="grid spacing"):
             step(st, 1e-3)
         assert len(calls) == 3
@@ -232,12 +232,14 @@ class TestStep:
 
         grid = make_grid(16)
         st = make_state(random_field(grid, rng, band=3), PARAMS)
-        real = dyn._transport
+        real = dyn._rates
 
-        def poisoned(g, base):
-            return real(g, base) * np.inf
+        def poisoned(g, alpha, y):
+            rates, speed = real(g, alpha, y)
+            rates[0] *= np.inf
+            return rates, speed
 
-        monkeypatch.setattr(dyn, "_transport", poisoned)
+        monkeypatch.setattr(dyn, "_rates", poisoned)
         with pytest.raises(BlowUpError, match="non-finite"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -270,6 +272,12 @@ class TestSimulate:
         for row in rows:
             want = e0 * math.exp(-2.0 * PARAMS.gamma * row.time)
             assert row.enstrophy_bar + row.grad_enstrophy_bar == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_rejects_bad_dt(self, rng, dt):
+        st = make_state(random_field(make_grid(16), rng, band=3), PARAMS)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            simulate(st, 0.1, dt)
 
     def test_time_grid_validated(self, rng):
         st = make_state(random_field(make_grid(16), rng, band=3), PARAMS)
@@ -495,6 +503,18 @@ class TestTangentStepping:
         want = math.exp(-PARAMS.gamma * 0.1) * th.coeffs
         assert np.abs(bundle.vectors[0].coeffs - want).max() < 1e-15
 
+    @pytest.mark.parametrize("n", [30, 32, 64])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_stacking_never_couples_rows(self, rng, n, m):
+        # the base row of a stacked step is the plain step, bit for bit
+        grid = make_grid(n)
+        spec = KolmogorovSpec(s=4, amplitude=2.0, gamma=PARAMS.gamma)
+        st = make_state(random_field(grid, rng, band=6), PARAMS,
+                        forcing=kolmogorov_forcing(spec, grid))
+        vecs = make_tangents(grid, m, PARAMS.alpha, rng)
+        moved = step_with_tangents(TangentBundle(st, vecs), 0.01)
+        assert np.array_equal(moved.base.omega.coeffs, step(st, 0.01).omega.coeffs)
+
     def test_rejects_tangent_outside_tangent_space(self, rng):
         # a mean or a gradient part would vanish in the curl without notice
         grid = make_grid(32)
@@ -573,8 +593,13 @@ class TestLyapunov:
         (dict(t_average=0.0), "t_average must be"),
         (dict(blocks=1), "blocks"),
         (dict(blocks=0), "blocks"),
+        (dict(dt=0.0), "dt must be positive and finite"),
+        (dict(dt=-0.01), "dt must be positive and finite"),
+        (dict(dt=math.nan), "dt must be positive and finite"),
+        (dict(dt=math.inf), "dt must be positive and finite"),
     ], ids=["transient_inf", "transient_nan", "transient_negative", "average_nan",
-            "average_inf", "average_zero", "one_block", "no_blocks"])
+            "average_inf", "average_zero", "one_block", "no_blocks", "dt_zero",
+            "dt_negative", "dt_nan", "dt_inf"])
     def test_rejects_bad_window(self, bad, what):
         st = make_state(zero_field(make_grid(16)), PARAMS)
         kw = dict(n=1, dt=0.05, renorm_every=2, t_transient=0.1, t_average=1.0, seed=1, blocks=2)

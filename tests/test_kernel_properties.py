@@ -2,11 +2,12 @@
 
 Random even grids n in [8, 64], filter scales alpha in [2^-12, 1] and seeds.
 The vorticity equation, its linearization and `jacobian` all go through the
-same de-aliased kernel, so these identities pin it from three sides.  The
-tangent orthonormalization is pinned by the factorization it must produce.
+same de-aliased kernel, so these identities pin it from three sides; a
+full-layout evaluation with complex transforms pins its half-spectrum layout.
+The tangent orthonormalization is pinned by the factorization it must produce.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bardina.dynamics import make_state, make_tangents, variational_rhs, vorticity_rhs
@@ -16,6 +17,7 @@ from bardina.spectral import (
     SpectralField,
     alpha_inner,
     curl,
+    hermitianize,
     jacobian,
     make_grid,
     random_field,
@@ -30,6 +32,34 @@ FEW = settings(max_examples=25, deadline=None)
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _full_band_field(grid, rng):
+    """Real zero-mean field with every mode filled, the Nyquist ones too."""
+    shape = (grid.n, grid.n)
+    c = hermitianize(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    c[0, 0] = 0.0
+    return SpectralField(grid, c)
+
+
+def _reference_jacobian(grid, a, b):
+    # full-layout evaluation with complex transforms: the 2/3 rule on the
+    # inputs and on the product, real parts of the samples, zero mean
+    n2 = grid.n**2
+
+    def d(c, k):
+        return np.fft.ifft2(1j * k * np.where(grid.dealias, c, 0.0)).real * n2
+
+    prod = d(a, grid.k1) * d(b, grid.k2) - d(a, grid.k2) * d(b, grid.k1)
+    out = np.where(grid.dealias, np.fft.fft2(prod) / n2, 0.0)
+    out[0, 0] = 0.0
+    return out
+
+
+def _assert_real_zero_mean(grid, c):
+    neg = grid._neg
+    assert c[0, 0] == 0.0
+    assert np.array_equal(c, np.conj(c[neg, :][:, neg]))
 
 
 @FEW
@@ -48,6 +78,33 @@ def test_linearization_is_polarized_vorticity_rhs(n, alpha, seed):
     minus = vorticity_rhs(make_state(omega - zeta, params)).coeffs
     scale = max(np.abs(plus).max(), np.abs(minus).max())
     assert np.abs(got - 0.5 * (plus - minus)).max() <= 1e-12 * scale
+
+
+@FEW
+@given(n=GRIDS, alpha=ALPHAS, seed=SEEDS)
+@example(n=18, alpha=1.0 / 64.0, seed=1)
+@example(n=30, alpha=1.0 / 64.0, seed=2)
+def test_half_spectrum_kernel_matches_full_layout(n, alpha, seed):
+    # the half-spectrum transforms against complex full-layout ones; n with
+    # 3 | n and odd n/2 pin the k2 = 0 and Nyquist columns of the layout
+    rng = _rng(seed)
+    grid = make_grid(n)
+    gamma = 0.5
+    a, b, omega, fc = (_full_band_field(grid, rng) for _ in range(4))
+    got = jacobian(a, b).coeffs
+    want = _reference_jacobian(grid, a.coeffs, b.coeffs)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    _assert_real_zero_mean(grid, got)
+
+    state = make_state(omega, ModelParams(alpha=alpha, gamma=gamma), forcing_curl=fc)
+    w = state.omega.coeffs
+    inv_smooth = 1.0 / (1.0 + alpha * grid.k_sq)
+    psi = np.divide(-inv_smooth * w, grid.k_sq, out=np.zeros_like(w), where=grid.k_sq > 0)
+    transport = -_reference_jacobian(grid, psi, inv_smooth * w)
+    rhs = vorticity_rhs(state).coeffs
+    want = transport - gamma * w + fc.coeffs
+    assert np.abs(rhs - want).max() <= 1e-13 * np.abs(transport).max()
+    _assert_real_zero_mean(grid, rhs)
 
 
 @FEW
