@@ -69,7 +69,6 @@ class RunConfig:
     t_transient: float | None = None
     t_average: float | None = None
     suite: str = "all"
-    tolerance: float | None = None
     initial: str | None = None
     save: str | None = None
     observe_every: int = 1
@@ -79,7 +78,7 @@ _FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
 _PARSERS = {
     "alpha": float, "gamma": float, "dt": float, "t_end": float,
     "delta": float, "amplitude": float, "t_transient": float,
-    "t_average": float, "tolerance": float,
+    "t_average": float,
     "grid": int, "seed": int, "threads": int, "s": int,
     "exponents": int, "renorm_every": int, "observe_every": int,
     "forcing": str, "output": str, "suite": str, "initial": str,
@@ -259,6 +258,12 @@ def _make_forcing(cfg: RunConfig, grid, params: ModelParams) -> SpectralField:
 def _initial_state(cfg: RunConfig, params: ModelParams) -> dynamics.SimState:
     if cfg.initial is not None:
         state = ckpt.load_state(cfg.initial)
+        if cfg.grid is not None and cfg.grid != state.grid.n:
+            raise ConfigError(f"grid = {cfg.grid} disagrees with the {state.grid.n}^2 grid of "
+                              f"checkpoint {cfg.initial}; the checkpoint carries its grid")
+        if cfg.forcing != "zero":
+            raise ConfigError(f"forcing = {cfg.forcing!r} cannot be set with an initial "
+                              f"checkpoint; {cfg.initial} carries its forcing")
         if state.params != params and (cfg.alpha is not None or cfg.gamma is not None):
             raise ConfigError(
                 f"checkpoint parameters {state.params} disagree with configured "
@@ -487,7 +492,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, help="time step")
     p.add_argument("--t-end", dest="t_end", type=float, help="final time")
     p.add_argument("--forcing", help="'zero' | 'kolmogorov S LAMBDA' | 'checkpoint PATH'")
-    p.add_argument("--initial", help="EBV1 checkpoint to resume from")
+    p.add_argument("--initial", help="EBV1 checkpoint to resume from; it carries its grid and "
+                   "forcing: a --grid must match it, a --forcing other than zero is refused")
     p.add_argument("--save", help="write final state checkpoint here")
     p.add_argument("--observe-every", dest="observe_every", type=int,
                    help="steps between observer rows (default 1)")
@@ -496,7 +502,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--forcing", help="'zero' | 'kolmogorov S LAMBDA' | 'checkpoint PATH'")
-    p.add_argument("--initial", help="EBV1 checkpoint to start from")
+    p.add_argument("--initial", help="EBV1 checkpoint to start from; it carries its grid and "
+                   "forcing: a --grid must match it, a --forcing other than zero is refused")
     p.add_argument("--exponents", type=int, help="number of exponents (default 4)")
     p.add_argument("--renorm-every", dest="renorm_every", type=int)
     p.add_argument("--t-transient", dest="t_transient", type=float)

@@ -22,13 +22,16 @@ IF-RK4 routine advances the base and the tangents stage by stage as one
 stack of rfft2 half spectra, base in row 0, and each tangent stage applies
 -J(psibar', omegabar) - J(psibar, omegabar'), built from the same derivative
 samples as the base transport term at that stage.  The derivatives come from
-one masked operator table per (n, alpha); the new stack is expanded to the
-full FFT layout of the public fields once per step.  curl and
-stream_velocity convert at the edge; they are inverse to each other on
-zero-mean divergence-free fields.  Lyapunov exponents come from Benettin
-renormalization: lyapunov_spectrum keeps its tangents as one stack of
-vorticities and orthonormalizes it in the filtered energy inner product by a
-QR factorization of the weighted stack.
+one masked operator table per (n, alpha).  Every integrator keeps that stack
+in the half-spectrum layout from step to step and expands it to the full FFT
+layout of the public fields only where it hands a state out: simulate at its
+observer samples and its end, step and step_with_tangents once per call.
+curl and stream_velocity convert at the edge; they are inverse to each other
+on zero-mean divergence-free fields.  Lyapunov exponents come from Benettin
+renormalization: lyapunov_spectrum carries base and tangents as one stack
+for the whole run and, once per renormalization interval, orthonormalizes
+the tangent rows in the filtered energy inner product by a QR factorization
+of the weighted full-layout stack.
 """
 from __future__ import annotations
 
@@ -54,6 +57,7 @@ from .spectral import (
     hermitianize,
     make_grid,
     stream_velocity,
+    zero_field,
 )
 
 __all__ = [
@@ -88,8 +92,7 @@ def _check_real_coeffs(grid: FourierGrid, coeffs: np.ndarray, what: str) -> None
     if not math.isfinite(scale):
         raise ValueError(f"{what} coefficients are not finite")
     tol = 1e-12 * max(scale, 1e-300)
-    neg = grid._neg
-    flipped = coeffs[..., neg, :][..., :, neg]
+    flipped = coeffs[..., grid._neg, :][..., :, grid._neg]
     if float(np.abs(coeffs - np.conj(flipped)).max()) > tol:
         raise ValueError(f"{what} coefficients are not Hermitian (field not real)")
     if np.abs(coeffs[..., 0, 0]).max() > tol:
@@ -123,8 +126,7 @@ class SimState:
 
     def energy(self) -> float:
         """||omegabar||^2 + alpha*||grad omegabar||^2, the absorbing-ball norm."""
-        g = self.grid
-        w = 1.0 / (1.0 + self.params.alpha * g.k_sq)
+        w = 1.0 / (1.0 + self.params.alpha * self.grid.k_sq)
         c = self.omega.coeffs
         return float((2.0 * np.pi) ** 2 * np.sum((c * np.conj(c)).real * w))
 
@@ -165,14 +167,9 @@ def make_state(
         raise ValueError("pass forcing or forcing_curl, not both")
     grid = omega.grid
     if forcing_curl is None:
-        if forcing is not None:
-            forcing_curl = curl(forcing)
-        else:
-            forcing_curl = SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
-    c = hermitianize(grid, omega.coeffs)
-    c[0, 0] = 0.0
-    fc = hermitianize(grid, forcing_curl.coeffs)
-    fc[0, 0] = 0.0
+        forcing_curl = zero_field(grid) if forcing is None else curl(forcing)
+    c, fc = hermitianize(grid, omega.coeffs), hermitianize(grid, forcing_curl.coeffs)
+    c[0, 0] = fc[0, 0] = 0.0
     return SimState(SpectralField(grid, c), time, params, SpectralField(grid, fc))
 
 
@@ -247,20 +244,23 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
 
-def _if_rk4(state: SimState, dt: float, zetas=()) -> np.ndarray:
-    """One integrating-factor RK4 step of w = omega - curl g / gamma and of a
-    stack of tangent vorticities zeta (m, n, n), stage by stage.
+def _if_rk4(state: SimState, y: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One integrating-factor RK4 step of a half-spectrum stack y (1+m, n,
+    n//2+1), omega in row 0 and tangent vorticities zeta below, on the flow
+    (grid, params, forcing) of state.
 
-    All stages run on one stack of half spectra, the base in row 0.  Tangent
-    stage k applies the linearized transport at base stage k with the same
-    integrating factors, so the tangents move by the exact derivative of the
-    discrete base map.  Returns the full-layout stack of the new w and the
-    new zetas.  Every stage checks dt * max|ubar| against the grid spacing.
+    The stages run on w = omega - curl g / gamma.  Tangent stage k applies
+    the linearized transport at base stage k with the same integrating
+    factors, so the tangents move by the exact derivative of the discrete
+    base map.  Returns the new stack, omega in row 0, and the new w.  Publish
+    omega as _full(w) + curl g / gamma (see _published); _full of the carried
+    row can differ from it in the sign of zeros in the mirrored half.  Every
+    stage checks dt * max|ubar| against the grid spacing; a non-finite omega
+    raises BlowUpError, since a NaN speed passes that check.
     """
     _check_dt(dt)
     grid = state.grid
-    alpha = state.params.alpha
-    gamma = state.params.gamma
+    alpha, gamma = state.params.alpha, state.params.gamma
     shift = _half(state.forcing_curl.coeffs) / gamma
     e1 = math.exp(-gamma * dt / 2.0)
     e2 = e1 * e1
@@ -275,25 +275,30 @@ def _if_rk4(state: SimState, dt: float, zetas=()) -> np.ndarray:
             )
         return g
 
-    zetas = np.reshape(zetas, (-1, grid.n, grid.n))
-    y = np.concatenate(((_half(state.omega.coeffs) - shift)[None], _half(zetas)))
+    y = np.concatenate(((y[0] - shift)[None], y[1:]))
     g1 = rates(y.copy())
     g2 = rates(e1 * (y + (0.5 * dt) * g1))
     g3 = rates(e1 * y + (0.5 * dt) * g2)
     g4 = rates(e2 * y + (dt * e1) * g3)
-    return _full(grid, e2 * y + (dt / 6.0) * (e2 * g1 + 2.0 * e1 * g2 + 2.0 * e1 * g3 + g4))
+    y = e2 * y + (dt / 6.0) * (e2 * g1 + 2.0 * e1 * g2 + 2.0 * e1 * g3 + g4)
+    w = y[0].copy()
+    y[0] += shift
+    if not np.isfinite(y[0]).all():
+        raise BlowUpError(f"non-finite coefficients after a step of dt = {dt!r}")
+    return y, w
 
 
-def _advance(state: SimState, dt: float, w_new: np.ndarray) -> SimState:
-    c = w_new + state.forcing_curl.coeffs / state.params.gamma
-    if not np.isfinite(c).all():
-        raise BlowUpError(f"non-finite coefficients after step at t = {state.time!r}")
-    return SimState(SpectralField(state.grid, c), state.time + dt, state.params, state.forcing_curl)
+def _published(state: SimState, w: np.ndarray, time: float) -> SimState:
+    """The SimState at time on the flow of state, given w = omega - curl g / gamma."""
+    fc = state.forcing_curl
+    c = _full(state.grid, w) + fc.coeffs / state.params.gamma
+    return SimState(SpectralField(state.grid, c), time, state.params, fc)
 
 
 def step(state: SimState, dt: float) -> SimState:
     """Advance by one time step of size dt."""
-    return _advance(state, dt, _if_rk4(state, dt)[0])
+    _, w = _if_rk4(state, _half(state.omega.coeffs)[None], dt)
+    return _published(state, w, state.time + dt)
 
 
 def _step_count(time: float, t_end: float, dt: float) -> int:
@@ -322,9 +327,12 @@ def simulate(
     rows = [state.diagnostics()]
     for obs in observers:
         obs(state)
+    time, y = state.time, _half(state.omega.coeffs)[None]
     for i in range(1, n_steps + 1):
-        state = step(state, dt)
+        y, w = _if_rk4(state, y, dt)  # every published state shares the flow of the first
+        time += dt
         if i % observe_every == 0 or i == n_steps:
+            state = _published(state, w, time)
             rows.append(state.diagnostics())
             for obs in observers:
                 obs(state)
@@ -390,10 +398,11 @@ def step_with_tangents(bundle: TangentBundle, dt: float) -> TangentBundle:
     """
     state = bundle.base
     grid = state.grid
-    out = _if_rk4(state, dt, [curl(v).coeffs for v in bundle.vectors])
+    zetas = [_half(curl(v).coeffs) for v in bundle.vectors]
+    y, w = _if_rk4(state, np.stack([_half(state.omega.coeffs), *zetas]), dt)
     return TangentBundle(
-        _advance(state, dt, out[0]),
-        [stream_velocity(SpectralField(grid, z)) for z in out[1:]],
+        _published(state, w, state.time + dt),
+        [stream_velocity(SpectralField(grid, z)) for z in _full(grid, y[1:])],
     )
 
 
@@ -471,17 +480,16 @@ def _renormalize(
     ended, and whether any direction collapsed (growth factors are then
     meaningless and the caller must drop the interval).
     """
-    grid = make_grid(zetas.shape[-1])
     zetas, growth = _orthonormalize(zetas, alpha)
     norms = growth
-    tries = 0
-    while (norms == 0.0).any():
-        tries += 1
-        if tries > 5:
-            raise RuntimeError("tangent family keeps collapsing; cannot re-seed")
+    for _ in range(5):
+        if not (norms == 0.0).any():
+            break
         for j in np.flatnonzero(norms == 0.0):
-            zetas[j] = _random_tangent(grid, rng)
+            zetas[j] = _random_tangent(make_grid(zetas.shape[-1]), rng)
         zetas, norms = _orthonormalize(zetas, alpha)
+    if (norms == 0.0).any():
+        raise RuntimeError("tangent family keeps collapsing; cannot re-seed")
     return zetas, growth, bool((growth == 0.0).any())
 
 
@@ -530,15 +538,15 @@ def lyapunov_spectrum(
         raise ValueError("t_average too short for the requested block count")
 
     rng = np.random.default_rng(np.random.Philox(seed))
-    alpha = initial.params.alpha
-    state, zetas = initial, _seed_tangents(initial.grid, n, alpha, rng)
+    grid, alpha = initial.grid, initial.params.alpha
+    y = _half(np.concatenate((initial.omega.coeffs[None], _seed_tangents(grid, n, alpha, rng))))
     logs = np.zeros((n_avg, n))
     keep = np.ones(n_avg, dtype=bool)
     for i in range(-n_trans, n_avg):
         for _ in range(renorm_every):
-            out = _if_rk4(state, dt, zetas)
-            state, zetas = _advance(state, dt, out[0]), out[1:]
-        zetas, norms, collapsed = _renormalize(zetas, alpha, rng)
+            y = _if_rk4(initial, y, dt)[0]
+        zetas, norms, collapsed = _renormalize(_full(grid, y[1:]), alpha, rng)
+        y[1:] = _half(zetas)
         if i < 0:
             if collapsed:
                 warnings.warn("tangent family collapsed during transient; re-seeded")
@@ -559,8 +567,7 @@ def lyapunov_spectrum(
     stderr = block_means.std(axis=0, ddof=1) / math.sqrt(len(block_means))
 
     order = np.argsort(exponents)[::-1]
-    exponents = exponents[order]
-    stderr = stderr[order]
+    exponents, stderr = exponents[order], stderr[order]
     partial = np.cumsum(exponents)
     return LyapunovReport(
         exponents=tuple(float(x) for x in exponents),

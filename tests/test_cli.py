@@ -33,10 +33,12 @@ class TestConfigFile:
         assert load_config(str(p)) == {"alpha": 0.25, "grid": 64, "forcing": "zero"}
 
     def test_unknown_key_named(self, tmp_path):
+        # tolerance was a key that nothing read
         p = tmp_path / "run.conf"
-        p.write_text("frobnicate = 1\n")
-        with pytest.raises(ConfigError, match="frobnicate"):
-            load_config(str(p))
+        for key in ("frobnicate", "tolerance"):
+            p.write_text(f"{key} = 5\n")
+            with pytest.raises(ConfigError, match=key):
+                load_config(str(p))
 
     def test_type_mismatch_reports_line_number(self, tmp_path):
         p = tmp_path / "run.conf"
@@ -258,6 +260,25 @@ class TestSimulate:
                                 "--t-end", "0.2")
         assert rc == 0
         assert data_lines(out_resumed)[-1] == data_lines(out_direct)[-1]
+
+    @pytest.mark.parametrize("flags, setting", [
+        (("--grid", "64"), "grid"),
+        (("--forcing", "kolmogorov 8 9.0"), "forcing"),
+    ], ids=["grid", "forcing"])
+    def test_resume_rejects_grid_and_forcing(self, tmp_path, capsys, flags, setting):
+        # the checkpoint carries its own grid and forcing; a run that ignored
+        # the flags would record them in its header without using them
+        ck = str(tmp_path / "mid.ebv")
+        rc, _, _ = run(capsys, *self.ARGS, "--forcing", "kolmogorov 4 2.0", "--save", ck)
+        assert rc == 0
+        rc, out, err = run(capsys, "simulate", "--alpha", "0.0625", "--gamma", "1",
+                           "--dt", "0.01", "--t-end", "0.2", "--initial", ck, *flags)
+        assert rc == 2
+        assert out == ""
+        assert setting in err
+        rc, _, _ = run(capsys, "simulate", "--alpha", "0.0625", "--gamma", "1", "--grid", "32",
+                       "--dt", "0.01", "--t-end", "0.2", "--initial", ck)
+        assert rc == 0  # repeating the checkpoint's grid is fine
 
     def test_output_file(self, tmp_path, capsys):
         p = tmp_path / "run.csv"

@@ -240,10 +240,19 @@ class TestStep:
             return rates, speed
 
         monkeypatch.setattr(dyn, "_rates", poisoned)
-        with pytest.raises(BlowUpError, match="non-finite"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                step(st, 1e-6)
+        # simulate between samples and lyapunov_spectrum build no state per
+        # step; a non-finite step must stop them all the same
+        runs = [
+            lambda: step(st, 1e-6),
+            lambda: simulate(st, st.time + 100 * 1e-6, 1e-6, observe_every=50),
+            lambda: lyapunov_spectrum(st, n=2, dt=1e-6, renorm_every=2, t_transient=0.0,
+                                      t_average=4e-6, blocks=2),
+        ]
+        for run in runs:
+            with pytest.raises(BlowUpError, match="non-finite"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    run()
 
     def test_rejects_nonpositive_dt(self, rng):
         st = make_state(random_field(make_grid(16), rng, band=3), PARAMS)

@@ -1,9 +1,12 @@
-"""Checkpoint format: exact layout, round trips, restart identity."""
+"""Checkpoint format: exact layout, round trips (property-based too), restart identity."""
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bardina.dynamics import make_state, simulate, step
 from bardina.instability import KolmogorovSpec, kolmogorov_forcing
@@ -221,8 +224,10 @@ class TestStateCheckpoint:
         assert os.listdir(tmp_path) == ["v.ebv"]
         assert open(p, "rb").read() == blob
 
-    def test_restart_is_bit_identical(self, tmp_path, rng):
-        # run to T in one go vs checkpoint at T/2 and resume: same bytes
+    @pytest.mark.parametrize("observe_every", [1, 7, 40])
+    def test_restart_is_bit_identical(self, tmp_path, rng, observe_every):
+        # run to T in one go vs checkpoint at T/2 and resume: same bytes,
+        # signed zeros included, however few of the steps publish a state
         st = self._state(rng)
         p = str(tmp_path / "mid.ebv")
 
@@ -230,9 +235,63 @@ class TestStateCheckpoint:
         for _ in range(40):
             direct = step(direct, 0.01)
 
-        first, _ = simulate(st, st.time + 0.2, 0.01)
+        first, _ = simulate(st, st.time + 0.2, 0.01, observe_every=observe_every)
         save_state(first, p)
-        second, _ = simulate(load_state(p), first.time + 0.2, 0.01)
+        second, _ = simulate(load_state(p), first.time + 0.2, 0.01, observe_every=observe_every)
 
         assert second.time == direct.time
-        assert np.array_equal(second.omega.coeffs, direct.omega.coeffs)
+        assert second.omega.coeffs.tobytes() == direct.omega.coeffs.tobytes()
+
+
+# payload values that a float round trip could lose: signed zeros, subnormals
+# and the extremes of the finite range
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2e-308, 1.7e308, -1.7e308])
+_POSITIVE = hs.floats(min_value=5e-324, max_value=1.7e308)  # subnormals included
+
+
+def _payload(shape, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    raw = rng.standard_normal(shape + (2,)) * 10.0 ** rng.integers(-300, 300, shape + (2,))
+    special = rng.random(raw.shape) < 0.25
+    raw[special] = rng.choice(_SPECIAL, int(special.sum()))
+    return raw.view(complex)[..., 0]
+
+
+class TestRoundTripProperties:
+    """Write then read returns every byte: header floats and payload alike."""
+
+    @given(half=hs.integers(2, 32), alpha=_POSITIVE, gamma=_POSITIVE,
+           time=hs.floats(allow_nan=False, allow_infinity=False), seed=hs.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_scalar(self, half, alpha, gamma, time, seed):
+        grid, params = make_grid(2 * half), ModelParams(alpha=alpha, gamma=gamma)
+        field = SpectralField(grid, _payload((grid.n, grid.n), seed))
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "f.ebv")
+            write_scalar(p, field, params, time)
+            back, back_params, back_time = read_scalar(p)
+            q = os.path.join(d, "g.ebv")
+            write_scalar(q, back, back_params, back_time)
+            assert open(q, "rb").read() == open(p, "rb").read()
+        assert back.coeffs.tobytes() == field.coeffs.tobytes()
+        assert struct.pack("<ddd", back_params.alpha, back_params.gamma, back_time) == \
+            struct.pack("<ddd", alpha, gamma, time)
+
+    @given(half=hs.integers(2, 32), components=hs.integers(1, 4), alpha=_POSITIVE,
+           gamma=_POSITIVE, time=hs.floats(allow_nan=False, allow_infinity=False),
+           seed=hs.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_vector(self, half, components, alpha, gamma, time, seed):
+        grid, params = make_grid(2 * half), ModelParams(alpha=alpha, gamma=gamma)
+        field = VectorField(grid, _payload((components, grid.n, grid.n), seed))
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "v.ebv")
+            write_vector(p, field, params, time)
+            back, back_params, back_time = read_vector(p)
+            q = os.path.join(d, "w.ebv")
+            write_vector(q, back, back_params, back_time)
+            assert open(q, "rb").read() == open(p, "rb").read()
+        assert back.coeffs.shape == field.coeffs.shape
+        assert back.coeffs.tobytes() == field.coeffs.tobytes()
+        assert struct.pack("<ddd", back_params.alpha, back_params.gamma, back_time) == \
+            struct.pack("<ddd", alpha, gamma, time)
