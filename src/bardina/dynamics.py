@@ -26,19 +26,30 @@ one masked operator table per (n, alpha).  Every integrator keeps that stack
 in the half-spectrum layout from step to step and expands it to the full FFT
 layout of the public fields only where it hands a state out: simulate at its
 observer samples and its end, step and step_with_tangents once per call.
-curl and stream_velocity convert at the edge; they are inverse to each other
-on zero-mean divergence-free fields.  Lyapunov exponents come from Benettin
-renormalization: lyapunov_spectrum carries base and tangents as one stack
-for the whole run and, once per renormalization interval, orthonormalizes
-the tangent rows in the filtered energy inner product by a QR factorization
-of the weighted full-layout stack.
+
+Each integrator run owns one workspace (_Work), built where the run starts:
+for the whole run in simulate and lyapunov_spectrum, once per call in step,
+step_with_tangents, vorticity_rhs and variational_rhs.  It holds a copy of
+the stack, so no input is ever written, and every buffer the stages need;
+the transforms and the stage arithmetic write into it in place, in the
+order of operations of the allocating form, so a step allocates nothing of
+the grid's size and its result is the same to the bit.  The states a run
+hands out share its forcing, checked once when its first state was built,
+and simulate computes the absorbing radius of its rows once per run.
+
+curl and stream_velocity convert at the edge; they are inverse to each
+other on zero-mean divergence-free fields.  Lyapunov exponents come from
+Benettin renormalization: lyapunov_spectrum carries base and tangents as
+one stack for the whole run and, once per renormalization interval,
+orthonormalizes the tangent rows in the filtered energy inner product by a
+QR factorization of the weighted full-layout stack.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -92,8 +103,10 @@ def _check_real_coeffs(grid: FourierGrid, coeffs: np.ndarray, what: str) -> None
     if not math.isfinite(scale):
         raise ValueError(f"{what} coefficients are not finite")
     tol = 1e-12 * max(scale, 1e-300)
-    flipped = coeffs[..., grid._neg, :][..., :, grid._neg]
-    if float(np.abs(coeffs - np.conj(flipped)).max()) > tol:
+    # one temporary, reused in place: every published state runs this check
+    gap = coeffs[..., grid._neg, :][..., :, grid._neg]
+    np.subtract(coeffs, np.conjugate(gap, out=gap), out=gap)
+    if float(np.abs(gap).max()) > tol:
         raise ValueError(f"{what} coefficients are not Hermitian (field not real)")
     if np.abs(coeffs[..., 0, 0]).max() > tol:
         raise ValueError(f"{what} must have zero mean")
@@ -118,7 +131,19 @@ class SimState:
         if not math.isfinite(self.time):
             raise ValueError(f"time must be finite, got {self.time!r}")
         _check_real_coeffs(self.omega.grid, self.omega.coeffs, "omega")
-        _check_real_coeffs(self.forcing_curl.grid, self.forcing_curl.coeffs, "forcing_curl")
+        if not self.__dict__.pop("_forcing_checked", False):
+            _check_real_coeffs(self.forcing_curl.grid, self.forcing_curl.coeffs, "forcing_curl")
+
+    @classmethod
+    def _on_checked_flow(
+        cls, omega: SpectralField, time: float, params: ModelParams, forcing_curl: SpectralField
+    ) -> "SimState":
+        """A state whose forcing_curl is already checked: the flow of the
+        integrator run that hands the state out.  Only omega is checked."""
+        state = cls.__new__(cls)
+        state._forcing_checked = True  # read and dropped by __post_init__
+        state.__init__(omega, time, params, forcing_curl)
+        return state
 
     @property
     def grid(self) -> FourierGrid:
@@ -131,13 +156,17 @@ class SimState:
         return float((2.0 * np.pi) ** 2 * np.sum((c * np.conj(c)).real * w))
 
     def diagnostics(self) -> "DiagnosticRow":
+        return self._diagnostics(_r0_sq_from_curl(self.params, self.forcing_curl))
+
+    def _diagnostics(self, r0_sq: float) -> "DiagnosticRow":
+        """diagnostics() given R0^2 of the flow, which a run computes once."""
         g = self.grid
         alpha = self.params.alpha
         w = 1.0 / (1.0 + alpha * g.k_sq)
         mag = (self.omega.coeffs * np.conj(self.omega.coeffs)).real
         enstrophy_bar = float((2.0 * np.pi) ** 2 * np.sum(mag * w * w))
         grad_bar = float((2.0 * np.pi) ** 2 * np.sum(mag * alpha * g.k_sq * w * w))
-        margin = _r0_sq_from_curl(self.params, self.forcing_curl) - (enstrophy_bar + grad_bar)
+        margin = r0_sq - (enstrophy_bar + grad_bar)
         return DiagnosticRow(self.time, enstrophy_bar, grad_bar, margin)
 
 
@@ -168,6 +197,8 @@ def make_state(
     grid = omega.grid
     if forcing_curl is None:
         forcing_curl = zero_field(grid) if forcing is None else curl(forcing)
+    if forcing_curl.grid.n != grid.n:
+        raise ValueError("omega and forcing_curl live on different grids")
     c, fc = hermitianize(grid, omega.coeffs), hermitianize(grid, forcing_curl.coeffs)
     c[0, 0] = fc[0, 0] = 0.0
     return SimState(SpectralField(grid, c), time, params, SpectralField(grid, fc))
@@ -212,29 +243,70 @@ def _operators(n: int, alpha: float) -> np.ndarray:
     return ops
 
 
-def _rates(grid: FourierGrid, alpha: float, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Transport rates of a half-spectrum stack (1+m, n, n//2+1), and max|ubar|.
+class _Work:
+    """The buffers of one integrator run on the flow of a state.
+
+    y is the carried half-spectrum stack (1+m, n, n//2+1), omega in row 0,
+    copied in once so that no input is ever written.  stage, rate and acc
+    are the RK4 stage, one rate and the accumulated rate sum; spec, base,
+    pert, prod and tmp belong to _rates; w receives omega - curl g / gamma
+    after each step.  _rates and _if_rk4 write only into these, so a step
+    allocates nothing of the grid's size.
+    """
+
+    def __init__(self, state: SimState, y: np.ndarray) -> None:
+        grid, params = state.grid, state.params
+        n, m = grid.n, len(y) - 1
+        self.grid, self.params, self.forcing_curl = grid, params, state.forcing_curl
+        self.ops = _operators(n, params.alpha)
+        self.shift = _half(state.forcing_curl.coeffs) / params.gamma
+        self.y = np.array(y, dtype=complex)
+        self.stage, self.rate, self.acc = (np.empty_like(self.y) for _ in range(3))
+        self.w = np.empty_like(self.y[0])
+        self.spec = np.empty_like(self.ops)
+        self.base = np.empty((4, n, n))
+        self.pert = np.empty((4, n, n)) if m else None
+        self.prod = np.empty((1 + m, n, n))
+        self.tmp = np.empty((2, n, n))
+
+    @cached_property
+    def full_shift(self) -> np.ndarray:
+        """curl g / gamma in the full layout, added to w by _published."""
+        return self.forcing_curl.coeffs / self.params.gamma
+
+
+def _rates(work: _Work, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Transport rates of a half-spectrum stack y (1+m, n, n//2+1), written
+    into work.rate, and max|ubar|.
 
     Row 0, the base omega, gets -J(psibar, omegabar); each other row, a
     perturbation zeta, gets its exact derivative -J(psibar', omegabar) -
     J(psibar, omegabar').  One inverse transform per row keeps the peak
     memory low; one batched forward transform.  No damping term.
     """
-    ops = _operators(grid.n, alpha)
-    d1psi, d2psi, d1ob, d2ob = _samples(grid, ops * y[0])
-    speed = float(np.sqrt(d1psi * d1psi + d2psi * d2psi).max())
-    prod = np.empty((len(y), grid.n, grid.n))
-    prod[0] = d2psi * d1ob - d1psi * d2ob
+    grid, ops, spec, prod = work.grid, work.ops, work.spec, work.prod
+    sq, tmp = work.tmp
+    d1psi, d2psi, d1ob, d2ob = _samples(grid, np.multiply(ops, y[0], out=spec), out=work.base)
+    np.multiply(d1psi, d1psi, out=sq)
+    sq += np.multiply(d2psi, d2psi, out=tmp)
+    speed = float(np.sqrt(sq, out=sq).max())
+    np.multiply(d2psi, d1ob, out=prod[0])
+    prod[0] -= np.multiply(d1psi, d2ob, out=tmp)
     for j in range(1, len(y)):
-        d1p, d2p, d1o, d2o = _samples(grid, ops * y[j])
-        prod[j] = d2p * d1ob - d1p * d2ob + d2psi * d1o - d1psi * d2o
-    return _spectrum(grid, prod), speed
+        d1p, d2p, d1o, d2o = _samples(grid, np.multiply(ops, y[j], out=spec), out=work.pert)
+        p = prod[j]
+        np.multiply(d2p, d1ob, out=p)
+        p -= np.multiply(d1p, d2ob, out=tmp)
+        p += np.multiply(d2psi, d1o, out=tmp)
+        p -= np.multiply(d1psi, d2o, out=tmp)
+    return _spectrum(grid, prod, out=work.rate), speed
 
 
 def vorticity_rhs(state: SimState) -> SpectralField:
     """Full right-hand side -J(psibar, omegabar) - gamma*omega + curl g."""
     grid = state.grid
-    rates, _ = _rates(grid, state.params.alpha, _half(state.omega.coeffs)[None])
+    work = _Work(state, _half(state.omega.coeffs)[None])
+    rates, _ = _rates(work, work.y)
     out = _full(grid, rates[0]) - state.params.gamma * state.omega.coeffs
     return SpectralField(grid, out + state.forcing_curl.coeffs)
 
@@ -244,30 +316,35 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
 
-def _if_rk4(state: SimState, y: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One integrating-factor RK4 step of a half-spectrum stack y (1+m, n,
-    n//2+1), omega in row 0 and tangent vorticities zeta below, on the flow
-    (grid, params, forcing) of state.
+def _if_rk4(work: _Work, dt: float) -> None:
+    """One integrating-factor RK4 step of the run's stack work.y, in place:
+    omega in row 0 and tangent vorticities zeta below, on the flow (grid,
+    params, forcing) of the run.
 
     The stages run on w = omega - curl g / gamma.  Tangent stage k applies
     the linearized transport at base stage k with the same integrating
     factors, so the tangents move by the exact derivative of the discrete
-    base map.  Returns the new stack, omega in row 0, and the new w.  Publish
-    omega as _full(w) + curl g / gamma (see _published); _full of the carried
-    row can differ from it in the sign of zeros in the mirrored half.  Every
-    stage checks dt * max|ubar| against the grid spacing; a non-finite omega
-    raises BlowUpError, since a NaN speed passes that check.
+    base map.  Leaves the new stack in work.y, omega in row 0, and the new w
+    in work.w.  Publish omega as _full(w) + curl g / gamma (see _published);
+    _full of the carried row can differ from it in the sign of zeros in the
+    mirrored half.  Every stage checks dt * max|ubar| against the grid
+    spacing; a non-finite omega raises BlowUpError, since a NaN speed passes
+    that check.
+
+    The step is e2 y + dt/6 (e2 g1 + 2 e1 g2 + 2 e1 g3 + g4), with each
+    product and sum taken in that order, one rate at a time: the rate sum
+    accumulates in work.acc as soon as the next stage is formed, and the
+    rate buffer serves as scratch in between.
     """
     _check_dt(dt)
-    grid = state.grid
-    alpha, gamma = state.params.alpha, state.params.gamma
-    shift = _half(state.forcing_curl.coeffs) / gamma
-    e1 = math.exp(-gamma * dt / 2.0)
+    grid, y, s, acc, shift = work.grid, work.y, work.stage, work.acc, work.shift
+    e1 = math.exp(-work.params.gamma * dt / 2.0)
     e2 = e1 * e1
+    half_dt, two_e1 = 0.5 * dt, 2.0 * e1
 
     def rates(stage: np.ndarray) -> np.ndarray:
         stage[0] += shift  # the base transport is taken at omega = w + curl g / gamma
-        g, speed = _rates(grid, alpha, stage)
+        g, speed = _rates(work, stage)
         if dt * speed > grid.spacing():
             raise CFLError(
                 f"dt*max|ubar| = {dt * speed:.3e} exceeds grid spacing "
@@ -275,30 +352,50 @@ def _if_rk4(state: SimState, y: np.ndarray, dt: float) -> tuple[np.ndarray, np.n
             )
         return g
 
-    y = np.concatenate(((y[0] - shift)[None], y[1:]))
-    g1 = rates(y.copy())
-    g2 = rates(e1 * (y + (0.5 * dt) * g1))
-    g3 = rates(e1 * y + (0.5 * dt) * g2)
-    g4 = rates(e2 * y + (dt * e1) * g3)
-    y = e2 * y + (dt / 6.0) * (e2 * g1 + 2.0 * e1 * g2 + 2.0 * e1 * g3 + g4)
-    w = y[0].copy()
+    y[0] -= shift
+    np.copyto(s, y)
+    g = rates(s)  # g1
+    np.multiply(g, e2, out=acc)
+    np.multiply(g, half_dt, out=s)
+    s += y
+    s *= e1  # e1 (y + dt/2 g1)
+    g = rates(s)  # g2
+    np.multiply(g, half_dt, out=s)
+    g *= two_e1
+    acc += g
+    s += np.multiply(y, e1, out=g)  # e1 y + dt/2 g2
+    g = rates(s)  # g3
+    np.multiply(g, dt * e1, out=s)
+    g *= two_e1
+    acc += g
+    s += np.multiply(y, e2, out=g)  # e2 y + dt e1 g3
+    acc += rates(s)  # g4
+    acc *= dt / 6.0
+    y *= e2
+    y += acc
+    np.copyto(work.w, y[0])
     y[0] += shift
     if not np.isfinite(y[0]).all():
         raise BlowUpError(f"non-finite coefficients after a step of dt = {dt!r}")
-    return y, w
 
 
-def _published(state: SimState, w: np.ndarray, time: float) -> SimState:
-    """The SimState at time on the flow of state, given w = omega - curl g / gamma."""
-    fc = state.forcing_curl
-    c = _full(state.grid, w) + fc.coeffs / state.params.gamma
-    return SimState(SpectralField(state.grid, c), time, state.params, fc)
+def _published(work: _Work, time: float) -> SimState:
+    """The SimState at time on the run's flow, from w = omega - curl g / gamma.
+
+    Its forcing is the run's own, checked when the run's first state was
+    built, so it is not checked again.
+    """
+    c = _full(work.grid, work.w)
+    c += work.full_shift
+    omega = SpectralField(work.grid, c)
+    return SimState._on_checked_flow(omega, time, work.params, work.forcing_curl)
 
 
 def step(state: SimState, dt: float) -> SimState:
     """Advance by one time step of size dt."""
-    _, w = _if_rk4(state, _half(state.omega.coeffs)[None], dt)
-    return _published(state, w, state.time + dt)
+    work = _Work(state, _half(state.omega.coeffs)[None])
+    _if_rk4(work, dt)
+    return _published(work, state.time + dt)
 
 
 def _step_count(time: float, t_end: float, dt: float) -> int:
@@ -324,16 +421,17 @@ def simulate(
         raise ValueError("observe_every must be >= 1")
     _check_dt(dt)
     n_steps = _step_count(state.time, t_end, dt)
-    rows = [state.diagnostics()]
+    r0_sq = _r0_sq_from_curl(state.params, state.forcing_curl)
+    rows = [state._diagnostics(r0_sq)]
     for obs in observers:
         obs(state)
-    time, y = state.time, _half(state.omega.coeffs)[None]
+    time, work = state.time, _Work(state, _half(state.omega.coeffs)[None])
     for i in range(1, n_steps + 1):
-        y, w = _if_rk4(state, y, dt)  # every published state shares the flow of the first
+        _if_rk4(work, dt)
         time += dt
         if i % observe_every == 0 or i == n_steps:
-            state = _published(state, w, time)
-            rows.append(state.diagnostics())
+            state = _published(work, time)
+            rows.append(state._diagnostics(r0_sq))
             for obs in observers:
                 obs(state)
     return state, rows
@@ -367,9 +465,9 @@ def variational_rhs(theta: VectorField, state: SimState) -> VectorField:
     """
     grid = state.grid
     _check_tangent(grid, theta)
-    alpha = state.params.alpha
     zeta = curl(theta).coeffs
-    rates, _ = _rates(grid, alpha, _half(np.stack((state.omega.coeffs, zeta))))
+    work = _Work(state, _half(np.stack((state.omega.coeffs, zeta))))
+    rates, _ = _rates(work, work.y)
     out = _full(grid, rates[1]) - state.params.gamma * zeta
     return stream_velocity(SpectralField(grid, out))
 
@@ -399,10 +497,11 @@ def step_with_tangents(bundle: TangentBundle, dt: float) -> TangentBundle:
     state = bundle.base
     grid = state.grid
     zetas = [_half(curl(v).coeffs) for v in bundle.vectors]
-    y, w = _if_rk4(state, np.stack([_half(state.omega.coeffs), *zetas]), dt)
+    work = _Work(state, np.stack([_half(state.omega.coeffs), *zetas]))
+    _if_rk4(work, dt)
     return TangentBundle(
-        _published(state, w, state.time + dt),
-        [stream_velocity(SpectralField(grid, z)) for z in _full(grid, y[1:])],
+        _published(work, state.time + dt),
+        [stream_velocity(SpectralField(grid, z)) for z in _full(grid, work.y[1:])],
     )
 
 
@@ -453,7 +552,9 @@ def _orthonormalize(zetas: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nda
     growth[~(growth > 1e-12 * np.linalg.norm(cols, axis=0))] = 0.0
     q[:, growth == 0.0] = 0.0
     unweight = np.divide(1.0, weight, out=np.zeros_like(weight), where=weight > 0)
-    return unweight * np.ascontiguousarray(q.T).view(complex).reshape(m, n, n), growth
+    out = np.ascontiguousarray(q.T).view(complex).reshape(m, n, n)
+    out *= unweight  # in place: one stack fewer at the peak of a renormalization
+    return out, growth
 
 
 def _seed_tangents(grid: FourierGrid, m: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
@@ -539,14 +640,15 @@ def lyapunov_spectrum(
 
     rng = np.random.default_rng(np.random.Philox(seed))
     grid, alpha = initial.grid, initial.params.alpha
-    y = _half(np.concatenate((initial.omega.coeffs[None], _seed_tangents(grid, n, alpha, rng))))
+    zetas = _half(_seed_tangents(grid, n, alpha, rng))
+    work = _Work(initial, np.concatenate((_half(initial.omega.coeffs)[None], zetas)))
     logs = np.zeros((n_avg, n))
     keep = np.ones(n_avg, dtype=bool)
     for i in range(-n_trans, n_avg):
         for _ in range(renorm_every):
-            y = _if_rk4(initial, y, dt)[0]
-        zetas, norms, collapsed = _renormalize(_full(grid, y[1:]), alpha, rng)
-        y[1:] = _half(zetas)
+            _if_rk4(work, dt)
+        zetas, norms, collapsed = _renormalize(_full(grid, work.y[1:]), alpha, rng)
+        work.y[1:] = _half(zetas)
         if i < 0:
             if collapsed:
                 warnings.warn("tangent family collapsed during transient; re-seeded")

@@ -279,9 +279,12 @@ def _half(coeffs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _half_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum 2/3-rule mask with k = 0 dropped, and i*k1, i*k2 masked."""
+    """Half-spectrum 2/3-rule mask with k = 0 dropped, and i*k1, i*k2 masked.
+
+    The mask is stored complex: a product with it then needs no cast buffer,
+    and its values are those of the real mask cast on the fly."""
     g = make_grid(n)
-    mask = _half(g.dealias).astype(np.float64)
+    mask = _half(g.dealias).astype(complex)
     mask[0, 0] = 0.0
     grad = 1j * np.stack((_half(g.k1), _half(g.k2))) * mask
     for arr in (mask, grad):
@@ -289,15 +292,29 @@ def _half_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return mask, grad
 
 
-def _samples(grid: FourierGrid, half: np.ndarray) -> np.ndarray:
-    """Collocation samples of real fields given by masked half spectra."""
-    return np.fft.irfft2(half, s=(grid.n, grid.n), norm="forward")
+def _samples(grid: FourierGrid, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Collocation samples of real fields given by masked half spectra.
+
+    The two transforms irfft2 makes: ifft over axis -2, then irfft over -1.
+    Given out, the samples go there and half is overwritten by the first
+    transform, so nothing is allocated.
+    """
+    n = grid.n
+    c = np.fft.ifft(half, n, axis=-2, norm="forward", out=None if out is None else half)
+    return np.fft.irfft(c, n, axis=-1, norm="forward", out=out)
 
 
-def _spectrum(grid: FourierGrid, samples: np.ndarray) -> np.ndarray:
+def _spectrum(grid: FourierGrid, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Masked half spectrum of de-aliased products; its k2 = 0 column, the
-    only one rfft2 leaves inexactly Hermitian, is made exactly Hermitian."""
-    c = np.fft.rfft2(samples, norm="forward") * _half_tables(grid.n)[0]
+    only one rfft2 leaves inexactly Hermitian, is made exactly Hermitian.
+
+    The two transforms rfft2 makes: rfft over axis -1, then fft over -2 in
+    place.  Given out, the spectrum is written there.
+    """
+    n = grid.n
+    c = np.fft.rfft(samples, n, axis=-1, norm="forward", out=out)
+    np.fft.fft(c, n, axis=-2, norm="forward", out=c)
+    c *= _half_tables(n)[0]
     c[..., 0] = 0.5 * (c[..., 0] + np.conj(c[..., grid._neg, 0]))
     return c
 

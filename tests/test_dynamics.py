@@ -1,9 +1,15 @@
 """Integrator, diagnostics, variational flow, Lyapunov machinery."""
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from bardina.spectral import (
     ModelParams,
@@ -103,6 +109,23 @@ class TestSimState:
     def test_rejects_grid_mismatch(self):
         with pytest.raises(ValueError, match="grids"):
             SimState(zero_field(make_grid(16)), 0.0, PARAMS, zero_field(make_grid(32)))
+
+    def test_make_state_rejects_grid_mismatch(self):
+        # the grids are compared before either field is hermitianized
+        with pytest.raises(ValueError, match="omega and forcing_curl live on different grids"):
+            make_state(zero_field(make_grid(16)), PARAMS, forcing_curl=zero_field(make_grid(32)))
+
+    def test_states_of_a_run_still_check_new_forcing(self, rng):
+        # a run skips the forcing check only for its own, already checked forcing
+        grid = make_grid(16)
+        st = step(make_state(random_field(grid, rng, band=3), PARAMS), 1e-3)
+        bad = np.zeros((16, 16), dtype=complex)
+        bad[1, 2] = 1.0  # no conjugate partner
+        with pytest.raises(ValueError, match="forcing_curl coefficients are not Hermitian"):
+            dataclasses.replace(st, forcing_curl=SpectralField(grid, bad))
+        with pytest.raises(ValueError, match="forcing_curl coefficients are not Hermitian"):
+            SimState(st.omega, st.time, st.params, SpectralField(grid, bad))
+        assert vars(st).keys() == {"omega", "time", "params", "forcing_curl"}
 
     def test_forcing_xor(self, rng):
         grid = make_grid(16)
@@ -217,8 +240,8 @@ class TestStep:
         real = dyn._rates
         calls = []
 
-        def fast_third_stage(g, alpha, y):
-            rates, speed = real(g, alpha, y)
+        def fast_third_stage(*args, **kwargs):
+            rates, speed = real(*args, **kwargs)
             calls.append(speed)
             return rates, (1e9 if len(calls) == 3 else speed)
 
@@ -234,8 +257,8 @@ class TestStep:
         st = make_state(random_field(grid, rng, band=3), PARAMS)
         real = dyn._rates
 
-        def poisoned(g, alpha, y):
-            rates, speed = real(g, alpha, y)
+        def poisoned(*args, **kwargs):
+            rates, speed = real(*args, **kwargs)
             rates[0] *= np.inf
             return rates, speed
 
@@ -307,6 +330,82 @@ class TestSimulate:
         w = 1.0 / (1.0 + PARAMS.alpha * grid.k_sq)
         ip = (2.0 * np.pi) ** 2 * float(np.sum((nl * np.conj(st.omega.coeffs)).real * w))
         assert abs(ip) < 1e-11 * st.energy()
+
+
+def _forced_state(grid, rng, band=4):
+    spec = KolmogorovSpec(s=2, amplitude=2.0, gamma=PARAMS.gamma)
+    return make_state(random_field(grid, rng, amplitude=5.0, band=band), PARAMS,
+                      forcing=kolmogorov_forcing(spec, grid))
+
+
+class TestRunWorkspace:
+    """Every integrator run writes into one preallocated workspace; these
+    pin what that must never change."""
+
+    def test_runs_leave_inputs_unchanged(self, rng):
+        grid = make_grid(32)
+        st = _forced_state(grid, rng)
+        vecs = make_tangents(grid, 2, PARAMS.alpha, rng)
+        inputs = [st.omega.coeffs, st.forcing_curl.coeffs, *(v.coeffs for v in vecs)]
+        before = [a.tobytes() for a in inputs]
+        dt = 1e-3
+        runs = [
+            lambda: step(st, dt),
+            lambda: simulate(st, st.time + 5 * dt, dt, observe_every=2),
+            lambda: step_with_tangents(TangentBundle(st, vecs), dt),
+            lambda: lyapunov_spectrum(st, n=2, dt=dt, renorm_every=2, t_transient=0.0,
+                                      t_average=4 * dt, blocks=2),
+            lambda: vorticity_rhs(st),
+            lambda: variational_rhs(vecs[0], st),
+        ]
+        for run in runs:
+            run()
+            assert [a.tobytes() for a in inputs] == before
+
+    def test_reused_workspace_gives_the_bytes_of_a_fresh_one(self, rng):
+        # a second run in the same buffers, after one cut short by the CFL
+        # guard, must not see anything the first left behind
+        import bardina.dynamics as dyn
+
+        grid = make_grid(32)
+        first = _forced_state(grid, rng)
+        second = make_state(random_field(grid, rng, amplitude=5.0, band=4), PARAMS,
+                            forcing_curl=first.forcing_curl)
+        zetas = [curl(v).coeffs for v in make_tangents(grid, 2, PARAMS.alpha, rng)]
+
+        def stack(state):
+            return np.stack([state.omega.coeffs, *zetas])[..., : grid.n // 2 + 1]
+
+        work = dyn._Work(first, stack(first))
+        dyn._if_rk4(work, 1e-3)
+        with pytest.raises(CFLError):
+            dyn._if_rk4(work, 10.0)
+        fresh = dyn._Work(second, stack(second))
+        np.copyto(work.y, stack(second))
+        for _ in range(3):
+            dyn._if_rk4(work, 1e-3)
+            dyn._if_rk4(fresh, 1e-3)
+        assert work.y.tobytes() == fresh.y.tobytes()
+        assert work.w.tobytes() == fresh.w.tobytes()
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_steps_do_not_fault_in_fresh_memory(self, rng):
+        # an allocating step maps about 4 MB of fresh memory at 128^2 and
+        # takes about 1000 minor page faults; with the workspace a step,
+        # publishing and diagnostics included, takes a handful
+        grid = make_grid(128)
+        st = _forced_state(grid, rng, band=12)
+        faults = []
+
+        def count(_state):
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+        n_steps = 20
+        simulate(st, st.time + 2e-3, 1e-3)  # glibc raises its mmap threshold on the first frees
+        simulate(st, st.time + n_steps * 1e-3, 1e-3, observers=(count,))
+        # faults[1] is sampled after the first step, which touches the workspace
+        per_step = (faults[-1] - faults[1]) / (n_steps - 1)
+        assert per_step < 100
 
 
 class TestAbsorbingRadius:
