@@ -20,9 +20,21 @@ interface.  Inside the step they are propagated as vorticity perturbations
 zeta = curl theta, by the exact derivative of the discrete step map: one
 IF-RK4 routine advances the base and the tangents stage by stage as one
 stack of rfft2 half spectra, base in row 0, and each tangent stage applies
--J(psibar', omegabar) - J(psibar, omegabar'), built from the same derivative
-samples as the base transport term at that stage.  The derivatives come from
-one masked operator table per (n, alpha).  Every integrator keeps that stack
+-J(psibar', omegabar) - J(psibar, omegabar').  The tangents take it in
+velocity-product (Basdevant) form,
+
+    J(psibar, omegabar) = d1 d2 ((d1 psibar)^2 - (d2 psibar)^2)
+                          - (d1^2 - d2^2)(d1 psibar d2 psibar),
+
+differentiated along psibar': two derivative samples of each tangent and
+the base samples of that stage, where the Jacobian form needs four.  The
+identity is exact on 2/3-truncated fields, so both forms give the same
+retained modes up to rounding.  The base row keeps the Jacobian form: on a
+single wavevector its two products cancel exactly, which the fixed points
+and the decay above rest on, while the velocity-product form leaves
+rounding in modes its multipliers do not zero.  The derivatives and
+multipliers come from one masked operator table per (n, alpha).  Every
+integrator keeps that stack
 in the half-spectrum layout from step to step and expands it to the full FFT
 layout of the public fields only where it hands a state out: simulate at its
 observer samples and its end, step and step_with_tangents once per call.
@@ -232,15 +244,21 @@ def _r0_sq_from_curl(params: ModelParams, forcing_curl: SpectralField) -> float:
 
 
 @lru_cache(maxsize=16)
-def _operators(n: int, alpha: float) -> np.ndarray:
-    """Masked half-spectrum maps of omega to grad psibar and grad omegabar."""
+def _operators(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masked half-spectrum maps of omega to grad psibar and grad omegabar,
+    and the multipliers 2 k1 k2 and k2^2 - k1^2 that take the spectra of
+    the velocity products A'/2 and B' of a tangent row to its rate (see
+    _rates)."""
     k_sq = _half(make_grid(n).k_sq)
     inv_smooth = 1.0 / (1.0 + alpha * k_sq)
     psi_mult = -np.divide(inv_smooth, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
     grad = _half_tables(n)[1]
     ops = np.concatenate((grad * psi_mult, grad * inv_smooth))
-    ops.setflags(write=False)
-    return ops
+    ik1, ik2 = grad
+    mults = np.stack((-2.0 * ik1 * ik2, ik1 * ik1 - ik2 * ik2))
+    for arr in (ops, mults):
+        arr.setflags(write=False)
+    return ops, mults
 
 
 class _Work:
@@ -249,24 +267,27 @@ class _Work:
     y is the carried half-spectrum stack (1+m, n, n//2+1), omega in row 0,
     copied in once so that no input is ever written.  stage, rate and acc
     are the RK4 stage, one rate and the accumulated rate sum; spec, base,
-    pert, prod and tmp belong to _rates; w receives omega - curl g / gamma
-    after each step.  _rates and _if_rk4 write only into these, so a step
-    allocates nothing of the grid's size.
+    pert, prod, tmp and prod_spec, the spectra of the 1+2m products, belong
+    to _rates, and rate is the first 1+m rows of prod_spec; w receives
+    omega - curl g / gamma after each step.  _rates and _if_rk4 write only
+    into these, so a step allocates nothing of the grid's size.
     """
 
     def __init__(self, state: SimState, y: np.ndarray) -> None:
         grid, params = state.grid, state.params
         n, m = grid.n, len(y) - 1
         self.grid, self.params, self.forcing_curl = grid, params, state.forcing_curl
-        self.ops = _operators(n, params.alpha)
+        self.ops, self.mults = _operators(n, params.alpha)
         self.shift = _half(state.forcing_curl.coeffs) / params.gamma
         self.y = np.array(y, dtype=complex)
-        self.stage, self.rate, self.acc = (np.empty_like(self.y) for _ in range(3))
+        self.stage, self.acc = np.empty_like(self.y), np.empty_like(self.y)
+        self.prod_spec = np.empty((1 + 2 * m,) + self.y.shape[1:], dtype=complex)
+        self.rate = self.prod_spec[: 1 + m]
         self.w = np.empty_like(self.y[0])
         self.spec = np.empty_like(self.ops)
         self.base = np.empty((4, n, n))
-        self.pert = np.empty((4, n, n)) if m else None
-        self.prod = np.empty((1 + m, n, n))
+        self.pert = np.empty((2, n, n)) if m else None
+        self.prod = np.empty((1 + 2 * m, n, n))
         self.tmp = np.empty((2, n, n))
 
     @cached_property
@@ -279,27 +300,48 @@ def _rates(work: _Work, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Transport rates of a half-spectrum stack y (1+m, n, n//2+1), written
     into work.rate, and max|ubar|.
 
-    Row 0, the base omega, gets -J(psibar, omegabar); each other row, a
-    perturbation zeta, gets its exact derivative -J(psibar', omegabar) -
-    J(psibar, omegabar').  One inverse transform per row keeps the peak
-    memory low; one batched forward transform.  No damping term.
+    Row 0, the base omega, gets -J(psibar, omegabar) from the four samples
+    of grad psibar and grad omegabar.  Each other row, a perturbation zeta,
+    gets its exact derivative -J(psibar', omegabar) - J(psibar, omegabar')
+    in velocity-product form: with a = d1 psibar, b = d2 psibar and
+    omegabar = Laplacian psibar,
+
+        J(psibar, omegabar) = d1 d2 (a^2 - b^2) - (d1^2 - d2^2)(a b),
+
+    whose derivative needs only the two samples a', b' of the tangent:
+    rate' = k1 k2 A' - (k1^2 - k2^2) B' with A' = 2 (a a' - b b') and
+    B' = a b' + a' b, the 2 folded into the multiplier.  The identity holds
+    exactly on the 2/3-truncated fields, so every retained mode is the same
+    convolution sum as in the Jacobian form.  The base row keeps the
+    Jacobian form, in which steady shears and single modes stay fixed to
+    the bit (see the module docstring).  One inverse transform per row
+    keeps the peak memory low; one batched forward transform of the 1+2m
+    products.  No damping term.
     """
     grid, ops, spec, prod = work.grid, work.ops, work.spec, work.prod
     sq, tmp = work.tmp
+    m = len(y) - 1
     d1psi, d2psi, d1ob, d2ob = _samples(grid, np.multiply(ops, y[0], out=spec), out=work.base)
     np.multiply(d1psi, d1psi, out=sq)
     sq += np.multiply(d2psi, d2psi, out=tmp)
     speed = float(np.sqrt(sq, out=sq).max())
     np.multiply(d2psi, d1ob, out=prod[0])
     prod[0] -= np.multiply(d1psi, d2ob, out=tmp)
-    for j in range(1, len(y)):
-        d1p, d2p, d1o, d2o = _samples(grid, np.multiply(ops, y[j], out=spec), out=work.pert)
-        p = prod[j]
-        np.multiply(d2p, d1ob, out=p)
-        p -= np.multiply(d1p, d2ob, out=tmp)
-        p += np.multiply(d2psi, d1o, out=tmp)
-        p -= np.multiply(d1psi, d2o, out=tmp)
-    return _spectrum(grid, prod, out=work.rate), speed
+    grad_psi = spec[:2]
+    for j in range(1, m + 1):
+        d1p, d2p = _samples(grid, np.multiply(ops[:2], y[j], out=grad_psi), out=work.pert)
+        a, b = prod[j], prod[m + j]
+        np.multiply(d1psi, d1p, out=a)
+        a -= np.multiply(d2psi, d2p, out=tmp)
+        np.multiply(d1psi, d2p, out=b)
+        b += np.multiply(d1p, d2psi, out=tmp)
+    _spectrum(grid, prod, out=work.prod_spec)
+    rate, b_spec = work.rate[1:], work.prod_spec[1 + m :]
+    mult_a, mult_b = work.mults
+    rate *= mult_a
+    b_spec *= mult_b
+    rate += b_spec
+    return work.rate, speed
 
 
 def vorticity_rhs(state: SimState) -> SpectralField:
@@ -512,12 +554,15 @@ def step_with_tangents(bundle: TangentBundle, dt: float) -> TangentBundle:
 @dataclass(frozen=True)
 class LyapunovReport:
     """Benettin estimates: exponents (descending), their standard errors,
-    partial sums q(n), and the Kaplan-Yorke interpolated dimension."""
+    partial sums q(n), the Kaplan-Yorke interpolated dimension, and the
+    number of renormalizations, transient included, that re-seeded a
+    collapsed direction."""
 
     exponents: tuple[float, ...]
     standard_errors: tuple[float, ...]
     partial_sums: tuple[float, ...]
     lyapunov_dimension: float
+    collapses: int = 0
 
 
 def _random_tangent(grid: FourierGrid, rng: np.random.Generator) -> np.ndarray:
@@ -614,7 +659,8 @@ def lyapunov_spectrum(
 
     If a tangent collapses to zero (numerically degenerate family) it is
     re-seeded with a fresh random vector, a warning is issued, and the
-    affected renormalization interval is excluded from the averages.
+    affected renormalization interval is excluded from the averages; the
+    report counts these renormalizations in `collapses`.
     """
     if n < 1:
         raise ValueError("need at least one tangent vector")
@@ -644,11 +690,13 @@ def lyapunov_spectrum(
     work = _Work(initial, np.concatenate((_half(initial.omega.coeffs)[None], zetas)))
     logs = np.zeros((n_avg, n))
     keep = np.ones(n_avg, dtype=bool)
+    collapses = 0
     for i in range(-n_trans, n_avg):
         for _ in range(renorm_every):
             _if_rk4(work, dt)
         zetas, norms, collapsed = _renormalize(_full(grid, work.y[1:]), alpha, rng)
         work.y[1:] = _half(zetas)
+        collapses += collapsed
         if i < 0:
             if collapsed:
                 warnings.warn("tangent family collapsed during transient; re-seeded")
@@ -676,6 +724,7 @@ def lyapunov_spectrum(
         standard_errors=tuple(float(x) for x in stderr),
         partial_sums=tuple(float(x) for x in partial),
         lyapunov_dimension=_kaplan_yorke(exponents, partial),
+        collapses=collapses,
     )
 
 

@@ -117,11 +117,24 @@ def save_state(state: SimState, path: str) -> None:
 
 
 def load_state(path: str) -> SimState:
+    """Read the SimState that save_state wrote to path.
+
+    Both files must carry the same grid, parameters and time.  save_state
+    writes one time into both headers, so a pair whose times differ is the
+    trace of a save that failed between its two writes: the forcing of one
+    state next to the vorticity of another.  It is rejected, not loaded.
+    """
     omega, params, time = read_scalar(path)
     fpath = path + ".forcing"
     if not os.path.exists(fpath):
         raise FileNotFoundError(f"{fpath}: forcing file of the checkpoint is missing")
-    fc, fparams, _ = read_scalar(fpath)
+    fc, fparams, ftime = read_scalar(fpath)
     if fparams != params or fc.grid.n != omega.grid.n:
         raise ValueError(f"{fpath}: forcing file disagrees with {path} on grid or parameters")
-    return SimState(omega, time, params, fc)
+    state = SimState(omega, time, params, fc)
+    if ftime != time:
+        raise ValueError(
+            f"{fpath} is from time {ftime!r} but {path} from time {time!r}: "
+            "not one checkpoint (a save failed between the two files?)"
+        )
+    return state

@@ -18,9 +18,11 @@ The product kernel works on rfft2 half spectra k2 = 0 .. n/2, shape
 (n, n//2+1): the slice of the full layout that determines a real field.
 Derivatives are read off cached, read-only multiplier tables with the 2/3
 mask and the k = 0 mode folded in; products go back through one rfft2 and
-the mask.  Only the k2 = 0 column of a half spectrum can be inexactly
-Hermitian and is symmetrized; the expansion to the full layout is exact,
-so results are exactly real without a full symmetrization per transform.
+the mask.  The column pass of either transform skips the columns
+k2 > (n-1)//3, which the mask zeroes.  Only the k2 = 0 column of a half
+spectrum can be inexactly Hermitian and is symmetrized; the expansion to
+the full layout is exact, so results are exactly real without a full
+symmetrization per transform.
 """
 from __future__ import annotations
 
@@ -296,11 +298,16 @@ def _samples(grid: FourierGrid, half: np.ndarray, out: np.ndarray | None = None)
     """Collocation samples of real fields given by masked half spectra.
 
     The two transforms irfft2 makes: ifft over axis -2, then irfft over -1.
-    Given out, the samples go there and half is overwritten by the first
-    transform, so nothing is allocated.
+    half must be masked with the 2/3 rule, so its columns k2 > (n-1)//3 are
+    zero: the first transform runs in place on the other columns only, and
+    the zero ones go to the second as they are.  Given out, the samples go
+    there and half is overwritten by the first transform, so nothing is
+    allocated; without it half is left as it was.
     """
     n = grid.n
-    c = np.fft.ifft(half, n, axis=-2, norm="forward", out=None if out is None else half)
+    c = half if out is not None else half.copy()
+    band = c[..., : (n - 1) // 3 + 1]
+    np.fft.ifft(band, n, axis=-2, norm="forward", out=band)
     return np.fft.irfft(c, n, axis=-1, norm="forward", out=out)
 
 
@@ -309,11 +316,15 @@ def _spectrum(grid: FourierGrid, samples: np.ndarray, out: np.ndarray | None = N
     only one rfft2 leaves inexactly Hermitian, is made exactly Hermitian.
 
     The two transforms rfft2 makes: rfft over axis -1, then fft over -2 in
-    place.  Given out, the spectrum is written there.
+    place, on the columns k2 <= (n-1)//3 only: the mask zeroes the others,
+    whose values are then the rfft's, not the rfft2's, so only the signs of
+    their zeros can differ from a masked rfft2.  Given out, the spectrum is
+    written there.
     """
     n = grid.n
     c = np.fft.rfft(samples, n, axis=-1, norm="forward", out=out)
-    np.fft.fft(c, n, axis=-2, norm="forward", out=c)
+    band = c[..., : (n - 1) // 3 + 1]
+    np.fft.fft(band, n, axis=-2, norm="forward", out=band)
     c *= _half_tables(n)[0]
     c[..., 0] = 0.5 * (c[..., 0] + np.conj(c[..., grid._neg, 0]))
     return c

@@ -196,6 +196,34 @@ class TestStep:
             st = step(st, 0.02)
         assert np.array_equal(st.omega.coeffs, c0)
 
+    @pytest.mark.parametrize("n", [64, 96])
+    @pytest.mark.parametrize("k", [(3, 0), (0, 3), (3, 3), (3, -3)],
+                             ids=["along_x1", "along_x2", "diagonal", "antidiagonal"])
+    def test_single_wavevector_shear_fixed_bitwise(self, n, k):
+        # one wavevector has no self-advection: with omega = curl g / gamma the
+        # transport of the base row is exactly zero, also on the diagonals
+        grid = make_grid(n)
+        params = ModelParams(alpha=PARAMS.alpha, gamma=0.5)
+        st = make_state(_mode_field(grid, *k, (0.7 - 0.4j) / params.gamma), params,
+                        forcing_curl=_mode_field(grid, *k, 0.7 - 0.4j))
+        c0 = st.omega.coeffs.copy()
+        for _ in range(50):
+            st = step(st, 0.02)
+        assert np.array_equal(st.omega.coeffs, c0)
+
+    @pytest.mark.parametrize("k", [(0, 4), (3, 3)])
+    def test_single_mode_decay_bitwise(self, k):
+        # unforced, each step multiplies the mode by e2 = e^(-gamma dt/2)^2
+        # and adds exactly zero transport
+        dt = 0.05
+        st = make_state(_mode_field(make_grid(64), *k, 0.4 - 0.2j), PARAMS)
+        e1 = math.exp(-PARAMS.gamma * dt / 2.0)
+        want = st.omega.coeffs.copy()
+        for _ in range(50):
+            st = step(st, dt)
+            want *= e1 * e1
+        assert np.array_equal(st.omega.coeffs, want)
+
     def test_fourth_order_convergence(self, rng):
         grid = make_grid(64)
         spec = KolmogorovSpec(s=4, amplitude=3.0, gamma=PARAMS.gamma)
@@ -774,6 +802,35 @@ class TestLyapunov:
         rep = lyapunov_spectrum(st, n=1, dt=0.05, renorm_every=10,
                                 t_transient=40.0, t_average=20.0, seed=2)
         assert rep.exponents[0] == pytest.approx(best, abs=1e-3)
+
+    def test_report_counts_collapses(self, monkeypatch):
+        # zero one growth factor at the 3rd and 7th orthonormalization: the
+        # 1st seeds the tangents, the 3rd is the last transient renormalization
+        # and the 7th the third of the window (the 4th re-seeds after the 3rd)
+        import bardina.dynamics as dyn
+
+        st = make_state(zero_field(make_grid(16)), PARAMS)
+        kw = dict(n=2, dt=0.05, renorm_every=2, t_transient=0.2, t_average=1.0, seed=1, blocks=2)
+        assert lyapunov_spectrum(st, **kw).collapses == 0
+        real, calls = dyn._orthonormalize, []
+
+        def collapsing(zetas, alpha):
+            calls.append(None)
+            out, growth = real(zetas, alpha)
+            if len(calls) in (3, 7):
+                out[1], growth[1] = 0.0, 0.0
+            return out, growth
+
+        monkeypatch.setattr(dyn, "_orthonormalize", collapsing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = lyapunov_spectrum(st, **kw)
+        messages = [str(w.message) for w in caught]
+        assert rep.collapses == 2
+        assert sum("during transient" in m for m in messages) == 1
+        assert sum("interval dropped" in m for m in messages) == 1
+        for lam in rep.exponents:  # the kept intervals still see pure damping
+            assert lam == pytest.approx(-PARAMS.gamma, abs=1e-9)
 
     def test_kaplan_yorke_interpolation(self):
         from bardina.dynamics import _kaplan_yorke

@@ -201,8 +201,13 @@ class TestStateCheckpoint:
 
         assert sorted(os.listdir(tmp_path)) == sorted(before)  # no temporary file left
         assert (tmp_path / "state.ebv").read_bytes() == before["state.ebv"]
-        if nth == 1:
-            assert (tmp_path / "state.ebv.forcing").read_bytes() == before["state.ebv.forcing"]
+        if nth == 2:
+            # the new forcing file sits next to the old vorticity file
+            mixed = r"state\.ebv\.forcing is from time .* but .*state\.ebv from time"
+            with pytest.raises(ValueError, match=mixed):
+                load_state(p)
+            return
+        assert (tmp_path / "state.ebv.forcing").read_bytes() == before["state.ebv.forcing"]
         back = load_state(p)
         assert np.array_equal(back.omega.coeffs, old.omega.coeffs)
         assert back.time == old.time

@@ -3,8 +3,9 @@
 Random even grids n in [8, 64], filter scales alpha in [2^-12, 1] and seeds.
 The vorticity equation, its linearization and `jacobian` all go through the
 same de-aliased kernel, so these identities pin it from three sides; a
-full-layout evaluation with complex transforms pins its half-spectrum layout.
-The tangent orthonormalization is pinned by the factorization it must produce.
+full-layout evaluation with complex transforms pins its half-spectrum layout,
+and numpy's own irfft2/rfft2 pin the pruned transforms under it.  The
+tangent orthonormalization is pinned by the factorization it must produce.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from bardina.spectral import (
     random_field,
     stream_velocity,
 )
+from bardina.spectral import _half_tables, _samples, _spectrum
 
 GRIDS = st.integers(4, 32).map(lambda half: 2 * half)
 ALPHAS = st.floats(2.0**-12, 1.0)
@@ -105,6 +107,45 @@ def test_half_spectrum_kernel_matches_full_layout(n, alpha, seed):
     want = transport - gamma * w + fc.coeffs
     assert np.abs(rhs - want).max() <= 1e-13 * np.abs(transport).max()
     _assert_real_zero_mean(grid, rhs)
+
+    # the tangent rows, in velocity-product form, against the Jacobian form
+    theta = stream_velocity(_full_band_field(grid, rng))
+    z = curl(theta).coeffs
+    psi_z = np.divide(-inv_smooth * z, grid.k_sq, out=np.zeros_like(z), where=grid.k_sq > 0)
+    transport = -_reference_jacobian(grid, psi_z, inv_smooth * w)
+    transport -= _reference_jacobian(grid, psi, inv_smooth * z)
+    got = curl(variational_rhs(theta, state)).coeffs
+    assert np.abs(got - (transport - gamma * z)).max() <= 1e-13 * np.abs(transport).max()
+
+
+@FEW
+@given(n=st.integers(2, 32).map(lambda half: 2 * half), seed=SEEDS)
+@example(n=6, seed=1)
+@example(n=18, seed=2)
+@example(n=30, seed=3)
+def test_pruned_transforms_match_numpy(n, seed):
+    # the column passes skip the columns the 2/3 mask zeroes; the values are
+    # numpy's to the bit, up to the signs of zeros in the masked modes
+    rng = _rng(seed)
+    grid = make_grid(n)
+    mask = _half_tables(n)[0]
+    shape = (2, n, n // 2 + 1)
+    half = mask * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    want = np.fft.irfft2(half, s=(n, n), norm="forward")
+    kept = half.copy()
+    assert np.array_equal(_samples(grid, kept), want)
+    assert np.array_equal(kept, half)  # without out the input is left as it was
+    out = np.empty((2, n, n))
+    assert _samples(grid, half.copy(), out=out) is out
+    assert np.array_equal(out, want)
+
+    samples = rng.standard_normal((2, n, n))
+    want = np.fft.rfft2(samples, norm="forward") * mask
+    want[..., 0] = 0.5 * (want[..., 0] + np.conj(want[..., grid._neg, 0]))
+    assert np.array_equal(_spectrum(grid, samples), want)
+    spec = np.empty(shape, dtype=complex)
+    assert _spectrum(grid, samples, out=spec) is spec
+    assert np.array_equal(spec, want)
 
 
 @FEW
