@@ -19,9 +19,9 @@ Tangent vectors are zero-mean divergence-free velocity fields at the public
 interface.  Inside the step they are propagated as vorticity perturbations
 zeta = curl theta, by the exact derivative of the discrete step map: one
 IF-RK4 routine advances the base and the tangents stage by stage as one
-stack of rfft2 half spectra, base in row 0, and each tangent stage applies
--J(psibar', omegabar) - J(psibar, omegabar').  The tangents take it in
-velocity-product (Basdevant) form,
+stack of band coefficients (below), base in row 0, and each tangent stage
+applies -J(psibar', omegabar) - J(psibar, omegabar').  The tangents take
+it in velocity-product (Basdevant) form,
 
     J(psibar, omegabar) = d1 d2 ((d1 psibar)^2 - (d2 psibar)^2)
                           - (d1^2 - d2^2)(d1 psibar d2 psibar),
@@ -33,11 +33,16 @@ retained modes up to rounding.  The base row keeps the Jacobian form: on a
 single wavevector its two products cancel exactly, which the fixed points
 and the decay above rest on, while the velocity-product form leaves
 rounding in modes its multipliers do not zero.  The derivatives and
-multipliers come from one masked operator table per (n, alpha).  Every
-integrator keeps that stack
-in the half-spectrum layout from step to step and expands it to the full FFT
-layout of the public fields only where it hands a state out: simulate at its
-observer samples and its end, step and step_with_tangents once per call.
+multipliers come from one band operator table per (n, alpha).
+
+Every integrator carries that stack as its 2/3-band coefficients only,
+shape (1+m, 2K+1, K+1) with K = (n-1)//3 (see spectral): transport never
+reaches the other modes.  Those of them that are nonzero, from the forcing
+or from an input state, live in one side array and move by the integrating
+factor alone, with the arithmetic the full layout gives them.  The stack
+is expanded to the full FFT layout of the public fields only where a state
+is handed out: simulate at its observer samples and its end, step and
+step_with_tangents once per call.
 
 Each integrator run owns one workspace (_Work), built where the run starts:
 for the whole run in simulate and lyapunov_spectrum, once per call in step,
@@ -54,7 +59,7 @@ other on zero-mean divergence-free fields.  Lyapunov exponents come from
 Benettin renormalization: lyapunov_spectrum carries base and tangents as
 one stack for the whole run and, once per renormalization interval,
 orthonormalizes the tangent rows in the filtered energy inner product by a
-QR factorization of the weighted full-layout stack.
+QR factorization of their weighted band coefficients.
 """
 from __future__ import annotations
 
@@ -70,15 +75,18 @@ from .spectral import (
     ModelParams,
     SpectralField,
     VectorField,
+    _band,
+    _band_grad,
+    _band_index,
     _full,
     _half,
-    _half_tables,
     _inverse_laplacian,
+    _sample_scratch,
     _samples,
     _spectrum,
+    _unband,
     curl,
     hermitianize,
-    make_grid,
     stream_velocity,
     zero_field,
 )
@@ -245,14 +253,16 @@ def _r0_sq_from_curl(params: ModelParams, forcing_curl: SpectralField) -> float:
 
 @lru_cache(maxsize=16)
 def _operators(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Masked half-spectrum maps of omega to grad psibar and grad omegabar,
-    and the multipliers 2 k1 k2 and k2^2 - k1^2 that take the spectra of
-    the velocity products A'/2 and B' of a tangent row to its rate (see
+    """Band maps of omega to grad psibar and grad omegabar, and the
+    multipliers 2 k1 k2 and k2^2 - k1^2 that take the spectra of the
+    velocity products A'/2 and B' of a tangent row to its rate (see
     _rates)."""
-    k_sq = _half(make_grid(n).k_sq)
+    cut = (n - 1) // 3
+    k1, k2, _ = _band_index(cut)
+    k_sq = (k1 * k1 + k2 * k2).astype(np.float64)
     inv_smooth = 1.0 / (1.0 + alpha * k_sq)
     psi_mult = -np.divide(inv_smooth, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
-    grad = _half_tables(n)[1]
+    grad = _band_grad(cut)
     ops = np.concatenate((grad * psi_mult, grad * inv_smooth))
     ik1, ik2 = grad
     mults = np.stack((-2.0 * ik1 * ik2, ik1 * ik1 - ik2 * ik2))
@@ -264,30 +274,46 @@ def _operators(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 class _Work:
     """The buffers of one integrator run on the flow of a state.
 
-    y is the carried half-spectrum stack (1+m, n, n//2+1), omega in row 0,
-    copied in once so that no input is ever written.  stage, rate and acc
-    are the RK4 stage, one rate and the accumulated rate sum; spec, base,
-    pert, prod, tmp and prod_spec, the spectra of the 1+2m products, belong
-    to _rates, and rate is the first 1+m rows of prod_spec; w receives
-    omega - curl g / gamma after each step.  _rates and _if_rk4 write only
-    into these, so a step allocates nothing of the grid's size.
+    half is the stack (1+m, n, n//2+1) of half spectra the run starts from,
+    omega in row 0; it is read once and never written.  y is the carried
+    band stack (1+m, 2K+1, K+1).  The nonzero entries of half off the band,
+    and those of curl g / gamma in row 0, are the side: side indexes them
+    in half, side_y holds their values and side_shift the shift of each,
+    zero in the tangent rows.  stage, rate and acc are the RK4 stage, one
+    rate and the accumulated rate sum.  _rates and its transforms own the
+    rest: pad and rows, the scratch of _samples; base and pert, the
+    samples; prod, the 1+2m products; prod_rows, their row transforms; and
+    prod_spec, their band spectra, whose first 1+m rows are rate.  w and
+    side_w receive omega - curl g / gamma on and off the band after each
+    step.  _rates and _if_rk4 write only into these, so a step allocates
+    nothing of the grid's size.
     """
 
-    def __init__(self, state: SimState, y: np.ndarray) -> None:
+    def __init__(self, state: SimState, half: np.ndarray) -> None:
         grid, params = state.grid, state.params
-        n, m = grid.n, len(y) - 1
+        n, cut, m = grid.n, grid.cut, len(half) - 1
         self.grid, self.params, self.forcing_curl = grid, params, state.forcing_curl
         self.ops, self.mults = _operators(n, params.alpha)
-        self.shift = _half(state.forcing_curl.coeffs) / params.gamma
-        self.y = np.array(y, dtype=complex)
+        shift = _half(state.forcing_curl.coeffs) / params.gamma
+        self.shift = _band(grid, shift)
+        self.y = _band(grid, half)
+        off = np.ones(half.shape[1:], dtype=bool)
+        off[: cut + 1, : cut + 1] = off[n - cut :, : cut + 1] = False
+        live = off & (half != 0)
+        live[0] |= off & (shift != 0)
+        self.side = np.nonzero(live)
+        self.side_y = half[self.side]
+        self.side_shift = np.where(self.side[0] == 0, shift[self.side[1:]], 0.0)
+        self.side_w = np.empty_like(self.side_y)
         self.stage, self.acc = np.empty_like(self.y), np.empty_like(self.y)
         self.prod_spec = np.empty((1 + 2 * m,) + self.y.shape[1:], dtype=complex)
         self.rate = self.prod_spec[: 1 + m]
         self.w = np.empty_like(self.y[0])
-        self.spec = np.empty_like(self.ops)
+        self.pad, self.rows = _sample_scratch(grid, 4)
         self.base = np.empty((4, n, n))
         self.pert = np.empty((2, n, n)) if m else None
         self.prod = np.empty((1 + 2 * m, n, n))
+        self.prod_rows = np.empty((1 + 2 * m, n, n // 2 + 1), dtype=complex)
         self.tmp = np.empty((2, n, n))
 
     @cached_property
@@ -295,10 +321,19 @@ class _Work:
         """curl g / gamma in the full layout, added to w by _published."""
         return self.forcing_curl.coeffs / self.params.gamma
 
+    def half(self, first: int, band: np.ndarray, side: np.ndarray) -> np.ndarray:
+        """Half spectra of the stack rows first, first + 1, ... from their
+        band coefficients band and the side values side of the stack."""
+        out = _unband(self.grid, band)
+        r, i, j = self.side
+        keep = (r >= first) & (r < first + len(band))
+        out[r[keep] - first, i[keep], j[keep]] = side[keep]
+        return out
+
 
 def _rates(work: _Work, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Transport rates of a half-spectrum stack y (1+m, n, n//2+1), written
-    into work.rate, and max|ubar|.
+    """Transport rates of a band stack y (1+m, 2K+1, K+1), written into
+    work.rate, and max|ubar|.
 
     Row 0, the base omega, gets -J(psibar, omegabar) from the four samples
     of grad psibar and grad omegabar.  Each other row, a perturbation zeta,
@@ -316,26 +351,28 @@ def _rates(work: _Work, y: np.ndarray) -> tuple[np.ndarray, float]:
     Jacobian form, in which steady shears and single modes stay fixed to
     the bit (see the module docstring).  One inverse transform per row
     keeps the peak memory low; one batched forward transform of the 1+2m
-    products.  No damping term.
+    products.  No damping term.  max|ubar| is the square root of the
+    largest |ubar|^2: sqrt is monotone and correctly rounded, so that is
+    the largest speed to the bit.
     """
-    grid, ops, spec, prod = work.grid, work.ops, work.spec, work.prod
+    grid, ops, prod = work.grid, work.ops, work.prod
     sq, tmp = work.tmp
     m = len(y) - 1
-    d1psi, d2psi, d1ob, d2ob = _samples(grid, np.multiply(ops, y[0], out=spec), out=work.base)
+    d1psi, d2psi, d1ob, d2ob = _samples(grid, ops, y[0], out=work.base, scratch=(work.pad, work.rows))
     np.multiply(d1psi, d1psi, out=sq)
     sq += np.multiply(d2psi, d2psi, out=tmp)
-    speed = float(np.sqrt(sq, out=sq).max())
+    speed = math.sqrt(float(sq.max()))
     np.multiply(d2psi, d1ob, out=prod[0])
     prod[0] -= np.multiply(d1psi, d2ob, out=tmp)
-    grad_psi = spec[:2]
+    grad_psi, scratch = ops[:2], (work.pad[:2], work.rows[:2])
     for j in range(1, m + 1):
-        d1p, d2p = _samples(grid, np.multiply(ops[:2], y[j], out=grad_psi), out=work.pert)
+        d1p, d2p = _samples(grid, grad_psi, y[j], out=work.pert, scratch=scratch)
         a, b = prod[j], prod[m + j]
         np.multiply(d1psi, d1p, out=a)
         a -= np.multiply(d2psi, d2p, out=tmp)
         np.multiply(d1psi, d2p, out=b)
         b += np.multiply(d1p, d2psi, out=tmp)
-    _spectrum(grid, prod, out=work.prod_spec)
+    _spectrum(grid, prod, out=work.prod_spec, scratch=work.prod_rows)
     rate, b_spec = work.rate[1:], work.prod_spec[1 + m :]
     mult_a, mult_b = work.mults
     rate *= mult_a
@@ -349,7 +386,7 @@ def vorticity_rhs(state: SimState) -> SpectralField:
     grid = state.grid
     work = _Work(state, _half(state.omega.coeffs)[None])
     rates, _ = _rates(work, work.y)
-    out = _full(grid, rates[0]) - state.params.gamma * state.omega.coeffs
+    out = _full(grid, _unband(grid, rates[0])) - state.params.gamma * state.omega.coeffs
     return SpectralField(grid, out + state.forcing_curl.coeffs)
 
 
@@ -367,11 +404,13 @@ def _if_rk4(work: _Work, dt: float) -> None:
     the linearized transport at base stage k with the same integrating
     factors, so the tangents move by the exact derivative of the discrete
     base map.  Leaves the new stack in work.y, omega in row 0, and the new w
-    in work.w.  Publish omega as _full(w) + curl g / gamma (see _published);
-    _full of the carried row can differ from it in the sign of zeros in the
-    mirrored half.  Every stage checks dt * max|ubar| against the grid
-    spacing; a non-finite omega raises BlowUpError, since a NaN speed passes
-    that check.
+    in work.w; the side entries, which no transport reaches, go from y to
+    e2 (y - shift) + shift, with w = e2 (y - shift) in work.side_w.  Publish
+    omega as _full(w) + curl g / gamma (see _published); _full of the
+    carried row can differ from it in the sign of zeros in the mirrored
+    half.  Every stage checks dt * max|ubar| against the grid spacing; a
+    non-finite omega raises BlowUpError, since a NaN speed passes that
+    check.
 
     The step is e2 y + dt/6 (e2 g1 + 2 e1 g2 + 2 e1 g3 + g4), with each
     product and sum taken in that order, one rate at a time: the rate sum
@@ -417,6 +456,9 @@ def _if_rk4(work: _Work, dt: float) -> None:
     y += acc
     np.copyto(work.w, y[0])
     y[0] += shift
+    side_w = np.subtract(work.side_y, work.side_shift, out=work.side_w)
+    side_w *= e2
+    np.add(side_w, work.side_shift, out=work.side_y)
     if not np.isfinite(y[0]).all():
         raise BlowUpError(f"non-finite coefficients after a step of dt = {dt!r}")
 
@@ -427,7 +469,7 @@ def _published(work: _Work, time: float) -> SimState:
     Its forcing is the run's own, checked when the run's first state was
     built, so it is not checked again.
     """
-    c = _full(work.grid, work.w)
+    c = _full(work.grid, work.half(0, work.w[None], work.side_w)[0])
     c += work.full_shift
     omega = SpectralField(work.grid, c)
     return SimState._on_checked_flow(omega, time, work.params, work.forcing_curl)
@@ -510,7 +552,7 @@ def variational_rhs(theta: VectorField, state: SimState) -> VectorField:
     zeta = curl(theta).coeffs
     work = _Work(state, _half(np.stack((state.omega.coeffs, zeta))))
     rates, _ = _rates(work, work.y)
-    out = _full(grid, rates[1]) - state.params.gamma * zeta
+    out = _full(grid, _unband(grid, rates[1])) - state.params.gamma * zeta
     return stream_velocity(SpectralField(grid, out))
 
 
@@ -543,7 +585,8 @@ def step_with_tangents(bundle: TangentBundle, dt: float) -> TangentBundle:
     _if_rk4(work, dt)
     return TangentBundle(
         _published(work, state.time + dt),
-        [stream_velocity(SpectralField(grid, z)) for z in _full(grid, work.y[1:])],
+        [stream_velocity(SpectralField(grid, z))
+         for z in _full(grid, work.half(1, work.y[1:], work.side_y))],
     )
 
 
@@ -566,44 +609,61 @@ class LyapunovReport:
 
 
 def _random_tangent(grid: FourierGrid, rng: np.random.Generator) -> np.ndarray:
-    """Random tangent vorticity on the dealiased band: -|k|^2 times a random
-    stream function (its velocity is divergence-free by construction)."""
+    """Band coefficients of a random tangent vorticity: -|k|^2 times a
+    random stream function (its velocity is divergence-free by construction)."""
     n = grid.n
     c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     c = np.where(grid.dealias, c / (1.0 + grid.k_sq), 0.0)
     c[0, 0] = 0.0
-    return -grid.k_sq * hermitianize(grid, c)
+    return _band(grid, -grid.k_sq * hermitianize(grid, c))
+
+
+@lru_cache(maxsize=16)
+def _band_weight(cut: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the band real view in the alpha inner product of tangent
+    velocities, 2 pi / sqrt(|k|^2 (1+alpha|k|^2)) times sqrt 2 on the
+    columns k2 >= 1, each of which stands for a +-k pair; 0 at k = 0.  And
+    their inverses, 0 where the weight is (read-only)."""
+    k1, k2, _ = _band_index(cut)
+    k_sq = (k1 * k1 + k2 * k2).astype(np.float64)
+    inv = np.divide(1.0 / (1.0 + alpha * k_sq), k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
+    weight = 2.0 * np.pi * np.sqrt(inv)
+    weight[:, 1:] *= math.sqrt(2.0)
+    unweight = np.divide(1.0, weight, out=np.zeros_like(weight), where=weight > 0)
+    for arr in (weight, unweight):
+        arr.setflags(write=False)
+    return weight, unweight
 
 
 def _orthonormalize(zetas: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormalize a stack of tangent vorticities (m, n, n) in the alpha
-    inner product of their velocities, by one QR factorization.
+    """Orthonormalize a band stack of tangent vorticities (m, 2K+1, K+1) in
+    the alpha inner product of their velocities, by one QR factorization.
 
-    That inner product weighs |zeta(k)|^2 by (2 pi)^2 / (|k|^2 (1+alpha|k|^2)),
-    so QR of the weighted real view (2 n^2, m) is Gram-Schmidt in it.  Returns
-    the orthonormal stack and the growth factors |r_jj|, which the Benettin
-    accumulator needs.  A non-finite r_jj, or one at roundoff level against
-    the input's own norm (the direction depends numerically on the previous
-    ones), is returned as 0.0 and the slice zeroed; the caller decides how to
-    re-seed.
+    That inner product weighs |zeta(k)|^2 by (2 pi)^2 / (|k|^2 (1+alpha|k|^2))
+    over all k; a band column k2 >= 1 holds k and stands for -k too, so the
+    weighted real view (2 (2K+1)(K+1), m) with _band_weight has the Gram
+    matrix of the full layout, and its QR is Gram-Schmidt in that inner
+    product.  Returns the orthonormal stack and the growth factors |r_jj|,
+    which the Benettin accumulator needs.  A non-finite r_jj, or one at
+    roundoff level against the input's own norm (the direction depends
+    numerically on the previous ones), is returned as 0.0 and the slice
+    zeroed; the caller decides how to re-seed.
     """
-    m, n = zetas.shape[0], zetas.shape[-1]
-    k_sq = make_grid(n).k_sq
-    inv = np.divide(1.0 / (1.0 + alpha * k_sq), k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
-    weight = 2.0 * np.pi * np.sqrt(inv)
+    m = zetas.shape[0]
+    weight, unweight = _band_weight(zetas.shape[-1] - 1, alpha)
     cols = (weight * zetas).view(np.float64).reshape(m, -1).T
     q, r = np.linalg.qr(cols)
     growth = np.abs(np.diag(r))
-    growth[~(growth > 1e-12 * np.linalg.norm(cols, axis=0))] = 0.0
+    # the columns of r have the norms of those of cols, as q is orthonormal
+    growth[~(growth > 1e-12 * np.linalg.norm(r, axis=0))] = 0.0
     q[:, growth == 0.0] = 0.0
-    unweight = np.divide(1.0, weight, out=np.zeros_like(weight), where=weight > 0)
-    out = np.ascontiguousarray(q.T).view(complex).reshape(m, n, n)
+    out = np.ascontiguousarray(q.T).view(complex).reshape(zetas.shape)
     out *= unweight  # in place: one stack fewer at the peak of a renormalization
     return out, growth
 
 
 def _seed_tangents(grid: FourierGrid, m: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """m random alpha-orthonormal tangent vorticities, stacked."""
+    """Band stack of m random alpha-orthonormal tangent vorticities."""
     zetas, growth = _orthonormalize(np.stack([_random_tangent(grid, rng) for _ in range(m)]), alpha)
     if growth.min() <= 0.0:
         raise RuntimeError("random tangent seed collapsed; try another seed")
@@ -614,13 +674,15 @@ def make_tangents(
     grid: FourierGrid, n: int, alpha: float, rng: np.random.Generator
 ) -> list[VectorField]:
     """n random alpha-orthonormal divergence-free tangent fields."""
-    return [stream_velocity(SpectralField(grid, z)) for z in _seed_tangents(grid, n, alpha, rng)]
+    zetas = _full(grid, _unband(grid, _seed_tangents(grid, n, alpha, rng)))
+    return [stream_velocity(SpectralField(grid, z)) for z in zetas]
 
 
 def _renormalize(
-    zetas: np.ndarray, alpha: float, rng: np.random.Generator
+    grid: FourierGrid, zetas: np.ndarray, alpha: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Orthonormalize a tangent vorticity stack; re-seed collapsed directions.
+    """Orthonormalize a band stack of tangent vorticities; re-seed collapsed
+    directions.
 
     Returns the renormalized stack, the growth factors of the interval just
     ended, and whether any direction collapsed (growth factors are then
@@ -632,7 +694,7 @@ def _renormalize(
         if not (norms == 0.0).any():
             break
         for j in np.flatnonzero(norms == 0.0):
-            zetas[j] = _random_tangent(make_grid(zetas.shape[-1]), rng)
+            zetas[j] = _random_tangent(grid, rng)
         zetas, norms = _orthonormalize(zetas, alpha)
     if (norms == 0.0).any():
         raise RuntimeError("tangent family keeps collapsing; cannot re-seed")
@@ -686,7 +748,7 @@ def lyapunov_spectrum(
 
     rng = np.random.default_rng(np.random.Philox(seed))
     grid, alpha = initial.grid, initial.params.alpha
-    zetas = _half(_seed_tangents(grid, n, alpha, rng))
+    zetas = _unband(grid, _seed_tangents(grid, n, alpha, rng))
     work = _Work(initial, np.concatenate((_half(initial.omega.coeffs)[None], zetas)))
     logs = np.zeros((n_avg, n))
     keep = np.ones(n_avg, dtype=bool)
@@ -694,8 +756,8 @@ def lyapunov_spectrum(
     for i in range(-n_trans, n_avg):
         for _ in range(renorm_every):
             _if_rk4(work, dt)
-        zetas, norms, collapsed = _renormalize(_full(grid, work.y[1:]), alpha, rng)
-        work.y[1:] = _half(zetas)
+        zetas, norms, collapsed = _renormalize(grid, work.y[1:], alpha, rng)
+        work.y[1:] = zetas
         collapses += collapsed
         if i < 0:
             if collapsed:

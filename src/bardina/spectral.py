@@ -14,15 +14,19 @@ Fields are thin dataclasses around a complex (n, n) coefficient array plus
 the grid that interprets it.  Operators are free functions; they return new
 fields and never mutate their inputs.
 
-The product kernel works on rfft2 half spectra k2 = 0 .. n/2, shape
-(n, n//2+1): the slice of the full layout that determines a real field.
-Derivatives are read off cached, read-only multiplier tables with the 2/3
-mask and the k = 0 mode folded in; products go back through one rfft2 and
-the mask.  The column pass of either transform skips the columns
-k2 > (n-1)//3, which the mask zeroes.  Only the k2 = 0 column of a half
-spectrum can be inexactly Hermitian and is symmetrized; the expansion to
-the full layout is exact, so results are exactly real without a full
-symmetrization per transform.
+The product kernel works on the 2/3 band of rfft2 half spectra: with
+K = (n-1)//3 the mask keeps |k1|, |k2| <= K, so a real field's de-aliased
+coefficients are its (2K+1, K+1) band entries, rows k1 = 0 .. K, -K .. -1
+and columns k2 = 0 .. K.  Derivatives are read off cached, read-only band
+multiplier tables with the k = 0 mode dropped.  An inverse transform
+writes the band straight into the two row blocks of a zero-padded column
+input, runs the column ifft into the columns k2 <= K of a half spectrum
+whose other columns stay zero, and the row irfft from there; a forward
+transform runs the row rfft and the column fft on the columns k2 <= K
+only, and copies the band rows out.  No mask multiply is left.  Only the
+k2 = 0 column of a band can be inexactly Hermitian and is symmetrized; the
+expansion to the full layout is exact, so results are exactly real
+without a full symmetrization per transform.
 """
 from __future__ import annotations
 
@@ -73,6 +77,11 @@ class FourierGrid:
     k_sq: np.ndarray
     dealias: np.ndarray
     _neg: np.ndarray  # index map k -> -k, both axes
+
+    @property
+    def cut(self) -> int:
+        """K = (n-1)//3, the largest |k1|, |k2| the 2/3 rule keeps."""
+        return (self.n - 1) // 3
 
     def spacing(self) -> float:
         """Collocation spacing 2*pi/n."""
@@ -280,54 +289,107 @@ def _half(coeffs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _half_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-spectrum 2/3-rule mask with k = 0 dropped, and i*k1, i*k2 masked.
-
-    The mask is stored complex: a product with it then needs no cast buffer,
-    and its values are those of the real mask cast on the fly."""
-    g = make_grid(n)
-    mask = _half(g.dealias).astype(complex)
-    mask[0, 0] = 0.0
-    grad = 1j * np.stack((_half(g.k1), _half(g.k2))) * mask
-    for arr in (mask, grad):
+def _band_index(cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer k1, k2 of the band layout (2 cut + 1, cut + 1), rows
+    k1 = 0 .. cut, -cut .. -1 and columns k2 = 0 .. cut, and the row map
+    k1 -> -k1 (read-only, cached per cut)."""
+    rows = 2 * cut + 1
+    k1 = np.concatenate((np.arange(cut + 1), np.arange(-cut, 0)))
+    k1, k2 = np.meshgrid(k1, np.arange(cut + 1), indexing="ij")
+    neg = (-np.arange(rows)) % rows
+    for arr in (k1, k2, neg):
         arr.setflags(write=False)
-    return mask, grad
+    return k1, k2, neg
 
 
-def _samples(grid: FourierGrid, half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Collocation samples of real fields given by masked half spectra.
+@lru_cache(maxsize=16)
+def _band_grad(cut: int) -> np.ndarray:
+    """i*k1 and i*k2 on the band, k = 0 dropped (read-only, cached per cut)."""
+    k1, k2, _ = _band_index(cut)
+    grad = np.zeros((2,) + k1.shape, dtype=complex)
+    grad.imag = np.stack((k1, k2))
+    grad[:, 0, 0] = 0.0
+    grad.setflags(write=False)
+    return grad
 
-    The two transforms irfft2 makes: ifft over axis -2, then irfft over -1.
-    half must be masked with the 2/3 rule, so its columns k2 > (n-1)//3 are
-    zero: the first transform runs in place on the other columns only, and
-    the zero ones go to the second as they are.  Given out, the samples go
-    there and half is overwritten by the first transform, so nothing is
-    allocated; without it half is left as it was.
-    """
+
+def _band(grid: FourierGrid, coeffs: np.ndarray) -> np.ndarray:
+    """The band (..., 2K+1, K+1) of half-spectrum or full-layout coefficients
+    (a copy): both layouts agree on the columns k2 <= K."""
+    n, cut = grid.n, grid.cut
+    return np.concatenate((coeffs[..., : cut + 1, : cut + 1], coeffs[..., n - cut :, : cut + 1]), axis=-2)
+
+
+def _unband(grid: FourierGrid, band: np.ndarray) -> np.ndarray:
+    """Half spectra (..., n, n//2+1) of band coefficients, zero off the band."""
+    n, cut = grid.n, grid.cut
+    half = np.zeros(band.shape[:-2] + (n, n // 2 + 1), dtype=complex)
+    half[..., : cut + 1, : cut + 1] = band[..., : cut + 1, :]
+    half[..., n - cut :, : cut + 1] = band[..., cut + 1 :, :]
+    return half
+
+
+def _sample_scratch(grid: FourierGrid, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zeroed (f, n, K+1) column input and (f, n, n//2+1) row input of
+    _samples for f fields.  _samples never writes their rows K < |k1| and
+    columns k2 > K, so they stay zero from call to call."""
     n = grid.n
-    c = half if out is not None else half.copy()
-    band = c[..., : (n - 1) // 3 + 1]
-    np.fft.ifft(band, n, axis=-2, norm="forward", out=band)
-    return np.fft.irfft(c, n, axis=-1, norm="forward", out=out)
+    return np.zeros((f, n, grid.cut + 1), dtype=complex), np.zeros((f, n, n // 2 + 1), dtype=complex)
 
 
-def _spectrum(grid: FourierGrid, samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Masked half spectrum of de-aliased products; its k2 = 0 column, the
-    only one rfft2 leaves inexactly Hermitian, is made exactly Hermitian.
+def _samples(
+    grid: FourierGrid,
+    ops: np.ndarray,
+    band: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Collocation samples (f, n, n) of the real fields with band
+    coefficients ops * band: ops is (f, 2K+1, K+1), band one band or f.
 
-    The two transforms rfft2 makes: rfft over axis -1, then fft over -2 in
-    place, on the columns k2 <= (n-1)//3 only: the mask zeroes the others,
-    whose values are then the rfft's, not the rfft2's, so only the signs of
-    their zeros can differ from a masked rfft2.  Given out, the spectrum is
-    written there.
+    The two transforms irfft2 makes, on the band only: the products go
+    straight into the two row blocks of the column input, the ifft over
+    axis -2 runs out of place into the columns k2 <= K of the row input,
+    and the irfft over axis -1 makes the samples, into out if given.
+    scratch is the pair of _sample_scratch for as many fields; without it a
+    fresh pair is made.  The inputs are never written.
     """
-    n = grid.n
-    c = np.fft.rfft(samples, n, axis=-1, norm="forward", out=out)
-    band = c[..., : (n - 1) // 3 + 1]
-    np.fft.fft(band, n, axis=-2, norm="forward", out=band)
-    c *= _half_tables(n)[0]
-    c[..., 0] = 0.5 * (c[..., 0] + np.conj(c[..., grid._neg, 0]))
-    return c
+    n, cut = grid.n, grid.cut
+    if scratch is None:
+        scratch = _sample_scratch(grid, len(ops))
+    pad, rows = scratch
+    np.multiply(ops[..., : cut + 1, :], band[..., : cut + 1, :], out=pad[:, : cut + 1])
+    np.multiply(ops[..., cut + 1 :, :], band[..., cut + 1 :, :], out=pad[:, n - cut :])
+    np.fft.ifft(pad, n, axis=-2, norm="forward", out=rows[..., : cut + 1])
+    return np.fft.irfft(rows, n, axis=-1, norm="forward", out=out)
+
+
+def _spectrum(
+    grid: FourierGrid,
+    samples: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Band of the spectra of de-aliased products; its k = 0 entry is zero
+    and its k2 = 0 column, the only one rfft2 leaves inexactly Hermitian, is
+    made exactly Hermitian.
+
+    The two transforms rfft2 makes: rfft over axis -1, into scratch
+    (..., n, n//2+1) if given, then fft over -2 in place on the columns
+    k2 <= K only, whose band rows are then copied out, into out if given.
+    Band values are rfft2's to the bit.
+    """
+    n, cut = grid.n, grid.cut
+    c = np.fft.rfft(samples, n, axis=-1, norm="forward", out=scratch)
+    cols = c[..., : cut + 1]
+    np.fft.fft(cols, n, axis=-2, norm="forward", out=cols)
+    if out is None:
+        out = np.empty(samples.shape[:-2] + (2 * cut + 1, cut + 1), dtype=complex)
+    out[..., : cut + 1, :] = cols[..., : cut + 1, :]
+    out[..., cut + 1 :, :] = cols[..., n - cut :, :]
+    out[..., 0, 0] = 0.0
+    out[..., 0] = 0.5 * (out[..., 0] + np.conj(out[..., _band_index(cut)[2], 0]))
+    return out
 
 
 def _full(grid: FourierGrid, half: np.ndarray) -> np.ndarray:
@@ -342,18 +404,18 @@ def _full(grid: FourierGrid, half: np.ndarray) -> np.ndarray:
 def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:
     """De-aliased Jacobian J(a, b) = d1a d2b - d2a d1b of two real fields.
 
-    Inputs are masked with the 2/3 rule, derivatives multiplied out in
-    physical space, and the product transformed back and masked again, so
+    Inputs are cut to the 2/3 band, derivatives multiplied out in
+    physical space, and the product transformed back to the band, so
     the retained coefficients are exact convolution values.  The k = 0 mode
     is zeroed (the Jacobian has zero mean analytically).
     """
     g = a.grid
     if b.grid.n != g.n:
         raise ValueError("fields live on different grids")
-    grad = _half_tables(g.n)[1]
-    d1a, d2a = _samples(g, grad * _half(a.coeffs))
-    d1b, d2b = _samples(g, grad * _half(b.coeffs))
-    return SpectralField(g, _full(g, _spectrum(g, d1a * d2b - d2a * d1b)))
+    grad = _band_grad(g.cut)
+    d1a, d2a = _samples(g, grad, _band(g, a.coeffs))
+    d1b, d2b = _samples(g, grad, _band(g, b.coeffs))
+    return SpectralField(g, _full(g, _unband(g, _spectrum(g, d1a * d2b - d2a * d1b))))
 
 
 def leray_project(u: VectorField) -> VectorField:

@@ -43,6 +43,7 @@ from bardina.dynamics import (
     vorticity_rhs,
 )
 from bardina.dynamics import _orthonormalize, _r0_sq_from_curl, _renormalize
+from bardina.spectral import _band, _full, _unband
 from bardina.instability import (
     Chain,
     KolmogorovSpec,
@@ -59,6 +60,16 @@ def _mode_field(grid, t, q, c):
     arr = np.zeros((grid.n, grid.n), dtype=complex)
     arr[t % grid.n, q % grid.n] = c
     return SpectralField(grid, hermitianize(grid, 2.0 * arr))
+
+
+def _band_zetas(grid, vectors):
+    """Band stack of the vorticities of tangent velocity fields."""
+    return np.stack([_band(grid, curl(v).coeffs) for v in vectors])
+
+
+def _band_tangents(grid, zetas):
+    """Tangent velocity fields of a band stack of vorticities."""
+    return [stream_velocity(SpectralField(grid, z)) for z in _full(grid, _unband(grid, zetas))]
 
 
 def _random_divfree(grid, rng, band=6):
@@ -409,7 +420,7 @@ class TestRunWorkspace:
         with pytest.raises(CFLError):
             dyn._if_rk4(work, 10.0)
         fresh = dyn._Work(second, stack(second))
-        np.copyto(work.y, stack(second))
+        np.copyto(work.y, _band(grid, stack(second)))
         for _ in range(3):
             dyn._if_rk4(work, 1e-3)
             dyn._if_rk4(fresh, 1e-3)
@@ -434,6 +445,129 @@ class TestRunWorkspace:
         # faults[1] is sampled after the first step, which touches the workspace
         per_step = (faults[-1] - faults[1]) / (n_steps - 1)
         assert per_step < 100
+
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_renormalizations_do_not_fault_in_fresh_memory(self, rng):
+        # a renormalization that expands the tangents to the full layout
+        # allocates about 3.4 MB at 128^2 with 4 tangents, 50-100 minor page
+        # faults per step at renorm_every = 10; on the band it takes a handful
+        grid = make_grid(128)
+        st = _forced_state(grid, rng, band=12)
+        dt, every = 1e-3, 10
+        kw = dict(n=4, dt=dt, renorm_every=every, t_transient=0.0, blocks=2, seed=1)
+
+        def faults(intervals):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                lyapunov_spectrum(st, t_average=intervals * every * dt, **kw)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(2)  # glibc raises its mmap threshold on the first frees
+        per_step = (faults(8) - faults(2)) / (6 * every)
+        assert per_step < 25
+
+
+def _reference_step(state, dt):
+    """One IF-RK4 step in the full layout with complex transforms, the 2/3
+    mask applied to every input and product."""
+    grid, alpha, gamma = state.grid, state.params.alpha, state.params.gamma
+    n2 = grid.n**2
+    inv_smooth = 1.0 / (1.0 + alpha * grid.k_sq)
+    psi_mult = -np.divide(inv_smooth, grid.k_sq, out=np.zeros_like(inv_smooth),
+                          where=grid.k_sq > 0)
+
+    def d(c, k):
+        return np.fft.ifft2(1j * k * np.where(grid.dealias, c, 0.0)).real * n2
+
+    def transport(omega):
+        psi, ob = psi_mult * omega, inv_smooth * omega
+        prod = d(psi, grid.k1) * d(ob, grid.k2) - d(psi, grid.k2) * d(ob, grid.k1)
+        out = np.where(grid.dealias, np.fft.fft2(prod) / n2, 0.0)
+        out[0, 0] = 0.0
+        return -out
+
+    shift = state.forcing_curl.coeffs / gamma
+    e1 = math.exp(-gamma * dt / 2.0)
+    e2 = e1 * e1
+    w = state.omega.coeffs - shift
+    g1 = transport(w + shift)
+    g2 = transport(e1 * (w + 0.5 * dt * g1) + shift)
+    g3 = transport(e1 * w + 0.5 * dt * g2 + shift)
+    g4 = transport(e2 * w + dt * e1 * g3 + shift)
+    return e2 * w + dt / 6.0 * (e2 * g1 + 2.0 * e1 * g2 + 2.0 * e1 * g3 + g4) + shift
+
+
+def _shear_curl(grid, s, amplitude):
+    """curl g of the shear forcing g = (amplitude sin(s x2), 0), at any s."""
+    c = np.zeros((grid.n, grid.n), dtype=complex)
+    c[0, s] = c[0, -s] = -0.5 * s * amplitude
+    return SpectralField(grid, c)
+
+
+class TestBandLayout:
+    """The integrators carry the 2/3-band coefficients only; these pin that
+    the band carries the whole de-aliased step, and that the modes off the
+    band move by the integrating factor alone."""
+
+    @pytest.mark.parametrize("n", [30, 96])
+    def test_step_and_simulate_match_full_layout_reference(self, rng, n):
+        # 3 | n: the largest retained |k| is (n-1)//3 = n/3 - 1
+        grid = make_grid(n)
+        spec = KolmogorovSpec(s=3, amplitude=4.0, gamma=PARAMS.gamma)
+        st = make_state(random_field(grid, rng, amplitude=3.0), PARAMS,
+                        forcing=kolmogorov_forcing(spec, grid))
+        dt, steps = 0.005, 5
+        stepped, want = st, st
+        for _ in range(steps):
+            stepped = step(stepped, dt)
+            want = dataclasses.replace(want, omega=SpectralField(grid, _reference_step(want, dt)))
+        scale = np.abs(st.omega.coeffs).max()
+        assert np.abs(stepped.omega.coeffs - want.omega.coeffs).max() <= 1e-14 * scale
+        final, _ = simulate(st, steps * dt, dt, observe_every=2)
+        assert final.omega.coeffs.tobytes() == stepped.omega.coeffs.tobytes()
+
+    def test_off_band_modes_follow_the_integrating_factor(self, rng):
+        # shear forcing at s = 11 > (30-1)//3 = 9 and an initial state with
+        # modes off the band: those modes get no transport, so each step
+        # takes them from y to e2 (y - shift) + shift, bit for bit, and the
+        # band does not see them
+        grid = make_grid(30)
+        fc = _shear_curl(grid, 11, 4.0)
+        extra = np.zeros((30, 30), dtype=complex)
+        extra[12, 3], extra[2, 13], extra[15, 0] = 0.3 + 0.1j, -0.2j, 0.05
+        omega = random_field(grid, rng, amplitude=2.0)
+        st = make_state(omega + SpectralField(grid, hermitianize(grid, extra)), PARAMS,
+                        forcing_curl=fc)
+        banded = make_state(omega, PARAMS)
+        off = ~grid.dealias
+        assert np.abs(st.omega.coeffs[off]).min() == 0.0 < np.abs(st.omega.coeffs[off]).max()
+        dt = 0.01
+        e1 = math.exp(-PARAMS.gamma * dt / 2.0)
+        shift = fc.coeffs[off] / PARAMS.gamma
+        want = st.omega.coeffs[off]
+        a, b = st, banded
+        for _ in range(4):
+            a, b = step(a, dt), step(b, dt)
+            want = (want - shift) * (e1 * e1) + shift
+            assert np.array_equal(a.omega.coeffs[off], want)
+            assert np.array_equal(a.omega.coeffs[grid.dealias], b.omega.coeffs[grid.dealias])
+        final, _ = simulate(st, 4 * dt, dt, observe_every=3)
+        assert final.omega.coeffs.tobytes() == a.omega.coeffs.tobytes()
+
+    def test_off_band_tangent_modes_decay_by_the_integrating_factor(self, rng):
+        grid = make_grid(30)
+        st = make_state(random_field(grid, rng, amplitude=2.0), PARAMS)
+        zeta = np.zeros((30, 30), dtype=complex)
+        zeta[12, 3] = 0.3 + 0.1j
+        theta = stream_velocity(SpectralField(grid, hermitianize(grid, zeta)))
+        (inside,) = make_tangents(grid, 1, PARAMS.alpha, rng)
+        dt = 0.01
+        out = step_with_tangents(TangentBundle(st, [inside + theta, inside]), dt)
+        e1 = math.exp(-PARAMS.gamma * dt / 2.0)
+        got = curl(out.vectors[0] - out.vectors[1]).coeffs
+        want = curl(theta).coeffs * (e1 * e1)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestAbsorbingRadius:
@@ -686,8 +820,8 @@ class TestGramSchmidt:
 
     def test_growth_factors(self, rng):
         grid = make_grid(32)
-        vecs = make_tangents(grid, 2, PARAMS.alpha, rng)
-        scaled = np.stack([3.0 * curl(vecs[0]).coeffs, 0.25 * curl(vecs[1]).coeffs])
+        zetas = _band_zetas(grid, make_tangents(grid, 2, PARAMS.alpha, rng))
+        scaled = np.stack([3.0 * zetas[0], 0.25 * zetas[1]])
         _, norms = _orthonormalize(scaled, PARAMS.alpha)
         assert norms[0] == pytest.approx(3.0, rel=1e-12)
         assert norms[1] == pytest.approx(0.25, rel=1e-12)
@@ -695,9 +829,9 @@ class TestGramSchmidt:
     def test_collapse_reseeds_and_flags(self, rng):
         grid = make_grid(32)
         st = make_state(zero_field(grid), PARAMS)
-        zeta = curl(make_tangents(grid, 1, PARAMS.alpha, rng)[0]).coeffs
-        zetas, growth, collapsed = _renormalize(np.stack([zeta, zeta.copy()]), PARAMS.alpha, rng)
-        renewed = TangentBundle(st, [stream_velocity(SpectralField(grid, z)) for z in zetas])
+        (zeta,) = _band_zetas(grid, make_tangents(grid, 1, PARAMS.alpha, rng))
+        zetas, growth, collapsed = _renormalize(grid, np.stack([zeta, zeta.copy()]), PARAMS.alpha, rng)
+        renewed = TangentBundle(st, _band_tangents(grid, zetas))
         assert collapsed
         assert growth[1] == 0.0
         gram = [[alpha_inner(a, b, PARAMS.alpha) for a in renewed.vectors]
@@ -709,9 +843,9 @@ class TestGramSchmidt:
         # differences; the renormalized family must still be tangents
         grid = make_grid(32)
         st = make_state(zero_field(grid), PARAMS)
-        v, u = (curl(t).coeffs for t in make_tangents(grid, 2, PARAMS.alpha, rng))
-        zetas, growth, collapsed = _renormalize(np.stack([v, v + 1e-7 * u]), PARAMS.alpha, rng)
-        renewed = TangentBundle(st, [stream_velocity(SpectralField(grid, z)) for z in zetas])
+        v, u = _band_zetas(grid, make_tangents(grid, 2, PARAMS.alpha, rng))
+        zetas, growth, collapsed = _renormalize(grid, np.stack([v, v + 1e-7 * u]), PARAMS.alpha, rng)
+        renewed = TangentBundle(st, _band_tangents(grid, zetas))
         assert not collapsed
         assert growth[1] == pytest.approx(1e-7, rel=1e-6)
         gram = [[alpha_inner(a, b, PARAMS.alpha) for a in renewed.vectors]

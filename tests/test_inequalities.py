@@ -154,7 +154,45 @@ class TestPsi:
             ineq.psi_big(0.0)
 
 
+def _reference_rho_ratios(n, m, trials, seed, band, eval_grid, vector):
+    """rho_l2_check one function at a time: modified Gram-Schmidt on the
+    draw's rows, each function's modes scattered and transformed alone, and
+    the L2 norm from the spectrum of rho."""
+    modes = ineq._band_modes(band)
+    ksq = (modes[:, 0] ** 2 + modes[:, 1] ** 2).astype(np.float64)
+    idx = (modes[:, 0] % eval_grid, modes[:, 1] % eval_grid)
+    perp = np.stack((-modes[:, 1], modes[:, 0]), axis=1) / np.sqrt(ksq)[:, None]
+    ratios = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.Generator(np.random.Philox(child))
+        c = rng.standard_normal((n, len(modes))) + 1j * rng.standard_normal((n, len(modes)))
+        for i in range(n):
+            for j in range(i):
+                c[i] -= np.vdot(c[j], c[i]) * c[j]
+            c[i] /= np.linalg.norm(c[i])
+        cu = c / (2.0 * math.pi) / np.sqrt(m * m + ksq)
+        rho = np.zeros((eval_grid, eval_grid))
+        for i in range(n):
+            for comp in (perp.T if vector else [1.0]):
+                spec = np.zeros((eval_grid, eval_grid), dtype=complex)
+                np.add.at(spec, idx, cu[i] * comp)
+                u = np.fft.ifft2(spec) * eval_grid**2
+                rho += u.real**2 + u.imag**2
+        rho_hat = np.fft.fft2(rho) / eval_grid**2
+        norm = 2.0 * math.pi * math.sqrt(float(np.vdot(rho_hat, rho_hat).real))
+        ratios.append(norm / (ineq.B2 * math.sqrt(n) / m))
+    return np.array(ratios)
+
+
 class TestRhoCheck:
+    @pytest.mark.parametrize("n, m, vector", [(1, 2.0, False), (5, 0.5, False), (3, 1.0, True)])
+    def test_matches_one_function_at_a_time(self, n, m, vector):
+        # one QR and one batched transform per trial against the loops they
+        # replace; the arithmetic order differs, so agreement is to roundoff
+        kw = dict(n=n, m=m, trials=4, seed=3, band=4, eval_grid=20, vector=vector)
+        np.testing.assert_allclose(ineq.rho_l2_check(**kw).ratios, _reference_rho_ratios(**kw),
+                                   rtol=1e-13)
+
     def test_single_mode_analytic(self):
         # family {e^(ik.x)/(2 pi)}: rho is the constant (2 pi)^-2 (m^2+|k|^2)^-1
         m, k = 1.0, (1, 0)
@@ -167,6 +205,26 @@ class TestRhoCheck:
         assert np.allclose(rho, expect, rtol=1e-12, atol=1e-15)
         norm = 2 * math.pi * expect  # L2 norm of a constant
         assert norm < ineq.B2 * math.sqrt(1) / m
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    def test_complete_family_gives_the_constant_density(self, vector):
+        # a family spanning every mode of the band has
+        # rho = sum_k (2 pi)^-2 (m^2 + |k|^2)^-1 whatever the draw
+        m = 0.5
+        r = ineq.rho_l2_check(n=8, m=m, trials=3, seed=4, band=1, eval_grid=8, vector=vector)
+        rho = sum(1.0 / ((2 * math.pi) ** 2 * (m * m + k_sq)) for k_sq in (1, 1, 1, 1, 2, 2, 2, 2))
+        np.testing.assert_allclose(r.ratios, 2 * math.pi * rho / r.bound, rtol=1e-13)
+
+    def test_orthonormal_rows_is_gram_schmidt(self, rng):
+        # rows orthonormal, and draw = L Q with L lower triangular: row i of Q
+        # spans what rows 0..i of the draw span beyond the rows before it
+        draw = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
+        q = ineq._orthonormal_rows(draw)
+        assert np.abs(q @ q.conj().T - np.eye(6)).max() < 1e-14
+        lower = draw @ q.conj().T
+        assert np.abs(np.triu(lower, 1)).max() < 1e-13 * np.abs(lower).max()
+        with pytest.raises(ValueError, match="degenerate"):
+            ineq._orthonormal_rows(np.stack([draw[0], draw[1], draw[0]]))
 
     def test_scalar_families_within_bound(self):
         r = ineq.rho_l2_check(n=8, m=1.0, trials=25, seed=11)

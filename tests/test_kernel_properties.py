@@ -3,16 +3,17 @@
 Random even grids n in [8, 64], filter scales alpha in [2^-12, 1] and seeds.
 The vorticity equation, its linearization and `jacobian` all go through the
 same de-aliased kernel, so these identities pin it from three sides; a
-full-layout evaluation with complex transforms pins its half-spectrum layout,
-and numpy's own irfft2/rfft2 pin the pruned transforms under it.  The
-tangent orthonormalization is pinned by the factorization it must produce.
+full-layout evaluation with complex transforms pins its band layout, and
+numpy's own irfft2/rfft2 pin the pruned transforms under it.  The tangent
+orthonormalization is pinned by the factorization it must produce, and its
+weighted band view by the inner products of the full-layout fields.
 """
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bardina.dynamics import make_state, make_tangents, variational_rhs, vorticity_rhs
-from bardina.dynamics import _check_real_coeffs, _orthonormalize
+from bardina.dynamics import _band_weight, _check_real_coeffs, _orthonormalize
 from bardina.spectral import (
     ModelParams,
     SpectralField,
@@ -24,7 +25,7 @@ from bardina.spectral import (
     random_field,
     stream_velocity,
 )
-from bardina.spectral import _half_tables, _samples, _spectrum
+from bardina.spectral import _band, _full, _sample_scratch, _samples, _spectrum, _unband
 
 GRIDS = st.integers(4, 32).map(lambda half: 2 * half)
 ALPHAS = st.floats(2.0**-12, 1.0)
@@ -124,27 +125,36 @@ def test_half_spectrum_kernel_matches_full_layout(n, alpha, seed):
 @example(n=18, seed=2)
 @example(n=30, seed=3)
 def test_pruned_transforms_match_numpy(n, seed):
-    # the column passes skip the columns the 2/3 mask zeroes; the values are
-    # numpy's to the bit, up to the signs of zeros in the masked modes
+    # the transforms read and write the 2/3 band only; the values are
+    # numpy's to the bit, up to the signs of zeros
     rng = _rng(seed)
     grid = make_grid(n)
-    mask = _half_tables(n)[0]
-    shape = (2, n, n // 2 + 1)
-    half = mask * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    want = np.fft.irfft2(half, s=(n, n), norm="forward")
-    kept = half.copy()
-    assert np.array_equal(_samples(grid, kept), want)
-    assert np.array_equal(kept, half)  # without out the input is left as it was
-    out = np.empty((2, n, n))
-    assert _samples(grid, half.copy(), out=out) is out
-    assert np.array_equal(out, want)
+    shape = (2, 2 * grid.cut + 1, grid.cut + 1)
+
+    def draw():
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    band, ops = draw(), draw()
+    assert np.array_equal(_band(grid, _unband(grid, band)), band)
+    want = np.fft.irfft2(_unband(grid, ops * band), s=(n, n), norm="forward")
+    kept = band.copy()
+    assert np.array_equal(_samples(grid, ops, band), want)
+    assert np.array_equal(kept, band)  # the input is never written
+    out, scratch = np.empty((2, n, n)), _sample_scratch(grid, 2)
+    for band in (band, draw()):  # the zero parts of the scratch stay zero
+        want = np.fft.irfft2(_unband(grid, ops * band), s=(n, n), norm="forward")
+        assert _samples(grid, ops, band, out=out, scratch=scratch) is out
+        assert np.array_equal(out, want)
 
     samples = rng.standard_normal((2, n, n))
-    want = np.fft.rfft2(samples, norm="forward") * mask
+    want = np.fft.rfft2(samples, norm="forward")
+    want[..., 0, 0] = 0.0
     want[..., 0] = 0.5 * (want[..., 0] + np.conj(want[..., grid._neg, 0]))
+    want = _band(grid, want)
     assert np.array_equal(_spectrum(grid, samples), want)
     spec = np.empty(shape, dtype=complex)
-    assert _spectrum(grid, samples, out=spec) is spec
+    rows = np.empty((2, n, n // 2 + 1), dtype=complex)
+    assert _spectrum(grid, samples, out=spec, scratch=rows) is spec
     assert np.array_equal(spec, want)
 
 
@@ -175,6 +185,10 @@ def test_velocity_vorticity_round_trip(n, alpha, seed):
     assert np.abs(back - omega.coeffs).max() <= 1e-14 * np.abs(omega.coeffs).max()
 
 
+def _velocities(grid, band):
+    return [stream_velocity(SpectralField(grid, z)) for z in _full(grid, _unband(grid, band))]
+
+
 @FEW
 @given(
     n=st.sampled_from([16, 32]),
@@ -189,11 +203,11 @@ def test_orthonormalize_is_alpha_qr(n, alpha, log_scales, seed):
     rng = _rng(seed)
     grid = make_grid(n)
     m = len(log_scales)
-    zetas = np.stack([10.0**e * random_field(grid, rng).coeffs for e in log_scales])
+    zetas = np.stack([10.0**e * _band(grid, random_field(grid, rng).coeffs) for e in log_scales])
     ortho, growth = _orthonormalize(zetas, alpha)
-    a = [stream_velocity(SpectralField(grid, z)) for z in zetas]
-    q = [stream_velocity(SpectralField(grid, z)) for z in ortho]
-    for z in ortho:
+    assert ortho.shape == zetas.shape
+    a, q = _velocities(grid, zetas), _velocities(grid, ortho)
+    for z in _full(grid, _unband(grid, ortho)):
         _check_real_coeffs(grid, z, "orthonormalized tangent")
     qq = np.array([[alpha_inner(qi, qj, alpha) for qj in q] for qi in q])
     assert np.abs(qq - np.eye(m)).max() <= 1e-12
@@ -202,3 +216,19 @@ def test_orthonormalize_is_alpha_qr(n, alpha, log_scales, seed):
     size = np.sqrt(np.diag(gram))
     assert np.all(np.abs(r.T @ r - gram) <= 1e-12 * np.outer(size, size))
     np.testing.assert_allclose(growth, np.abs(np.diag(r)), rtol=1e-12)
+
+
+@FEW
+@given(n=GRIDS, alpha=ALPHAS, m=st.integers(1, 5), seed=SEEDS)
+@example(n=30, alpha=1.0 / 64.0, m=3, seed=4)
+def test_band_gram_is_alpha_inner_of_full_layout(n, alpha, m, seed):
+    # a band column k2 >= 1 stands for +-k, so with weight sqrt 2 on those
+    # columns the real view has the Gram matrix of the full-layout fields
+    rng = _rng(seed)
+    grid = make_grid(n)
+    zetas = np.stack([_band(grid, random_field(grid, rng).coeffs) for _ in range(m)])
+    cols = (_band_weight(grid.cut, alpha)[0] * zetas).view(np.float64).reshape(m, -1)
+    vel = _velocities(grid, zetas)
+    want = np.array([[alpha_inner(u, v, alpha) for v in vel] for u in vel])
+    size = np.sqrt(np.diag(want))
+    assert np.all(np.abs(cols @ cols.T - want) <= 1e-13 * np.outer(size, size))
