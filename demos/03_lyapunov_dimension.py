@@ -23,7 +23,7 @@ from bardina.instability import (
     KolmogorovSpec,
     chain_matrix_eigen,
     kolmogorov_forcing,
-    solve_lambda0,
+    solve_lambda0s,
     stationary_vorticity,
 )
 from bardina.spectral import ModelParams, SpectralField, make_grid, random_field, zero_field
@@ -41,7 +41,7 @@ print(f"  dimension = {rep.lyapunov_dimension}\n")
 alpha, gamma, s = 1.0 / 16.0, 1.0, 4
 cands = [Chain(s=s, t=t, r=r, alpha=alpha, gamma=gamma, coupling=1.0)
          for t in (1, 2, 3) for r in (-1, 0, 1, 2)]
-crit = min(solve_lambda0(c) for c in cands if c.admissible())
+crit = float(solve_lambda0s([c for c in cands if c.admissible()]).min())
 amp = 0.8 * crit * 2.0 * math.sqrt(2.0) * math.pi * (1.0 + alpha * s * s)
 spec = KolmogorovSpec(s=s, amplitude=amp, gamma=gamma)
 st = make_state(stationary_vorticity(spec, grid), ModelParams(alpha=alpha, gamma=gamma),

@@ -32,7 +32,17 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
+# Every BLAS problem here is small (a depth-sized eigenvalue problem, thin
+# QRs), and OpenBLAS's default pool only keeps a second core spinning, from
+# import on.  A pool size is read once, when numpy loads OpenBLAS, so start
+# the CLI's at one thread unless the environment chose one; --threads and
+# EBA_THREADS cap it further while a command runs.
+if "numpy" not in sys.modules and not any(
+        os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                        "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the pool size is chosen)
 
 from . import __version__
 from .spectral import ModelParams, SpectralField, make_grid, random_field
@@ -93,24 +103,28 @@ def load_config(path: str) -> dict:
     the offending line number.
     """
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _PARSERS:
-                raise ConfigError(f"{path}: unknown configuration key {key!r}")
-            try:
-                values[key] = _PARSERS[key](val)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: value {val!r} for key {key!r} is not "
-                    f"a valid {_PARSERS[key].__name__}"
-                ) from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _PARSERS:
+            raise ConfigError(f"{path}: unknown configuration key {key!r}")
+        try:
+            values[key] = _PARSERS[key](val)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: value {val!r} for key {key!r} is not "
+                f"a valid {_PARSERS[key].__name__}"
+            ) from None
     return values
 
 
@@ -132,7 +146,7 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"EBA_THREADS = {env!r} is not an integer")
     if merged["threads"] < 0:
         raise ConfigError(f"threads = {merged['threads']} (--threads, config file or "
-                          "EBA_THREADS) must be >= 0, 0 = auto")
+                          "EBA_THREADS) must be >= 0, 0 = no cap")
     return RunConfig(**merged)
 
 
@@ -200,8 +214,8 @@ def _openblas_pool():
 
 @contextlib.contextmanager
 def _limit_threads(threads: int):
-    # cap the BLAS pool of the dense eigensolver while one command runs, and
-    # pass the cap on to child processes; the FFT path is single-threaded
+    # cap the BLAS pool while one command runs, and pass the cap on to child
+    # processes; the FFT path is single-threaded
     if threads == 0:
         yield
         return
@@ -483,7 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="output file (default: stdout)")
     common.add_argument("--seed", type=int, help="RNG seed (default 0)")
     common.add_argument("--threads", type=int,
-                        help="thread cap, 0 = auto; EBA_THREADS is the fallback")
+                        help="cap on the BLAS thread pool, 0 = no cap; EBA_THREADS is the "
+                        "fallback. The pool starts at one thread unless OPENBLAS_NUM_THREADS, "
+                        "GOTO_NUM_THREADS or OMP_NUM_THREADS sets it")
     common.add_argument("--alpha", type=float, help="filter scale alpha > 0")
     common.add_argument("--gamma", type=float, help="damping rate gamma > 0")
 

@@ -6,10 +6,13 @@ it couples Fourier modes only along vertical ladders k = (t, s n + r),
 n in Z, so the eigenvalue problem splits into independent three-term
 recurrences ("chains").  For chains whose base mode lies in an explicit
 admissible region the recurrence has a unique real eigenvalue, solved for
-a batch of chains at once as the root of a continued-fraction identity
-and cross-checked against a truncated tridiagonal matrix.  Counting the
-admissible lattice points and driving them all unstable with a large enough
-forcing amplitude gives the dimension lower bound of :mod:`bardina.bounds`.
+a batch of chains at once as the root of a continued-fraction identity.
+The truncated tridiagonal matrix of the chain cross-checks it by a route
+that uses no continued fraction: the matrix has a zero diagonal, so its
+spectrum is +-lambda and the mu = lambda^2 are the eigenvalues of one
+depth-sized block of its square.  Counting the admissible lattice points and
+driving them all unstable with a large enough forcing amplitude gives the
+dimension lower bound of :mod:`bardina.bounds`.
 """
 from __future__ import annotations
 
@@ -24,7 +27,8 @@ __all__ = [
     "KolmogorovSpec", "Chain", "RecurrenceCoeffs", "ContinuedFractionError", "BracketError",
     "kolmogorov_forcing", "stationary_vorticity", "threshold_amplitude", "region_lattice",
     "in_region", "continued_fraction_g", "f_sigma", "solve_sigma", "solve_sigmas", "solve_lambda0",
-    "sigma_bounds", "coupling_bounds", "chain_matrix", "chain_matrix_eigen", "unstable_count",
+    "solve_lambda0s", "sigma_bounds", "coupling_bounds", "chain_matrix", "chain_matrix_eigen",
+    "unstable_count",
 ]
 
 SIGMA_TOL = 1e-12  # relative bisection tolerance on eigenvalues
@@ -219,21 +223,55 @@ def _f(cols: np.ndarray, sigma) -> np.ndarray:
     return (gamma + sigma) * (q + alpha * q * q) / (coupling * t * (s * s - q))
 
 
-def _cf(cols: np.ndarray, sigma: np.ndarray, n_max: int, max_depth: int) -> np.ndarray:
-    # g at depth 2n once depths n and 2n agree to 1e-10; n doubles per chain from n_max
-    def sweep(cols, sigma, depth):
-        # both tails 1/(d_1 + 1/(d_2 + ... + 1/d_depth)), d of shape (depth, tail, chain)
-        n = np.arange(1.0, depth + 1.0)[:, None, None] * np.array([[1.0], [-1.0]])
-        d = (cols[4] + sigma) * _ladder_a(*cols[:4], cols[5], n)
-        acc = d[-1]
-        for d_n in d[-2::-1]:
-            acc = d_n + 1.0 / acc
+def _ladder_table(cols: np.ndarray, depth: int) -> np.ndarray:
+    """A_n of each chain on both tails, n = 1..depth and -1..-depth: shape (depth, tail, chain)."""
+    n = np.arange(1.0, depth + 1.0)[:, None, None] * np.array([[1.0], [-1.0]])
+    return _ladder_a(*cols[:4], cols[5], n)
+
+
+def _tabulated(cols: np.ndarray, n_max: int):
+    """A_n lookup (depth, chain indices) -> table for a batch whose couplings stay fixed.
+
+    Every chain sweeps depths n_max and 2 n_max in every bisection round, so
+    those tables are made once for the whole batch; deeper sweeps, which only
+    chains probed near sigma = -gamma need, are made for the chains asking.
+    While every chain is still bisecting, the table is handed over as it is:
+    a copy of it costs more than the sweep that reads it.
+    """
+    tables, every = {}, np.arange(cols.shape[1])
+
+    def table(depth, i):
+        if depth > 2 * n_max:
+            return _ladder_table(cols[:, i], depth)
+        if depth not in tables:
+            tables[depth] = _ladder_table(cols, depth)
+        return tables[depth] if np.array_equal(i, every) else tables[depth][:, :, i]
+
+    return table
+
+
+def _cf(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int, max_depth: int,
+        table=None) -> np.ndarray:
+    # g of the chains cols[:, i] at depth 2n once depths n and 2n agree to 1e-10;
+    # n doubles per chain from n_max.  table(depth, i) hands over their A_n.
+    if table is None:
+        def table(depth, i):
+            return _ladder_table(cols[:, i], depth)
+
+    def sweep(j, depth):
+        # both tails 1/(d_1 + 1/(d_2 + ... + 1/d_depth)), d_n = (gamma + sigma) A_n
+        a, c = table(depth, i[j]), cols[4, i[j]] + sigma[j]
+        acc, d_n = c * a[-1], np.empty_like(a[-1])
+        for a_n in a[-2::-1]:
+            np.multiply(c, a_n, out=d_n)
+            np.divide(1.0, acc, out=acc)
+            np.add(d_n, acc, out=acc)
         return 1.0 / acc[0] + 1.0 / acc[1]
 
     depth, todo = n_max, np.arange(sigma.size)
-    g = sweep(cols, sigma, depth)
+    g = sweep(todo, depth)
     while todo.size:
-        deeper = sweep(cols[:, todo], sigma[todo], 2 * depth)
+        deeper = sweep(todo, 2 * depth)
         moved = np.abs(g[todo] - deeper)
         g[todo] = deeper
         bad = moved > 1e-10
@@ -244,8 +282,9 @@ def _cf(cols: np.ndarray, sigma: np.ndarray, n_max: int, max_depth: int) -> np.n
     return g
 
 
-def _gap(cols: np.ndarray, sigma: np.ndarray, n_max: int) -> np.ndarray:
-    return _f(cols, sigma) - _cf(cols, sigma, n_max, _MAX_DEPTH)
+def _gap(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int,
+         table=None) -> np.ndarray:
+    return _f(cols[:, i], sigma) - _cf(cols, i, sigma, n_max, _MAX_DEPTH, table)
 
 
 def _expand(holds, x: np.ndarray, step) -> np.ndarray:
@@ -283,7 +322,8 @@ def continued_fraction_g(chain: Chain, sigma: float, n_max: int = 32) -> float:
     """
     if sigma <= -chain.gamma:
         raise ValueError("sigma must exceed -gamma")
-    return float(_cf(_columns([chain]), np.array([sigma], dtype=np.float64), n_max, n_max)[0])
+    sigma = np.array([sigma], dtype=np.float64)
+    return float(_cf(_columns([chain]), np.arange(1), sigma, n_max, n_max)[0])
 
 
 def f_sigma(chain: Chain, sigma: float) -> float:
@@ -323,10 +363,10 @@ def solve_sigmas(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarray:
     if not all(c.admissible() for c in chains):
         raise ValueError("chain base mode outside the admissible region")
     cols = _columns(chains)
-    gamma = cols[4]
+    gamma, table = cols[4], _tabulated(cols, n_max)
 
     def above(sigma, i):
-        return _gap(cols[:, i], sigma, n_max) > 0.0
+        return _gap(cols, i, sigma, n_max, table) > 0.0
 
     lo = -gamma + GAMMA_OFFSET * gamma
     # the gap is negative at lo (f ~ 0+, g > 0), where g converges too slowly to probe
@@ -355,32 +395,53 @@ def solve_sigma(chain: Chain, tol: float = SIGMA_TOL, n_max: int = 32) -> float:
     return float(solve_sigmas([chain], tol, n_max)[0])
 
 
+def solve_lambda0s(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarray:
+    """Array of :func:`solve_lambda0` over the chains, found in one lockstep bisection;
+    each entry is bit-identical to solving that chain alone, and it raises
+    as :func:`solve_lambda0` does for the first chain that fails."""
+    chains = list(chains)
+    if not all(c.admissible() for c in chains):
+        raise ValueError("chain base mode outside the admissible region")
+    cols, zero = _columns(chains), np.zeros(len(chains))
+
+    def gap(coupling, i):
+        # the coupling moves every round, so A_n is made afresh for each probe
+        return _gap(np.vstack((cols[:5, i], coupling)), np.arange(i.size), zero[i], n_max)
+
+    bounds = np.array([coupling_bounds(c, c.t / c.s) for c in chains]).reshape(-1, 2)
+    lo, hi = 0.5 * bounds[:, 0], 2.0 * bounds[:, 1]
+    if _expand(lambda c, i: gap(c, i) > 0.0, lo, lambda c, i: 0.5 * c).size:
+        raise BracketError("no positive gap at small coupling")
+    if _expand(lambda c, i: gap(c, i) < 0.0, hi, lambda c, i: 2.0 * c).size:
+        raise BracketError("no negative gap at large coupling")
+    # the gap falls with the coupling, so a coupling without a positive gap is above the root
+    return _bisect(lambda c, i: ~(gap(c, i) > 0.0), lo, hi, zero, tol)
+
+
 def solve_lambda0(chain: Chain, tol: float = SIGMA_TOL, n_max: int = 32) -> float:
     """Critical coupling at which the chain eigenvalue crosses zero.
 
     The gap f - g at sigma = 0 is strictly decreasing in the coupling;
     bisection starts from the closed-form two-sided estimate (at the
     chain's maximal delta = t/s) and expands if needed.
+
+    Raises:
+        ValueError: if the chain violates the admissibility conditions.
+        BracketError: if the expansion finds no sign change.
     """
-    if not chain.admissible():
-        raise ValueError("chain base mode outside the admissible region")
-    cols, zero = _columns([chain]), np.zeros(1)
-
-    def gap(coupling, i):
-        return _gap(np.vstack((cols[:5, i], coupling)), zero[i], n_max)
-
-    b_lo, b_hi = coupling_bounds(chain, chain.t / chain.s)
-    lo, hi = np.array([0.5 * b_lo]), np.array([2.0 * b_hi])
-    if _expand(lambda c, i: gap(c, i) > 0.0, lo, lambda c, i: 0.5 * c).size:
-        raise BracketError("no positive gap at small coupling")
-    if _expand(lambda c, i: gap(c, i) < 0.0, hi, lambda c, i: 2.0 * c).size:
-        raise BracketError("no negative gap at large coupling")
-    # the gap falls with the coupling, so a coupling without a positive gap is above the root
-    return float(_bisect(lambda c, i: ~(gap(c, i) > 0.0), lo, hi, zero, tol)[0])
+    return float(solve_lambda0s([chain], tol, n_max)[0])
 
 
 # ---------------------------------------------------------------------------
 # truncated matrix oracle
+
+
+def _inv_ladder(chain: Chain, depth: int) -> np.ndarray:
+    """1/A_n on n in [-depth, depth]; zero where |k_n| = s."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    K = chain.mode_sq(np.arange(-depth, depth + 1))
+    return chain.coupling * chain.t * (K - chain.s**2) / (K + chain.alpha * K * K)
 
 
 def chain_matrix(chain: Chain, depth: int) -> np.ndarray:
@@ -390,27 +451,46 @@ def chain_matrix(chain: Chain, depth: int) -> np.ndarray:
     1/A_n is evaluated directly, so rows with |k_n| = s (where the
     recurrence coefficient diverges) decouple gracefully with zero entries.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    n = np.arange(-depth, depth + 1)
-    K = chain.mode_sq(n)
-    inv_a = chain.coupling * chain.t * (K - chain.s**2) / (K + chain.alpha * K * K)
-    m = np.zeros((n.size, n.size))
-    idx = np.arange(n.size - 1)
+    inv_a = _inv_ladder(chain, depth)
+    m = np.zeros((inv_a.size, inv_a.size))
+    idx = np.arange(inv_a.size - 1)
     m[idx, idx + 1] = inv_a[:-1]
     m[idx + 1, idx] = -inv_a[1:]
     return m
 
 
-def chain_matrix_eigen(chain: Chain, depth: int = 200) -> float:
-    """Largest real part of the truncated-matrix spectrum, minus gamma.
+def _odd_block(chain: Chain, depth: int) -> np.ndarray:
+    """Rows and columns 1, 3, ..., 2 depth - 1 of M^2, M = chain_matrix(chain, depth).
 
-    Independent route to the chain eigenvalue; agrees with
-    :func:`solve_sigma` once depth is large (coefficients grow like n^2,
-    so boundary truncation decays fast).
+    With w = 1/A_n along M's rows, M[i, i+1] = w_i and M[i+1, i] = -w_{i+1},
+    so M^2 is tridiagonal in steps of two: diagonal -w_i (w_{i-1} + w_{i+1}),
+    M^2[i, i+2] = w_i w_{i+1} and M^2[i+2, i] = w_{i+2} w_{i+1}.
     """
-    eig = np.linalg.eigvals(chain_matrix(chain, depth))
-    return float(eig.real.max()) - chain.gamma
+    w = _inv_ladder(chain, depth)
+    odd, inner = w[1::2], w[2:-1:2]
+    b = np.zeros((depth, depth))
+    j = np.arange(depth)
+    b[j, j] = -odd * (w[:-1:2] + w[2::2])
+    b[j[:-1], j[1:]] = odd[:-1] * inner
+    b[j[1:], j[:-1]] = odd[1:] * inner
+    return b
+
+
+def chain_matrix_eigen(chain: Chain, depth: int = 200) -> float:
+    """Largest real part of the spectrum of ``chain_matrix(chain, depth)``, minus gamma.
+
+    Independent route to the chain eigenvalue (no continued fraction);
+    agrees with :func:`solve_sigma` once depth is large (coefficients grow
+    like n^2, so boundary truncation decays fast).  The matrix M has a zero
+    diagonal, so D M D = -M for D = diag((-1)^i): its spectrum is +-lambda,
+    and M^2 splits into the even and the odd rows and columns.  The odd
+    block, of size depth, holds every mu = lambda^2 of a nonzero lambda; the
+    even block adds only the zero eigenvalue that an odd-sized M must have.
+    So the largest real part is max Re sqrt(mu) over the odd block, from one
+    depth x depth eigenvalue problem instead of a (2 depth + 1)^2 one.
+    """
+    mu = np.linalg.eigvals(_odd_block(chain, depth)).astype(complex)
+    return float(np.sqrt(mu).real.max()) - chain.gamma
 
 
 def unstable_count(s: int, delta: float, alpha: float, gamma: float) -> int:

@@ -127,14 +127,14 @@ def test_criterion_4_continued_fraction_vs_matrix():
         for s in (8, 16, 32):
             amp = inst.threshold_amplitude(s, delta, alpha, gamma)
             spec = inst.KolmogorovSpec(s=s, amplitude=amp, gamma=gamma)
-            for t, r in inst.region_lattice(s, delta):
-                ch = inst.Chain.from_spec(spec, alpha=alpha, t=t, r=r)
-                sigma = inst.solve_sigma(ch)
+            chains = [inst.Chain.from_spec(spec, alpha=alpha, t=t, r=r)
+                      for t, r in inst.region_lattice(s, delta)]
+            sigmas, lam0s = inst.solve_sigmas(chains), inst.solve_lambda0s(chains)
+            for ch, sigma, lam0 in zip(chains, sigmas.tolist(), lam0s.tolist()):
                 worst_gap = max(worst_gap, abs(sigma - inst.chain_matrix_eigen(ch)))
                 lo, hi = inst.sigma_bounds(ch, delta)
                 sigma_bounds_ok &= lo <= sigma <= hi
                 clo, chi = inst.coupling_bounds(ch, delta)
-                lam0 = inst.solve_lambda0(ch)
                 coupling_bounds_ok &= clo <= lam0 <= chi
                 n_chains += 1
         checks.append(("at least 50 chains", n_chains >= 50))
@@ -243,7 +243,7 @@ def test_criterion_8_lyapunov_engine():
         grid = make_grid(64)
         cands = [inst.Chain(s=s, t=t, r=r, alpha=alpha, gamma=gamma, coupling=1.0)
                  for t in (1, 2, 3) for r in (-1, 0, 1, 2)]
-        crit = min(inst.solve_lambda0(c) for c in cands if c.admissible())
+        crit = float(inst.solve_lambda0s([c for c in cands if c.admissible()]).min())
         amp = 0.8 * crit * 2.0 * math.sqrt(2.0) * math.pi * (1.0 + alpha * s * s)
         spec = inst.KolmogorovSpec(s=s, amplitude=amp, gamma=gamma)
         st = make_state(inst.stationary_vorticity(spec, grid), stables,

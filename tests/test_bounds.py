@@ -187,11 +187,12 @@ class TestLambdaChoice:
             delta = 0.35
             lam = bounds.lambda_choice(s, delta, alpha, 1.0)
             spec = instability.KolmogorovSpec(s=s, amplitude=lam, gamma=1.0)
-            for t, r in instability.region_lattice(s, delta):
-                ch = instability.Chain.from_spec(spec, alpha, t, r)
+            chains = [instability.Chain.from_spec(spec, alpha, t, r)
+                      for t, r in instability.region_lattice(s, delta)]
+            for ch, lam0 in zip(chains, instability.solve_lambda0s(chains).tolist()):
                 _, hi = instability.coupling_bounds(ch, delta)
                 assert ch.coupling >= hi * (1 - 1e-12)
-                assert instability.solve_lambda0(ch) < ch.coupling
+                assert lam0 < ch.coupling
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):

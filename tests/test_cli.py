@@ -10,11 +10,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bardina
 import bardina.cli as cli
 from bardina import instability
-from bardina.cli import ConfigError, load_config, parse_and_dispatch
+from bardina.cli import ConfigError, RunConfig, config_lines, load_config, parse_and_dispatch
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bardina.__file__)))
@@ -127,6 +129,55 @@ class TestConfigFile:
         assert "EBA_THREADS" in err
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        p = tmp_path / "latin1.conf"
+        p.write_bytes("alpha = 0.5  # \u00e9t\u00e9\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match="UTF-8"):
+            load_config(str(p))
+        assert run(capsys, "bounds", "--config", str(p))[0] == 2
+
+
+_KEYS = st.one_of(st.sampled_from(sorted(cli._PARSERS)), st.text(max_size=12))
+_LINE_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                            blacklist_characters="\n\r"), max_size=30)
+# what a value of each type can hold and still round-trip through a
+# `key = value` line: no comment mark, no line break, no outer whitespace
+_PLAIN_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                             blacklist_characters="#\n\r"),
+                      max_size=20).filter(lambda v: v == v.strip())
+_VALUES = {float: st.floats(), int: st.integers(), str: _PLAIN_TEXT}
+
+
+class TestConfigProperties:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.one_of(st.tuples(_KEYS, _LINE_TEXT).map(" = ".join), _LINE_TEXT),
+                          max_size=6))
+    def test_arbitrary_lines_parse_or_raise_config_error(self, tmp_path, lines):
+        p = tmp_path / "any.conf"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            values = load_config(str(p))
+        except ConfigError:
+            return
+        assert set(values) <= set(cli._PARSERS)
+        for key, val in values.items():
+            assert type(val) is cli._PARSERS[key]
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_config_lines_round_trip(self, tmp_path, data):
+        values = {key: data.draw(st.one_of(st.none(), _VALUES[parse]), label=key)
+                  for key, parse in cli._PARSERS.items()}
+        p = tmp_path / "echo.conf"
+        p.write_text("\n".join(config_lines(RunConfig(**values))) + "\n", encoding="utf-8")
+        want = {k: v for k, v in values.items() if v is not None}
+        got = load_config(str(p))
+        assert got.keys() == want.keys()
+        for key, val in want.items():
+            assert type(got[key]) is type(val) and repr(got[key]) == repr(val), key
+
 
 def _openblas_pool():
     """(get, set) of numpy's bundled OpenBLAS thread count, found independently of the CLI."""
@@ -169,6 +220,59 @@ class TestThreadCap:
         assert rc == 0 and err == ""
         assert seen and set(seen) == {1}
         assert after == before
+
+
+_POOL_CHILD = """
+import os
+{preload}
+env = dict(os.environ)
+from bardina import cli
+get, _ = cli._openblas_pool()
+print(get(), os.environ.get("OPENBLAS_NUM_THREADS"), env == dict(os.environ))
+"""
+
+_PLAIN_CHILD = """
+import numpy
+from bardina import cli
+get, _ = cli._openblas_pool()
+print(get())
+"""
+
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _pool_child(code, **env):
+    """Pool size (and state) seen by a child process started with only these thread variables."""
+    base = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**base, **env, "PYTHONPATH": os.pathsep.join(
+                              filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestBlasDefault:
+    # the CLI starts OpenBLAS with one thread unless the environment sets a
+    # pool size; the pool is sized when numpy loads, so only a fresh process
+    # shows it
+    def test_cli_import_starts_a_one_thread_pool(self):
+        _openblas_pool()
+        assert _pool_child(_POOL_CHILD.format(preload="")) == ["1", "1", "False"]
+
+    @pytest.mark.parametrize("var", _THREAD_VARIABLES)
+    def test_environment_pool_is_kept(self, var):
+        _openblas_pool()
+        plain = _pool_child(_PLAIN_CHILD, **{var: "2"})
+        pool, seen, unchanged = _pool_child(_POOL_CHILD.format(preload=""), **{var: "2"})
+        assert [pool] == plain and unchanged == "True"
+        assert seen == ("2" if var == "OPENBLAS_NUM_THREADS" else "None")
+
+    def test_import_after_numpy_changes_nothing(self):
+        _openblas_pool()
+        plain = _pool_child(_PLAIN_CHILD)
+        pool, seen, unchanged = _pool_child(_POOL_CHILD.format(preload="import numpy"))
+        assert [pool] == plain and seen == "None" and unchanged == "True"
 
 
 class TestUsageErrors:

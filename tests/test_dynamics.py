@@ -914,7 +914,7 @@ class TestLyapunov:
         # linearly stable Kolmogorov state at 0.8x the critical coupling: the
         # measured leading exponent is the top chain eigenvalue; modest run
         # and tolerance here, the acceptance suite repeats this tightly
-        from bardina.instability import solve_lambda0
+        from bardina.instability import solve_lambda0s
 
         alpha, gamma, s = 1.0 / 16.0, 1.0, 4
         params = ModelParams(alpha=alpha, gamma=gamma)
@@ -923,7 +923,7 @@ class TestLyapunov:
             Chain(s=s, t=t, r=r, alpha=alpha, gamma=gamma, coupling=1.0)
             for t in (1, 2, 3) for r in (-1, 0, 1, 2)
         ]
-        crit = min(solve_lambda0(c) for c in candidates if c.admissible())
+        crit = float(solve_lambda0s([c for c in candidates if c.admissible()]).min())
         amp = 0.8 * crit * 2.0 * math.sqrt(2.0) * math.pi * (1.0 + alpha * s * s)
         spec = KolmogorovSpec(s=s, amplitude=amp, gamma=gamma)
         st = make_state(stationary_vorticity(spec, grid), params,

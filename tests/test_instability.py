@@ -282,6 +282,26 @@ class TestSolveSigmas:
 
 
 class TestLambda0:
+    def test_batch_matches_single_chain_solves_in_any_order(self):
+        chains = [inst.Chain(s=s, t=t, r=r, alpha=1.0 / s**2, gamma=g, coupling=1.0)
+                  for s, g in ((8, 1.0), (16, 0.5), (24, 2.0))
+                  for t, r in inst.region_lattice(s, 0.2)]
+        chains += [inst.Chain(s=4, t=t, r=r, alpha=1 / 16, gamma=1.0, coupling=1.0)
+                   for t in (1, 2, 3) for r in (-1, 0, 1, 2)
+                   if inst.Chain(s=4, t=t, r=r, alpha=1 / 16, gamma=1.0, coupling=1.0).admissible()]
+        bits = TestSolveSigmas._bits
+        got = inst.solve_lambda0s(chains)
+        assert np.array_equal(bits(got), bits([inst.solve_lambda0(c) for c in chains]))
+        order = np.random.default_rng(3).permutation(len(chains))
+        shuffled = inst.solve_lambda0s([chains[i] for i in order])
+        assert np.array_equal(bits(shuffled), bits(got)[order])
+
+    def test_batch_edge_cases(self):
+        assert inst.solve_lambda0s([]).shape == (0,)
+        bad = inst.Chain(s=8, t=1, r=1, alpha=ALPHA, gamma=1.0, coupling=0.4)
+        with pytest.raises(ValueError):
+            inst.solve_lambda0s([PINNED, bad])
+
     def test_sign_change_around_root(self):
         lam0 = inst.solve_lambda0(PINNED)
         assert inst.solve_sigma(replace(PINNED, coupling=1.01 * lam0)) > 0
@@ -314,7 +334,76 @@ class TestLambda0:
         assert abs(0.5 * (lo + hi) - lam0) < 1e-6
 
 
+def dense_oracle(chain, depth):
+    """The full route: largest real eigenvalue part of the (2 depth + 1)^2 chain matrix."""
+    return float(np.linalg.eigvals(inst.chain_matrix(chain, depth)).real.max()) - chain.gamma
+
+
+def _threshold_chains(s, delta=0.35, gamma=1.0):
+    alpha = 1.0 / s**2
+    spec = inst.KolmogorovSpec(s=s, amplitude=inst.threshold_amplitude(s, delta, alpha, gamma),
+                               gamma=gamma)
+    return [inst.Chain.from_spec(spec, alpha, t, r) for t, r in inst.region_lattice(s, delta)]
+
+
+# unstable (threshold forcing), stable (the sub-critical shear of the stable
+# Lyapunov check, and a vanishing coupling) and inadmissible base modes,
+# one of them with a decoupled row (|k_1| = s)
+ORACLE_CHAINS = {
+    "unstable-s12": _threshold_chains(12)[0],
+    "unstable-s24": _threshold_chains(24)[-1],
+    "stable-shear": inst.Chain(s=4, t=1, r=0, alpha=1 / 16, gamma=1.0, coupling=0.1),
+    "stable-weak": replace(PINNED, coupling=1e-9),
+    "outside-t1": inst.Chain(s=8, t=1, r=1, alpha=ALPHA, gamma=1.0, coupling=0.4),
+    "outside-decoupled": inst.Chain(s=5, t=4, r=-2, alpha=0.1, gamma=1.0, coupling=0.3),
+}
+
+
+def _match(got, want, tol):
+    """Pair each value of got with the nearest unpaired value of want, within tol."""
+    want = list(want)
+    assert len(got) == len(want)
+    for g in got:
+        k = int(np.argmin(np.abs(np.asarray(want) - g)))
+        assert abs(want[k] - g) <= tol, (g, want[k])
+        want.pop(k)
+
+
 class TestMatrixOracle:
+    @pytest.mark.parametrize("depth", [1, 3, 5, 60, 121, 150, 200, 400])
+    @pytest.mark.parametrize("name", list(ORACLE_CHAINS))
+    def test_matches_dense_route(self, name, depth):
+        ch = ORACLE_CHAINS[name]
+        assert abs(inst.chain_matrix_eigen(ch, depth) - dense_oracle(ch, depth)) <= 1e-10
+
+    def test_matches_dense_route_on_cli_chains(self):
+        # every chain `bardina instability` reports at s = 8, 12 and 24
+        for s in (8, 12, 24):
+            for ch in _threshold_chains(s):
+                assert abs(inst.chain_matrix_eigen(ch) - dense_oracle(ch, 200)) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.integers(1, 24), t=st.integers(1, 16), r=st.integers(-24, 24),
+           alpha=st.floats(0.0, 0.5), coupling=st.floats(0.05, 5.0), depth=st.integers(1, 12))
+    def test_odd_block_holds_the_squared_spectrum(self, s, t, r, alpha, coupling, depth):
+        ch = inst.Chain(s=s, t=t, r=r, alpha=alpha, gamma=1.0, coupling=coupling)
+        m = inst.chain_matrix(ch, depth)
+        d = np.diag((-1.0) ** np.arange(m.shape[0]))
+        assert np.array_equal(d @ m @ d, -m)
+        # so M^2 has no even-odd entries, and the odd block is the package's
+        m2 = m @ m
+        assert np.all(m2[1::2, ::2] == 0.0) and np.all(m2[::2, 1::2] == 0.0)
+        block = inst._odd_block(ch, depth)
+        scale = max(1.0, float(np.abs(m).max())) ** 2
+        assert np.allclose(block, m2[1::2, 1::2], rtol=0.0, atol=1e-14 * scale)
+        # M's spectrum is +-lambda plus one zero: its squares are mu, mu and 0
+        mu = np.linalg.eigvals(block)
+        _match(np.linalg.eigvals(m) ** 2, np.concatenate((mu, mu, [0.0])), 1e-9 * scale)
+
+    def test_rejects_zero_depth(self):
+        with pytest.raises(ValueError):
+            inst.chain_matrix_eigen(PINNED, depth=0)
+
     def test_depth_stability(self):
         assert abs(
             inst.chain_matrix_eigen(PINNED, 200) - inst.chain_matrix_eigen(PINNED, 400)
