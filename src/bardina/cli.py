@@ -32,14 +32,16 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-# Every BLAS problem here is small (a depth-sized eigenvalue problem, thin
-# QRs), and OpenBLAS's default pool only keeps a second core spinning, from
-# import on.  A pool size is read once, when numpy loads OpenBLAS, so start
-# the CLI's at one thread unless the environment chose one; --threads and
-# EBA_THREADS cap it further while a command runs.
-if "numpy" not in sys.modules and not any(
-        os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                                        "OMP_NUM_THREADS")):
+# A pool size is read once, when numpy loads OpenBLAS, and the default pool
+# keeps a second core spinning from import on.  The BLAS problems of every
+# subcommand but lyapunov are small (depth-sized eigenvalue problems, thin
+# QRs), so start the CLI's pool at one thread unless the environment chose
+# one; lyapunov gets the default pool back while it runs (_blas_pool), and
+# --threads and EBA_THREADS cap the pool of any command.
+_ONE_THREAD_START = "numpy" not in sys.modules and not any(
+    os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                    "OMP_NUM_THREADS"))
+if _ONE_THREAD_START:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402  (after the pool size is chosen)
@@ -103,28 +105,24 @@ def load_config(path: str) -> dict:
     the offending line number.
     """
     values: dict = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _PARSERS:
-            raise ConfigError(f"{path}: unknown configuration key {key!r}")
-        try:
-            values[key] = _PARSERS[key](val)
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{lineno}: value {val!r} for key {key!r} is not "
-                f"a valid {_PARSERS[key].__name__}"
-            ) from None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            key, _, val = line.partition("=")
+            key, val = key.strip(), val.strip()
+            if key not in _PARSERS:
+                raise ConfigError(f"{path}: unknown configuration key {key!r}")
+            try:
+                values[key] = _PARSERS[key](val)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: value {val!r} for key {key!r} is not "
+                    f"a valid {_PARSERS[key].__name__}"
+                ) from None
     return values
 
 
@@ -147,16 +145,28 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     if merged["threads"] < 0:
         raise ConfigError(f"threads = {merged['threads']} (--threads, config file or "
                           "EBA_THREADS) must be >= 0, 0 = no cap")
-    return RunConfig(**merged)
+    cfg = RunConfig(**merged)
+    config_lines(cfg)  # refuse a setting the header cannot echo before any work starts
+    return cfg
 
 
 def config_lines(cfg: RunConfig) -> list[str]:
-    """Canonical `key = value` lines of the effective config (round-trips)."""
+    """Canonical `key = value` lines of the effective config; load_config reads
+    them back to the same values.
+
+    Raises:
+        ConfigError: for a string setting that such a line cannot hold: one
+            with `#`, a line break, or leading or trailing whitespace.
+    """
     out = []
     for name in sorted(_FIELD_TYPES):
         val = getattr(cfg, name)
         if val is None:
             continue
+        if isinstance(val, str) and ("#" in val or "\n" in val or "\r" in val
+                                     or val != val.strip()):
+            raise ConfigError(f"{name} = {val!r}: a setting cannot hold '#', a line break, "
+                              "or leading or trailing whitespace")
         out.append(f"{name} = {val!r}" if isinstance(val, float) else f"{name} = {val}")
     return out
 
@@ -212,24 +222,42 @@ def _openblas_pool():
     return None
 
 
+# subcommands whose BLAS work is worth sharing between threads: lyapunov's QR
+# of the (2 (2K+1)(K+1), exponents) tangent matrix takes 159 instead of 199 ms
+# on two threads at 256^2 with 64 exponents
+_WIDE_BLAS = ("lyapunov",)
+
+
+def _default_pool_size() -> int:
+    """Threads OpenBLAS starts with when no variable sets them: the usable CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @contextlib.contextmanager
-def _limit_threads(threads: int):
-    # cap the BLAS pool while one command runs, and pass the cap on to child
-    # processes; the FFT path is single-threaded
-    if threads == 0:
+def _blas_pool(threads: int, wide: bool):
+    # size the BLAS pool while one command runs: a wide command gets back the
+    # default pool that the one-thread start withheld, and threads > 0 caps
+    # the pool and reaches child processes too; the FFT path is single-threaded
+    widen = wide and _ONE_THREAD_START
+    if threads:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = str(threads)
+    elif not widen:
         yield
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
     pool = _openblas_pool()
     if pool is None:
-        print("bardina: no OpenBLAS thread setter found; --threads/EBA_THREADS reach "
-              "child processes only", file=sys.stderr)
+        if threads:
+            print("bardina: no OpenBLAS thread setter found; --threads/EBA_THREADS reach "
+                  "child processes only", file=sys.stderr)
         yield
         return
     get, put = pool
     before = get()
-    put(min(threads, before))
+    size = _default_pool_size() if widen else before
+    put(min(threads, size) if threads else size)
     try:
         yield
     finally:
@@ -498,8 +526,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="RNG seed (default 0)")
     common.add_argument("--threads", type=int,
                         help="cap on the BLAS thread pool, 0 = no cap; EBA_THREADS is the "
-                        "fallback. The pool starts at one thread unless OPENBLAS_NUM_THREADS, "
-                        "GOTO_NUM_THREADS or OMP_NUM_THREADS sets it")
+                        "fallback. Unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or "
+                        "OMP_NUM_THREADS sets it, the pool has one thread, and one per usable "
+                        "CPU for lyapunov")
     common.add_argument("--alpha", type=float, help="filter scale alpha > 0")
     common.add_argument("--gamma", type=float, help="damping rate gamma > 0")
 
@@ -548,7 +577,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _effective_config(args)
-        with _limit_threads(cfg.threads):
+        with _blas_pool(cfg.threads, cfg.subcommand in _WIDE_BLAS):
             return _COMMANDS[cfg.subcommand](cfg)
     except ConfigError as exc:
         print(f"bardina: {exc}", file=sys.stderr)

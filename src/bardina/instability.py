@@ -230,13 +230,14 @@ def _ladder_table(cols: np.ndarray, depth: int) -> np.ndarray:
 
 
 def _tabulated(cols: np.ndarray, n_max: int):
-    """A_n lookup (depth, chain indices) -> table for a batch whose couplings stay fixed.
+    """A_n lookup (depth, chain indices) -> table for a batch of chains.
 
-    Every chain sweeps depths n_max and 2 n_max in every bisection round, so
-    those tables are made once for the whole batch; deeper sweeps, which only
-    chains probed near sigma = -gamma need, are made for the chains asking.
-    While every chain is still bisecting, the table is handed over as it is:
-    a copy of it costs more than the sweep that reads it.
+    Every continued fraction sweeps depths n_max and 2 n_max, so those tables
+    are made once for the whole batch, and once per solve where the couplings
+    stay fixed across bisection rounds; deeper sweeps, which only chains probed
+    near sigma = -gamma need, are made for the chains asking.  While every
+    chain is still in play, the table is handed over as it is: a copy of it
+    costs more than the sweep that reads it.
     """
     tables, every = {}, np.arange(cols.shape[1])
 
@@ -251,13 +252,9 @@ def _tabulated(cols: np.ndarray, n_max: int):
 
 
 def _cf(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int, max_depth: int,
-        table=None) -> np.ndarray:
+        table) -> np.ndarray:
     # g of the chains cols[:, i] at depth 2n once depths n and 2n agree to 1e-10;
     # n doubles per chain from n_max.  table(depth, i) hands over their A_n.
-    if table is None:
-        def table(depth, i):
-            return _ladder_table(cols[:, i], depth)
-
     def sweep(j, depth):
         # both tails 1/(d_1 + 1/(d_2 + ... + 1/d_depth)), d_n = (gamma + sigma) A_n
         a, c = table(depth, i[j]), cols[4, i[j]] + sigma[j]
@@ -283,7 +280,7 @@ def _cf(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int, max_dept
 
 
 def _gap(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int,
-         table=None) -> np.ndarray:
+         table) -> np.ndarray:
     return _f(cols[:, i], sigma) - _cf(cols, i, sigma, n_max, _MAX_DEPTH, table)
 
 
@@ -322,8 +319,8 @@ def continued_fraction_g(chain: Chain, sigma: float, n_max: int = 32) -> float:
     """
     if sigma <= -chain.gamma:
         raise ValueError("sigma must exceed -gamma")
-    sigma = np.array([sigma], dtype=np.float64)
-    return float(_cf(_columns([chain]), np.arange(1), sigma, n_max, n_max)[0])
+    sigma, cols = np.array([sigma], dtype=np.float64), _columns([chain])
+    return float(_cf(cols, np.arange(1), sigma, n_max, n_max, _tabulated(cols, n_max))[0])
 
 
 def f_sigma(chain: Chain, sigma: float) -> float:
@@ -405,8 +402,9 @@ def solve_lambda0s(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarra
     cols, zero = _columns(chains), np.zeros(len(chains))
 
     def gap(coupling, i):
-        # the coupling moves every round, so A_n is made afresh for each probe
-        return _gap(np.vstack((cols[:5, i], coupling)), np.arange(i.size), zero[i], n_max)
+        # the coupling moves every round, so A_n is tabulated afresh for each probe
+        probe = np.vstack((cols[:5, i], coupling))
+        return _gap(probe, np.arange(i.size), zero[i], n_max, _tabulated(probe, n_max))
 
     bounds = np.array([coupling_bounds(c, c.t / c.s) for c in chains]).reshape(-1, 2)
     lo, hi = 0.5 * bounds[:, 0], 2.0 * bounds[:, 1]

@@ -129,23 +129,32 @@ class TestConfigFile:
         assert "EBA_THREADS" in err
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
-    def test_non_utf8_file(self, tmp_path, capsys):
-        p = tmp_path / "latin1.conf"
-        p.write_bytes("alpha = 0.5  # \u00e9t\u00e9\n".encode("latin-1"))
-        with pytest.raises(ConfigError, match="UTF-8"):
-            load_config(str(p))
-        assert run(capsys, "bounds", "--config", str(p))[0] == 2
+    @pytest.mark.parametrize("value", ["x#1.json", "a\nb.json", " out.json", "out.json\t"])
+    def test_setting_the_header_cannot_echo_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                      value):
+        # the `# output = ...` header line must read back as the same setting
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, "bounds", "--alpha", "0.004", "--gamma", "1",
+                           "--output", value)
+        assert rc == 2 and out == "" and "output" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 _KEYS = st.one_of(st.sampled_from(sorted(cli._PARSERS)), st.text(max_size=12))
 _LINE_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
                                             blacklist_characters="\n\r"), max_size=30)
-# what a value of each type can hold and still round-trip through a
-# `key = value` line: no comment mark, no line break, no outer whitespace
-_PLAIN_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
-                                             blacklist_characters="#\n\r"),
-                      max_size=20).filter(lambda v: v == v.strip())
-_VALUES = {float: st.floats(), int: st.integers(), str: _PLAIN_TEXT}
+# any text, with the characters a `key = value` line treats specially drawn often
+_VALUES = {float: st.floats(), int: st.integers(),
+           str: st.text(alphabet=st.one_of(st.sampled_from("#=\n\r \t\x0b\x1c\x85\u2028"),
+                                           st.characters(blacklist_categories=("Cs",))),
+                        max_size=20)}
+
+
+def _echoable(value):
+    """A `key = value` line holds a string with no comment mark, no line
+    break and no outer whitespace; every int and float."""
+    return not isinstance(value, str) or not (
+        "#" in value or "\n" in value or "\r" in value or value != value.strip())
 
 
 class TestConfigProperties:
@@ -170,8 +179,15 @@ class TestConfigProperties:
     def test_config_lines_round_trip(self, tmp_path, data):
         values = {key: data.draw(st.one_of(st.none(), _VALUES[parse]), label=key)
                   for key, parse in cli._PARSERS.items()}
+        try:
+            lines = config_lines(RunConfig(**values))
+        except ConfigError:
+            # refused exactly when some setting cannot be echoed
+            assert not all(_echoable(v) for v in values.values())
+            return
+        assert all(_echoable(v) for v in values.values())
         p = tmp_path / "echo.conf"
-        p.write_text("\n".join(config_lines(RunConfig(**values))) + "\n", encoding="utf-8")
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
         want = {k: v for k, v in values.items() if v is not None}
         got = load_config(str(p))
         assert got.keys() == want.keys()
@@ -238,6 +254,24 @@ get, _ = cli._openblas_pool()
 print(get())
 """
 
+_LYAPUNOV_CHILD = """
+import os
+from bardina import cli, dynamics
+get, _ = cli._openblas_pool()
+seen, spectrum = [], dynamics.lyapunov_spectrum
+
+def spy(*args, **kwargs):
+    seen.append(get())
+    return spectrum(*args, **kwargs)
+
+dynamics.lyapunov_spectrum = spy
+code = cli.parse_and_dispatch(["lyapunov", "--alpha", "0.015625", "--gamma", "1", "--grid", "32",
+                               "--dt", "0.05", "--exponents", "2", "--renorm-every", "1",
+                               "--t-transient", "0", "--t-average", "0.4",
+                               "--output", os.devnull{extra}])
+print(code, *seen, get())
+"""
+
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -273,6 +307,21 @@ class TestBlasDefault:
         plain = _pool_child(_PLAIN_CHILD)
         pool, seen, unchanged = _pool_child(_POOL_CHILD.format(preload="import numpy"))
         assert [pool] == plain and seen == "None" and unchanged == "True"
+
+    # lyapunov's QR gains from more threads, so it gets the default pool back
+    def test_lyapunov_runs_on_the_default_pool(self):
+        _openblas_pool()
+        plain = _pool_child(_PLAIN_CHILD)
+        assert _pool_child(_LYAPUNOV_CHILD.format(extra="")) == ["0", *plain, "1"]
+
+    def test_lyapunov_pool_is_capped_by_threads(self):
+        _openblas_pool()
+        assert _pool_child(_LYAPUNOV_CHILD.format(extra=', "--threads", "1"')) == ["0", "1", "1"]
+
+    def test_lyapunov_keeps_an_environment_pool(self):
+        _openblas_pool()
+        assert _pool_child(_LYAPUNOV_CHILD.format(extra=""),
+                           OPENBLAS_NUM_THREADS="1") == ["0", "1", "1"]
 
 
 class TestUsageErrors:
