@@ -27,10 +27,8 @@ from .inequalities import B2
 __all__ = [
     "upper_bound",
     "trace_bound_q",
-    "lambda_choice",
     "area_a",
     "lower_bound_constant",
-    "lower_bound",
     "DimensionReport",
     "dimension_report",
 ]
@@ -64,12 +62,6 @@ def trace_bound_q(n, alpha: float, gamma: float, curl_g_norm: float):
         raise ValueError("n must be >= 1")
     out = -gamma * narr + (B2 / math.sqrt(2.0)) * np.sqrt(narr / alpha) * curl_g_norm / gamma
     return float(out) if np.ndim(n) == 0 else out
-
-
-def lambda_choice(s: int, delta: float, alpha: float, gamma: float) -> float:
-    """Forcing amplitude making every admissible chain unstable; see
-    :func:`bardina.instability.threshold_amplitude`."""
-    return instability.threshold_amplitude(s, delta, alpha, gamma)
 
 
 def _sqrt_antiderivative(x: float, c: float) -> float:
@@ -121,18 +113,6 @@ def lower_bound_constant() -> tuple[float, float]:
             fd = score(d)
     delta_star = 0.5 * (a + b)
     return C1_PREFACTOR * score(delta_star), delta_star
-
-
-def lower_bound(alpha: float, gamma: float) -> float:
-    """Certified dimension lower bound c1 * ||curl g_s||^2 / (alpha gamma^4)
-    for the Kolmogorov forcing at s = ceil(1/sqrt(alpha)) with the
-    threshold amplitude at the optimal delta.
-
-    Raises:
-        ValueError: if alpha is so large that the admissible region holds
-            no lattice points ("no lower bound certified at this alpha").
-    """
-    return dimension_report(alpha, gamma).lower
 
 
 @dataclass(frozen=True)

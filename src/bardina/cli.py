@@ -52,7 +52,7 @@ from . import bounds as bounds_mod
 from . import dynamics, inequalities, instability
 from . import io as ckpt
 
-__all__ = ["RunConfig", "load_config", "main", "parse_and_dispatch"]
+__all__ = ["ConfigError", "RunConfig", "config_lines", "load_config", "main", "parse_and_dispatch"]
 
 
 class ConfigError(Exception):
@@ -102,27 +102,34 @@ def load_config(path: str) -> dict:
     """Parse a `key = value` file into typed values.
 
     Unknown keys and values of the wrong type are errors; the latter names
-    the offending line number.
+    the offending line number.  So are a file that cannot be read and one
+    that is not UTF-8 text.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _PARSERS:
-                raise ConfigError(f"{path}: unknown configuration key {key!r}")
-            try:
-                values[key] = _PARSERS[key](val)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: value {val!r} for key {key!r} is not "
-                    f"a valid {_PARSERS[key].__name__}"
-                ) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _PARSERS:
+            raise ConfigError(f"{path}: unknown configuration key {key!r}")
+        try:
+            values[key] = _PARSERS[key](val)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: value {val!r} for key {key!r} is not "
+                f"a valid {_PARSERS[key].__name__}"
+            ) from None
     return values
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .spectral import FourierGrid, SpectralField, VectorField, zero_field, zero_vector_field
 
 __all__ = [
-    "KolmogorovSpec", "Chain", "RecurrenceCoeffs", "ContinuedFractionError", "BracketError",
+    "KolmogorovSpec", "Chain", "ContinuedFractionError", "BracketError",
     "kolmogorov_forcing", "stationary_vorticity", "threshold_amplitude", "region_lattice",
     "in_region", "continued_fraction_g", "f_sigma", "solve_sigma", "solve_sigmas", "solve_lambda0",
     "solve_lambda0s", "sigma_bounds", "coupling_bounds", "chain_matrix", "chain_matrix_eigen",
@@ -186,29 +186,15 @@ class Chain:
         kn = self.s * np.asarray(n, dtype=np.float64) + self.r
         return self.t**2 + kn * kn
 
-    def recurrence(self) -> "RecurrenceCoeffs":
-        return RecurrenceCoeffs(self)
-
 
 def _ladder_a(s, t, r, alpha, coupling, n):
-    """A_n = (K + alpha K^2) / (coupling t (K - s^2)), K = t^2 + (s n + r)^2; broadcasts."""
+    """A_n = (K + alpha K^2) / (coupling t (K - s^2)), K = t^2 + (s n + r)^2; broadcasts.
+
+    The chain recurrence is d_n e_n + e_{n-1} - e_{n+1} = 0, d_n = (gamma + sigma) A_n.
+    """
     kn = s * n + r
     k_sq = t * t + kn * kn
     return (k_sq + alpha * k_sq * k_sq) / (coupling * t * (k_sq - s * s))
-
-
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
-    """Coefficients of the three-term recurrence d_n e_n + e_{n-1} - e_{n+1} = 0."""
-
-    chain: Chain
-
-    def A(self, n) -> np.ndarray:
-        c = self.chain
-        return _ladder_a(c.s, c.t, c.r, c.alpha, c.coupling, np.asarray(n, dtype=np.float64))
-
-    def d(self, n, sigma: float) -> np.ndarray:
-        return (self.chain.gamma + sigma) * self.A(n)
 
 
 def _columns(chains) -> np.ndarray:

@@ -3,10 +3,9 @@
 Format EBV1, all little-endian: the magic bytes "EBV1", u32 grid size n,
 f64 alpha, f64 gamma, f64 time, then the n*n coefficients as (re, im) f64
 pairs, row-major, with both wavenumber axes stored in the shifted order
--n/2 .. n/2-1.  Scalar fields are one file; a vector field carries a u8
-component count right after the header, followed by the components in
-order.  A simulation state is two scalar files: the vorticity at the given
-path and curl of the forcing next to it with the suffix ".forcing".
+-n/2 .. n/2-1.  One file holds one scalar field.  A simulation state is two
+files: the vorticity at the given path and curl of the forcing next to it
+with the suffix ".forcing".
 
 Every file is written to a temporary file in the same directory, synced and
 renamed over the target, so a reader sees the old file or the new one,
@@ -21,27 +20,17 @@ import struct
 import numpy as np
 
 from .dynamics import SimState
-from .spectral import ModelParams, SpectralField, VectorField, make_grid
+from .spectral import ModelParams, SpectralField, make_grid
 
 __all__ = [
     "load_state",
     "read_scalar",
-    "read_vector",
     "save_state",
     "write_scalar",
-    "write_vector",
 ]
 
 MAGIC = b"EBV1"
 _HEADER = struct.Struct("<4sIddd")
-
-
-def _shifted(coeffs: np.ndarray) -> np.ndarray:
-    return np.fft.fftshift(coeffs, axes=(-2, -1)).astype("<c16")
-
-
-def _unshifted(raw: np.ndarray) -> np.ndarray:
-    return np.fft.ifftshift(raw.astype(np.complex128), axes=(-2, -1))
 
 
 def _write_atomic(path: str, *chunks: bytes) -> None:
@@ -61,16 +50,12 @@ def _write_atomic(path: str, *chunks: bytes) -> None:
 
 def write_scalar(path: str, field: SpectralField, params: ModelParams, time: float) -> None:
     header = _HEADER.pack(MAGIC, field.grid.n, params.alpha, params.gamma, time)
-    _write_atomic(path, header, _shifted(field.coeffs).tobytes())
+    _write_atomic(path, header, np.fft.fftshift(field.coeffs).astype("<c16").tobytes())
 
 
-def write_vector(path: str, field: VectorField, params: ModelParams, time: float) -> None:
-    header = _HEADER.pack(MAGIC, field.grid.n, params.alpha, params.gamma, time)
-    count = struct.pack("<B", field.coeffs.shape[0])
-    _write_atomic(path, header, count, _shifted(field.coeffs).tobytes())
-
-
-def _read_header(path: str, blob: bytes) -> tuple[int, ModelParams, float]:
+def read_scalar(path: str) -> tuple[SpectralField, ModelParams, float]:
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if len(blob) < _HEADER.size:
         raise ValueError(f"{path}: truncated checkpoint header")
     magic, n, alpha, gamma, time = _HEADER.unpack_from(blob)
@@ -78,32 +63,12 @@ def _read_header(path: str, blob: bytes) -> tuple[int, ModelParams, float]:
         raise ValueError(f"{path}: bad magic {magic!r}, not an EBV1 checkpoint")
     if n < 4 or n % 2 != 0:
         raise ValueError(f"{path}: invalid grid size {n}")
-    return n, ModelParams(alpha=alpha, gamma=gamma), time
-
-
-def read_scalar(path: str) -> tuple[SpectralField, ModelParams, float]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    n, params, time = _read_header(path, blob)
     expect = _HEADER.size + 16 * n * n
     if len(blob) != expect:
         raise ValueError(f"{path}: expected {expect} bytes for a scalar field, got {len(blob)}")
     raw = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size).reshape(n, n)
-    return SpectralField(make_grid(n), _unshifted(raw)), params, time
-
-
-def read_vector(path: str) -> tuple[VectorField, ModelParams, float]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    n, params, time = _read_header(path, blob)
-    if len(blob) < _HEADER.size + 1:
-        raise ValueError(f"{path}: truncated vector checkpoint")
-    (ncomp,) = struct.unpack_from("<B", blob, _HEADER.size)
-    expect = _HEADER.size + 1 + 16 * ncomp * n * n
-    if ncomp == 0 or len(blob) != expect:
-        raise ValueError(f"{path}: expected {expect} bytes for {ncomp} components, got {len(blob)}")
-    raw = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size + 1).reshape(ncomp, n, n)
-    return VectorField(make_grid(n), _unshifted(raw)), params, time
+    coeffs = np.fft.ifftshift(raw.astype(np.complex128))
+    return SpectralField(make_grid(n), coeffs), ModelParams(alpha=alpha, gamma=gamma), time
 
 
 def save_state(state: SimState, path: str) -> None:

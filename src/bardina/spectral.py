@@ -42,20 +42,15 @@ __all__ = [
     "SpectralField",
     "VectorField",
     "make_grid",
-    "field_from_samples",
+    "hermitianize",
     "zero_field",
+    "zero_vector_field",
     "smooth",
-    "inverse_smooth",
     "gradient",
     "curl",
-    "divergence_coeffs",
     "stream_velocity",
     "velocity_from_vorticity",
-    "jacobian",
-    "leray_project",
     "alpha_inner",
-    "alpha_norm_sq",
-    "l2_inner",
     "random_field",
 ]
 
@@ -198,13 +193,6 @@ def hermitianize(grid: FourierGrid, coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (coeffs + np.conj(flipped))
 
 
-def field_from_samples(grid: FourierGrid, samples: np.ndarray) -> SpectralField:
-    """Transform real collocation samples to a spectral field."""
-    c = np.fft.fft2(samples) / grid.n**2
-    c = hermitianize(grid, c)
-    return SpectralField(grid, c)
-
-
 def zero_field(grid: FourierGrid) -> SpectralField:
     return SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
 
@@ -223,19 +211,6 @@ def smooth(f: SpectralField, alpha: float) -> SpectralField:
     return SpectralField(f.grid, f.coeffs / (1.0 + alpha * f.grid.k_sq))
 
 
-def inverse_smooth(f: SpectralField, alpha: float) -> SpectralField:
-    """Apply (1 - alpha*Laplacian), the inverse of smooth()."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return SpectralField(f.grid, f.coeffs * (1.0 + alpha * f.grid.k_sq))
-
-
-def smooth_vector(u: VectorField, alpha: float) -> VectorField:
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return VectorField(u.grid, u.coeffs / (1.0 + alpha * u.grid.k_sq))
-
-
 def gradient(f: SpectralField) -> VectorField:
     g = f.grid
     return VectorField(g, np.stack((1j * g.k1 * f.coeffs, 1j * g.k2 * f.coeffs)))
@@ -245,12 +220,6 @@ def curl(u: VectorField) -> SpectralField:
     """Scalar curl d1 u2 - d2 u1 of a plane vector field."""
     g = u.grid
     return SpectralField(g, 1j * g.k1 * u.coeffs[1] - 1j * g.k2 * u.coeffs[0])
-
-
-def divergence_coeffs(u: VectorField) -> np.ndarray:
-    """Spectral divergence i*k.uhat, returned as a raw array."""
-    g = u.grid
-    return 1j * (g.k1 * u.coeffs[0] + g.k2 * u.coeffs[1])
 
 
 @lru_cache(maxsize=16)
@@ -341,22 +310,20 @@ def _samples(
     grid: FourierGrid,
     ops: np.ndarray,
     band: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Collocation samples (f, n, n) of the real fields with band
-    coefficients ops * band: ops is (f, 2K+1, K+1), band one band or f.
+    coefficients ops * band, into out: ops is (f, 2K+1, K+1), band one band
+    or f.
 
     The two transforms irfft2 makes, on the band only: the products go
     straight into the two row blocks of the column input, the ifft over
     axis -2 runs out of place into the columns k2 <= K of the row input,
-    and the irfft over axis -1 makes the samples, into out if given.
-    scratch is the pair of _sample_scratch for as many fields; without it a
-    fresh pair is made.  The inputs are never written.
+    and the irfft over axis -1 makes the samples.  scratch is the pair of
+    _sample_scratch for as many fields.  The inputs are never written.
     """
     n, cut = grid.n, grid.cut
-    if scratch is None:
-        scratch = _sample_scratch(grid, len(ops))
     pad, rows = scratch
     np.multiply(ops[..., : cut + 1, :], band[..., : cut + 1, :], out=pad[:, : cut + 1])
     np.multiply(ops[..., cut + 1 :, :], band[..., cut + 1 :, :], out=pad[:, n - cut :])
@@ -367,24 +334,22 @@ def _samples(
 def _spectrum(
     grid: FourierGrid,
     samples: np.ndarray,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
-    """Band of the spectra of de-aliased products; its k = 0 entry is zero
-    and its k2 = 0 column, the only one rfft2 leaves inexactly Hermitian, is
-    made exactly Hermitian.
+    """Band of the spectra of de-aliased products, into out; its k = 0
+    entry is zero and its k2 = 0 column, the only one rfft2 leaves inexactly
+    Hermitian, is made exactly Hermitian.
 
     The two transforms rfft2 makes: rfft over axis -1, into scratch
-    (..., n, n//2+1) if given, then fft over -2 in place on the columns
-    k2 <= K only, whose band rows are then copied out, into out if given.
-    Band values are rfft2's to the bit.
+    (..., n, n//2+1), then fft over -2 in place on the columns k2 <= K
+    only, whose band rows are then copied out.  Band values are rfft2's to
+    the bit.
     """
     n, cut = grid.n, grid.cut
     c = np.fft.rfft(samples, n, axis=-1, norm="forward", out=scratch)
     cols = c[..., : cut + 1]
     np.fft.fft(cols, n, axis=-2, norm="forward", out=cols)
-    if out is None:
-        out = np.empty(samples.shape[:-2] + (2 * cut + 1, cut + 1), dtype=complex)
     out[..., : cut + 1, :] = cols[..., : cut + 1, :]
     out[..., cut + 1 :, :] = cols[..., n - cut :, :]
     out[..., 0, 0] = 0.0
@@ -401,37 +366,6 @@ def _full(grid: FourierGrid, half: np.ndarray) -> np.ndarray:
     return out
 
 
-def jacobian(a: SpectralField, b: SpectralField) -> SpectralField:
-    """De-aliased Jacobian J(a, b) = d1a d2b - d2a d1b of two real fields.
-
-    Inputs are cut to the 2/3 band, derivatives multiplied out in
-    physical space, and the product transformed back to the band, so
-    the retained coefficients are exact convolution values.  The k = 0 mode
-    is zeroed (the Jacobian has zero mean analytically).
-    """
-    g = a.grid
-    if b.grid.n != g.n:
-        raise ValueError("fields live on different grids")
-    grad = _band_grad(g.cut)
-    d1a, d2a = _samples(g, grad, _band(g, a.coeffs))
-    d1b, d2b = _samples(g, grad, _band(g, b.coeffs))
-    return SpectralField(g, _full(g, _unband(g, _spectrum(g, d1a * d2b - d2a * d1b))))
-
-
-def leray_project(u: VectorField) -> VectorField:
-    """Remove the gradient part: uhat -> uhat - k (k.uhat)/|k|^2."""
-    g = u.grid
-    kdotu = (g.k1 * u.coeffs[0] + g.k2 * u.coeffs[1]) * _inverse_laplacian(g.n)
-    out = u.coeffs.copy()
-    out[0] += g.k1 * kdotu
-    out[1] += g.k2 * kdotu
-    return VectorField(g, out)
-
-
-def l2_inner(u: VectorField, v: VectorField) -> float:
-    return float((2.0 * np.pi) ** 2 * np.vdot(u.coeffs, v.coeffs).real)
-
-
 def alpha_inner(theta: VectorField, xi: VectorField, alpha: float) -> float:
     """Inner product of the filtered energy space.
 
@@ -445,10 +379,6 @@ def alpha_inner(theta: VectorField, xi: VectorField, alpha: float) -> float:
     w = 1.0 / (1.0 + alpha * theta.grid.k_sq)
     s = np.sum((theta.coeffs * np.conj(xi.coeffs)).real * w)
     return float((2.0 * np.pi) ** 2 * s)
-
-
-def alpha_norm_sq(theta: VectorField, alpha: float) -> float:
-    return alpha_inner(theta, theta, alpha)
 
 
 def random_field(

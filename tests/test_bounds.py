@@ -163,29 +163,25 @@ class TestLowerBoundConstant:
 
 
 class TestLambdaChoice:
-    def test_delegates(self):
-        assert bounds.lambda_choice(8, 0.35, 0.01, 1.5) == instability.threshold_amplitude(
-            8, 0.35, 0.01, 1.5
-        )
-
     def test_curl_norm_at_matched_scale(self):
         # s = 1/sqrt(alpha) exactly: ||curl g_s||^2 = (110 pi/21)^2 gamma^4 16/delta^4
         s, delta, gamma = 16, 0.4, 1.2
         alpha = 1.0 / s**2
-        lam = bounds.lambda_choice(s, delta, alpha, gamma)
+        lam = instability.threshold_amplitude(s, delta, alpha, gamma)
         curl_sq = (gamma * lam * s) ** 2
         want = (110 * math.pi / 21) ** 2 * gamma**4 * 16.0 / delta**4
         assert curl_sq == pytest.approx(want, rel=1e-12)
 
     def test_linear_in_gamma(self):
-        a = bounds.lambda_choice(8, 0.35, 0.01, 1.0)
-        assert bounds.lambda_choice(8, 0.35, 0.01, 3.0) == pytest.approx(3 * a, rel=1e-14)
+        a = instability.threshold_amplitude(8, 0.35, 0.01, 1.0)
+        b = instability.threshold_amplitude(8, 0.35, 0.01, 3.0)
+        assert b == pytest.approx(3 * a, rel=1e-14)
 
     def test_induced_coupling_tops_critical_band(self):
         for s in (8, 16, 32):
             alpha = 1.0 / s**2
             delta = 0.35
-            lam = bounds.lambda_choice(s, delta, alpha, 1.0)
+            lam = instability.threshold_amplitude(s, delta, alpha, 1.0)
             spec = instability.KolmogorovSpec(s=s, amplitude=lam, gamma=1.0)
             chains = [instability.Chain.from_spec(spec, alpha, t, r)
                       for t, r in instability.region_lattice(s, delta)]
@@ -196,7 +192,7 @@ class TestLambdaChoice:
 
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
-            bounds.lambda_choice(8, 0.6, 0.01, 1.0)
+            instability.threshold_amplitude(8, 0.6, 0.01, 1.0)
 
 
 class TestLowerBound:
@@ -204,11 +200,10 @@ class TestLowerBound:
         alpha, gamma = 1.0 / 1024, 1.0
         c1, delta_star = bounds.lower_bound_constant()
         s = 32
-        lam = bounds.lambda_choice(s, delta_star, alpha, gamma)
+        lam = instability.threshold_amplitude(s, delta_star, alpha, gamma)
         curl_sq = (gamma * lam * s) ** 2
-        assert bounds.lower_bound(alpha, gamma) / (curl_sq / (alpha * gamma**4)) == pytest.approx(
-            c1, rel=1e-14
-        )
+        lower = bounds.dimension_report(alpha, gamma).lower
+        assert lower / (curl_sq / (alpha * gamma**4)) == pytest.approx(c1, rel=1e-14)
 
     def test_below_upper_bound_across_alphas(self):
         for k in range(6, 13):
@@ -226,17 +221,17 @@ class TestLowerBound:
         alpha = 2.0**-6  # s = 8
         _, delta_star = bounds.lower_bound_constant()
         count = instability.unstable_count(8, delta_star, alpha, 1.0)
-        assert bounds.lower_bound(alpha, 1.0) <= 2 * count * 1.25
+        assert bounds.dimension_report(alpha, 1.0).lower <= 2 * count * 1.25
 
     def test_uncertifiable_alpha(self):
         with pytest.raises(ValueError, match="no lower bound certified"):
-            bounds.lower_bound(1.0, 1.0)
+            bounds.dimension_report(1.0, 1.0)
         with pytest.raises(ValueError, match="no lower bound certified"):
-            bounds.lower_bound(0.25, 1.0)  # s = 2 < 4
+            bounds.dimension_report(0.25, 1.0)  # s = 2 < 4
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            bounds.lower_bound(-0.1, 1.0)
+            bounds.dimension_report(-0.1, 1.0)
 
 
 class TestDimensionReport:
@@ -244,7 +239,7 @@ class TestDimensionReport:
         rep = bounds.dimension_report(1.0 / 256, 2.0)
         assert rep.alpha == 1.0 / 256 and rep.gamma == 2.0 and rep.s == 16
         assert rep.upper == bounds.upper_bound(rep.alpha, rep.gamma, rep.curl_g_norm_sq)
-        assert rep.lower == bounds.lower_bound(rep.alpha, rep.gamma)
+        assert rep.lower == rep.constant_c1 * rep.curl_g_norm_sq / (rep.alpha * rep.gamma**4)
 
     def test_count_tracks_lower_bound_scaling(self):
         # halving alpha quadruples s^2 and roughly quadruples both the
@@ -252,7 +247,7 @@ class TestDimensionReport:
         _, delta_star = bounds.lower_bound_constant()
         c8 = instability.unstable_count(8, delta_star, 2.0**-6, 1.0)
         c16 = instability.unstable_count(16, delta_star, 2.0**-8, 1.0)
-        l8 = bounds.lower_bound(2.0**-6, 1.0)
-        l16 = bounds.lower_bound(2.0**-8, 1.0)
+        l8 = bounds.dimension_report(2.0**-6, 1.0).lower
+        l16 = bounds.dimension_report(2.0**-8, 1.0).lower
         assert l16 / l8 == pytest.approx(4.0, rel=1e-6)
         assert 2.0 <= c16 / c8 <= 8.0

@@ -160,11 +160,13 @@ def _echoable(value):
 class TestConfigProperties:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(lines=st.lists(st.one_of(st.tuples(_KEYS, _LINE_TEXT).map(" = ".join), _LINE_TEXT),
-                          max_size=6))
-    def test_arbitrary_lines_parse_or_raise_config_error(self, tmp_path, lines):
+    @given(content=st.one_of(
+        st.lists(st.one_of(st.tuples(_KEYS, _LINE_TEXT).map(" = ".join), _LINE_TEXT),
+                 max_size=6).map(lambda lines: ("\n".join(lines) + "\n").encode("utf-8")),
+        st.binary(max_size=200)))
+    def test_arbitrary_lines_parse_or_raise_config_error(self, tmp_path, content):
         p = tmp_path / "any.conf"
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        p.write_bytes(content)
         try:
             values = load_config(str(p))
         except ConfigError:
@@ -358,6 +360,20 @@ class TestUsageErrors:
         rc, _, _ = run(capsys, "bounds", "--config", "/nonexistent.conf",
                        "--alpha", "0.004", "--gamma", "1")
         assert rc == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_config_file(self, tmp_path, kind):
+        # a directory, or a file that is not UTF-8 text, is a configuration error
+        path = tmp_path
+        if kind == "latin-1":
+            path = tmp_path / "latin1.conf"
+            path.write_bytes("# caf\u00e9\nalpha = 0.004\n".encode("latin-1"))
+        proc = _run_child([sys.executable, "-c",
+                           "import sys; from bardina.cli import main; sys.exit(main())"],
+                          "bounds", "--config", str(path), "--gamma", "1")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("bardina: ") and "Traceback" not in proc.stderr
+        assert str(path) in proc.stderr
 
 
 class TestHeaders:

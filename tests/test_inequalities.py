@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bardina import inequalities as ineq
-from bardina.spectral import make_grid, field_from_samples, random_field, zero_field
+from bardina.spectral import SpectralField, hermitianize, make_grid, random_field, zero_field
 
 from conftest import (
     AREA_ORACLE,
@@ -15,6 +15,12 @@ from conftest import (
     PHI_ARGMAX,
     PSI_ORACLE,
 )
+
+
+def _squared(w):
+    """The field w^2, transformed from its samples."""
+    g = w.grid
+    return SpectralField(g, hermitianize(g, np.fft.fft2(w.to_samples() ** 2) / g.n**2))
 
 
 class TestK1:
@@ -273,14 +279,14 @@ class TestTraceCheck:
     def test_random_nonneg_potential(self, rng):
         g = make_grid(64)
         w = random_field(g, rng, amplitude=1.0, band=10)
-        V = field_from_samples(g, w.to_samples() ** 2)  # band 20: alias-free
+        V = _squared(w)  # band 20: alias-free
         r = ineq.trace_k2_check(V, m=2.0, k_cut=12)
         assert 0 < r.lhs <= r.rhs
 
     def test_truncation_monotone(self, rng):
         g = make_grid(64)
         w = random_field(g, rng, amplitude=1.0, band=8)
-        V = field_from_samples(g, w.to_samples() ** 2)
+        V = _squared(w)
         vals = [ineq.trace_k2_check(V, m=1.0, k_cut=c).lhs for c in (6, 10, 14)]
         assert vals[0] < vals[1] < vals[2]
 

@@ -10,11 +10,10 @@ from hypothesis import strategies as hs
 
 from bardina.dynamics import make_state, simulate, step
 from bardina.instability import KolmogorovSpec, kolmogorov_forcing
-from bardina.io import load_state, read_scalar, read_vector, save_state, write_scalar, write_vector
+from bardina.io import load_state, read_scalar, save_state, write_scalar
 from bardina.spectral import (
     ModelParams,
     SpectralField,
-    VectorField,
     hermitianize,
     make_grid,
     random_field,
@@ -93,33 +92,6 @@ class TestScalarFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_scalar(str(tmp_path / "absent.ebv"))
-
-
-class TestVectorFormat:
-    def test_round_trip(self, tmp_path, rng):
-        grid = make_grid(16)
-        comps = np.stack([_real_field(grid, rng).coeffs for _ in range(2)])
-        v = VectorField(grid, comps)
-        p = str(tmp_path / "v.ebv")
-        write_vector(p, v, PARAMS, 1.25)
-        w, params, time = read_vector(p)
-        assert np.array_equal(w.coeffs, v.coeffs)
-        assert (params, time) == (PARAMS, 1.25)
-
-    def test_component_count_byte(self, tmp_path, rng):
-        grid = make_grid(16)
-        v = VectorField(grid, np.stack([_real_field(grid, rng).coeffs for _ in range(2)]))
-        p = str(tmp_path / "v.ebv")
-        write_vector(p, v, PARAMS, 0.0)
-        blob = open(p, "rb").read()
-        assert blob[32] == 2
-        assert len(blob) == 33 + 2 * 16 * 16 * 16
-
-    def test_zero_components_rejected(self, tmp_path):
-        p = tmp_path / "v.ebv"
-        p.write_bytes(struct.pack("<4sIddd", b"EBV1", 16, 1.0, 1.0, 0.0) + b"\x00")
-        with pytest.raises(ValueError, match="components"):
-            read_vector(str(p))
 
 
 class TestStateCheckpoint:
@@ -212,23 +184,6 @@ class TestStateCheckpoint:
         assert np.array_equal(back.omega.coeffs, old.omega.coeffs)
         assert back.time == old.time
 
-    def test_failed_vector_write_keeps_previous_file(self, tmp_path, rng, monkeypatch):
-        grid = make_grid(16)
-        p = str(tmp_path / "v.ebv")
-        first = VectorField(grid, np.stack([_real_field(grid, rng).coeffs] * 2))
-        write_vector(p, first, PARAMS, 1.0)
-        blob = open(p, "rb").read()
-
-        def failing(fd):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(os, "fsync", failing)
-        with pytest.raises(OSError, match="disk full"):
-            write_vector(p, VectorField(grid, 2.0 * first.coeffs), PARAMS, 2.0)
-        monkeypatch.undo()
-        assert os.listdir(tmp_path) == ["v.ebv"]
-        assert open(p, "rb").read() == blob
-
     @pytest.mark.parametrize("observe_every", [1, 7, 40])
     def test_restart_is_bit_identical(self, tmp_path, rng, observe_every):
         # run to T in one go vs checkpoint at T/2 and resume: same bytes,
@@ -278,25 +233,6 @@ class TestRoundTripProperties:
             q = os.path.join(d, "g.ebv")
             write_scalar(q, back, back_params, back_time)
             assert open(q, "rb").read() == open(p, "rb").read()
-        assert back.coeffs.tobytes() == field.coeffs.tobytes()
-        assert struct.pack("<ddd", back_params.alpha, back_params.gamma, back_time) == \
-            struct.pack("<ddd", alpha, gamma, time)
-
-    @given(half=hs.integers(2, 32), components=hs.integers(1, 4), alpha=_POSITIVE,
-           gamma=_POSITIVE, time=hs.floats(allow_nan=False, allow_infinity=False),
-           seed=hs.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_vector(self, half, components, alpha, gamma, time, seed):
-        grid, params = make_grid(2 * half), ModelParams(alpha=alpha, gamma=gamma)
-        field = VectorField(grid, _payload((components, grid.n, grid.n), seed))
-        with tempfile.TemporaryDirectory() as d:
-            p = os.path.join(d, "v.ebv")
-            write_vector(p, field, params, time)
-            back, back_params, back_time = read_vector(p)
-            q = os.path.join(d, "w.ebv")
-            write_vector(q, back, back_params, back_time)
-            assert open(q, "rb").read() == open(p, "rb").read()
-        assert back.coeffs.shape == field.coeffs.shape
         assert back.coeffs.tobytes() == field.coeffs.tobytes()
         assert struct.pack("<ddd", back_params.alpha, back_params.gamma, back_time) == \
             struct.pack("<ddd", alpha, gamma, time)
