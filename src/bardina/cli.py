@@ -16,8 +16,13 @@ follows the comment lines, so strip `#` lines before handing it to a JSON
 parser.
 
 Configuration may come from a `key = value` file (# comments allowed);
-command-line flags override file values.  Exit codes: 0 success, 1 a verify
-suite failed (or a computation error), 2 usage or configuration error.
+command-line flags override file values.  `RunConfig` is the one table of
+settings: each field is a file key and, for the subcommands that take it, a
+flag.  A file key that the subcommand does not take is refused, unless it
+repeats what the header echoes for it (its default, or for `subcommand` the
+running one), so an echoed header reads back as the same configuration.
+Exit codes: 0 success, 1 a verify suite failed (or a computation error),
+2 usage or configuration error.
 """
 from __future__ import annotations
 
@@ -27,10 +32,10 @@ import ctypes
 import glob
 import hashlib
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_type_hints
 
 # A pool size is read once, when numpy loads OpenBLAS, and the default pool
 # keeps a second core spinning from import on.  The BLAS problems of every
@@ -47,7 +52,7 @@ if _ONE_THREAD_START:
 import numpy as np  # noqa: E402  (after the pool size is chosen)
 
 from . import __version__
-from .spectral import ModelParams, SpectralField, make_grid, random_field
+from .spectral import ModelParams, SpectralField, curl, make_grid, random_field
 from . import bounds as bounds_mod
 from . import dynamics, inequalities, instability
 from . import io as ckpt
@@ -59,43 +64,64 @@ class ConfigError(Exception):
     pass
 
 
+_ALL = ("simulate", "lyapunov", "instability", "bounds", "verify")
+_FLOW = ("simulate", "lyapunov")
+
+
+def _setting(default, commands: tuple[str, ...], text: str | None = None):
+    """A RunConfig field: its default, the subcommands that take it (as a
+    flag and as a file key) and the help text of its flag."""
+    return field(default=default, metadata={"commands": commands, "help": text})
+
+
 @dataclass
 class RunConfig:
-    """Effective settings of one invocation; file values, then flag overrides."""
+    """Effective settings of one invocation; file values, then flag overrides.
 
-    subcommand: str = ""
-    alpha: float | None = None
-    gamma: float | None = None
-    grid: int | None = None
-    dt: float | None = None
-    t_end: float | None = None
-    forcing: str = "zero"
-    seed: int = 0
-    output: str | None = None
-    threads: int = 0
-    s: int | None = None
-    delta: float = 0.35
-    amplitude: float | None = None
-    exponents: int = 4
-    renorm_every: int = 10
-    t_transient: float | None = None
-    t_average: float | None = None
-    suite: str = "all"
-    initial: str | None = None
-    save: str | None = None
-    observe_every: int = 1
+    This is the one table of settings: a field's annotation types its flag
+    and its file value, and its metadata names the subcommands that take it
+    and the help text of its flag.  The header echoes every field.
+    """
+
+    subcommand: str = _setting("", ())  # named on the command line, never a flag
+    alpha: float | None = _setting(None, _ALL, "filter scale alpha > 0")
+    gamma: float | None = _setting(None, _ALL, "damping rate gamma > 0")
+    grid: int | None = _setting(None, _FLOW, "modes per axis, power of two >= 32")
+    dt: float | None = _setting(None, _FLOW, "time step")
+    t_end: float | None = _setting(None, ("simulate",), "final time, a whole number of steps")
+    forcing: str = _setting("zero", _FLOW, "'zero' | 'kolmogorov S LAMBDA' | 'checkpoint PATH'")
+    seed: int = _setting(0, _ALL, "RNG seed (default 0)")
+    output: str | None = _setting(None, _ALL, "output file (default: stdout)")
+    threads: int = _setting(
+        0, _ALL, "cap on the BLAS thread pool, 0 = no cap; EBA_THREADS is the fallback. "
+        "Unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS sets it, the pool "
+        "has one thread, and one per usable CPU for lyapunov")
+    s: int | None = _setting(None, ("instability",), "forcing wavenumber")
+    delta: float = _setting(0.35, ("instability", "verify"), "region parameter (default 0.35)")
+    amplitude: float | None = _setting(
+        None, ("instability",), "forcing amplitude; default is the threshold-exceeding choice")
+    exponents: int = _setting(4, ("lyapunov",), "number of exponents (default 4)")
+    renorm_every: int = _setting(10, ("lyapunov",),
+                                 "time steps between renormalizations (default 10)")
+    t_transient: float | None = _setting(
+        None, ("lyapunov",), "time discarded before averaging, a whole number of "
+        "renorm_every * dt intervals (default about 50/gamma)")
+    t_average: float | None = _setting(
+        None, ("lyapunov",), "averaging time, a whole number of renorm_every * dt "
+        "intervals (default about 500/gamma)")
+    suite: str = _setting("all", ("verify",), "one of lattice-F, rho-l2, trace-k2, "
+                          "sigma-bounds, psi-negative, or all (default)")
+    initial: str | None = _setting(
+        None, _FLOW, "EBV1 checkpoint to start from; it carries its grid and forcing: "
+        "a --grid must match it, a --forcing other than zero is refused")
+    save: str | None = _setting(None, ("simulate",), "write final state checkpoint here")
+    observe_every: int = _setting(1, ("simulate",), "steps between observer rows (default 1)")
 
 
-_FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
-_PARSERS = {
-    "alpha": float, "gamma": float, "dt": float, "t_end": float,
-    "delta": float, "amplitude": float, "t_transient": float,
-    "t_average": float,
-    "grid": int, "seed": int, "threads": int, "s": int,
-    "exponents": int, "renorm_every": int, "observe_every": int,
-    "forcing": str, "output": str, "suite": str, "initial": str,
-    "save": str, "subcommand": str,
-}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+# each setting's value type: its annotation without the None
+_PARSERS = {name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+            for name, hint in get_type_hints(RunConfig).items()}
 
 
 def load_config(path: str) -> dict:
@@ -134,14 +160,19 @@ def load_config(path: str) -> dict:
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
-    merged = {f.name: f.default for f in fields(RunConfig)}
-    if getattr(args, "config", None):
-        merged.update(load_config(args.config))
+    merged = {name: f.default for name, f in _FIELDS.items()}
+    if args.config:
+        for key, val in load_config(args.config).items():
+            # a key the subcommand does not take may only repeat its header echo
+            echo = args.subcommand if key == "subcommand" else merged[key]
+            if args.subcommand not in _FIELDS[key].metadata["commands"] and val != echo:
+                raise ConfigError(f"{args.config}: {args.subcommand} does not read {key!r} "
+                                  f"(the file sets {key} = {val!r})")
+            merged[key] = val
     for key in merged:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    merged["subcommand"] = args.subcommand
     if merged["threads"] == 0:
         env = os.environ.get("EBA_THREADS", "").strip()
         if env:
@@ -166,7 +197,7 @@ def config_lines(cfg: RunConfig) -> list[str]:
             with `#`, a line break, or leading or trailing whitespace.
     """
     out = []
-    for name in sorted(_FIELD_TYPES):
+    for name in sorted(_FIELDS):
         val = getattr(cfg, name)
         if val is None:
             continue
@@ -271,14 +302,6 @@ def _blas_pool(threads: int, wide: bool):
         put(before)
 
 
-def _check_grid(cfg: RunConfig) -> int:
-    _require(cfg, "grid")
-    n = cfg.grid
-    if n < 32 or (n & (n - 1)) != 0:
-        raise ConfigError(f"grid must be a power of two >= 32, got {n}")
-    return n
-
-
 def _make_forcing(cfg: RunConfig, grid, params: ModelParams) -> SpectralField:
     """Forcing spec: 'zero' | 'kolmogorov S LAMBDA' | 'checkpoint PATH'."""
     parts = cfg.forcing.split()
@@ -292,7 +315,6 @@ def _make_forcing(cfg: RunConfig, grid, params: ModelParams) -> SpectralField:
         except ValueError:
             raise ConfigError(f"forcing {cfg.forcing!r}: S must be int, LAMBDA float") from None
         spec = instability.KolmogorovSpec(s=s, amplitude=lam, gamma=params.gamma)
-        from .spectral import curl
         return curl(instability.kolmogorov_forcing(spec, grid))
     if parts and parts[0] == "checkpoint":
         if len(parts) != 2:
@@ -319,8 +341,10 @@ def _initial_state(cfg: RunConfig, params: ModelParams) -> dynamics.SimState:
                 f"alpha/gamma; drop the flags or use a matching checkpoint"
             )
         return state
-    _require(cfg, "alpha", "gamma")
-    n = _check_grid(cfg)
+    _require(cfg, "alpha", "gamma", "grid")
+    n = cfg.grid
+    if n < 32 or (n & (n - 1)) != 0:
+        raise ConfigError(f"grid must be a power of two >= 32, got {n}")
     grid = make_grid(n)
     fc = _make_forcing(cfg, grid, params)
     rng = np.random.default_rng(np.random.Philox(cfg.seed))
@@ -513,11 +537,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "lyapunov": _cmd_lyapunov,
-    "instability": _cmd_instability,
-    "bounds": _cmd_bounds,
-    "verify": _cmd_verify,
+    "simulate": (_cmd_simulate, "integrate the vorticity equation"),
+    "lyapunov": (_cmd_lyapunov, "Lyapunov exponents and dimension"),
+    "instability": (_cmd_instability, "per-chain growth rates in the instability region"),
+    "bounds": (_cmd_bounds, "two-sided attractor dimension bounds as JSON"),
+    "verify": (_cmd_verify, "inequality verification suites"),
 }
 
 
@@ -527,52 +551,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Damped Euler-Bardina model: simulation, instability, dimension bounds.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value configuration file")
-    common.add_argument("--output", help="output file (default: stdout)")
-    common.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    common.add_argument("--threads", type=int,
-                        help="cap on the BLAS thread pool, 0 = no cap; EBA_THREADS is the "
-                        "fallback. Unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or "
-                        "OMP_NUM_THREADS sets it, the pool has one thread, and one per usable "
-                        "CPU for lyapunov")
-    common.add_argument("--alpha", type=float, help="filter scale alpha > 0")
-    common.add_argument("--gamma", type=float, help="damping rate gamma > 0")
-
-    p = sub.add_parser("simulate", parents=[common], help="integrate the vorticity equation")
-    p.add_argument("--grid", type=int, help="modes per axis, power of two >= 32")
-    p.add_argument("--dt", type=float, help="time step")
-    p.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    p.add_argument("--forcing", help="'zero' | 'kolmogorov S LAMBDA' | 'checkpoint PATH'")
-    p.add_argument("--initial", help="EBV1 checkpoint to resume from; it carries its grid and "
-                   "forcing: a --grid must match it, a --forcing other than zero is refused")
-    p.add_argument("--save", help="write final state checkpoint here")
-    p.add_argument("--observe-every", dest="observe_every", type=int,
-                   help="steps between observer rows (default 1)")
-
-    p = sub.add_parser("lyapunov", parents=[common], help="Lyapunov exponents and dimension")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--forcing", help="'zero' | 'kolmogorov S LAMBDA' | 'checkpoint PATH'")
-    p.add_argument("--initial", help="EBV1 checkpoint to start from; it carries its grid and "
-                   "forcing: a --grid must match it, a --forcing other than zero is refused")
-    p.add_argument("--exponents", type=int, help="number of exponents (default 4)")
-    p.add_argument("--renorm-every", dest="renorm_every", type=int)
-    p.add_argument("--t-transient", dest="t_transient", type=float)
-    p.add_argument("--t-average", dest="t_average", type=float)
-
-    p = sub.add_parser("instability", parents=[common],
-                       help="per-chain growth rates in the instability region")
-    p.add_argument("--s", type=int, help="forcing wavenumber")
-    p.add_argument("--delta", type=float, help="region parameter (default 0.35)")
-    p.add_argument("--amplitude", type=float,
-                   help="forcing amplitude; default is the threshold-exceeding choice")
-
-    sub.add_parser("bounds", parents=[common],
-                   help="two-sided attractor dimension bounds as JSON")
-
-    p = sub.add_parser("verify", parents=[common], help="inequality verification suites")
-    p.add_argument("--suite", help=f"one of {', '.join(_SUITES)} or all (default)")
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text, allow_abbrev=False)  # bounds --s 8 is not --seed 8
+        p.add_argument("--config", help="key = value configuration file")
+        for name, f in _FIELDS.items():
+            if command in f.metadata["commands"]:
+                p.add_argument("--" + name.replace("_", "-"), dest=name, type=_PARSERS[name],
+                               help=f.metadata["help"])
     return parser
 
 
@@ -585,11 +570,8 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective_config(args)
         with _blas_pool(cfg.threads, cfg.subcommand in _WIDE_BLAS):
-            return _COMMANDS[cfg.subcommand](cfg)
-    except ConfigError as exc:
-        print(f"bardina: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+            return _COMMANDS[cfg.subcommand][0](cfg)
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"bardina: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

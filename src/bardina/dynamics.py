@@ -482,11 +482,13 @@ def step(state: SimState, dt: float) -> SimState:
     return _published(work, state.time + dt)
 
 
-def _step_count(time: float, t_end: float, dt: float) -> int:
-    n_steps = int(round((t_end - time) / dt))
-    if n_steps < 0 or abs(time + n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"t_end = {t_end} is not a whole number of steps from t = {time}")
-    return n_steps
+def _whole_count(start: float, end: float, unit: float, message: str) -> int:
+    """(end - start) / unit if that is a whole number >= 0, to 1e-9 relative to
+    max(1, |end|); otherwise ValueError(message)."""
+    count = int(round((end - start) / unit))
+    if count < 0 or abs(start + count * unit - end) > 1e-9 * max(1.0, abs(end)):
+        raise ValueError(message)
+    return count
 
 
 def simulate(
@@ -504,7 +506,8 @@ def simulate(
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
     _check_dt(dt)
-    n_steps = _step_count(state.time, t_end, dt)
+    n_steps = _whole_count(state.time, t_end, dt,
+                           f"t_end = {t_end} is not a whole number of steps from t = {state.time}")
     r0_sq = _r0_sq_from_curl(state.params, state.forcing_curl)
     rows = [state._diagnostics(r0_sq)]
     for obs in observers:
@@ -716,8 +719,10 @@ def lyapunov_spectrum(
     The tangents are renormalized every renorm_every steps; log growth
     factors are accumulated over t_average after discarding t_transient.
     Standard errors come from splitting the averaging window into `blocks`
-    (>= 2) contiguous blocks.  Defaults: t_transient = 50/gamma,
-    t_average = 500/gamma.
+    (>= 2) contiguous blocks.  Both windows must be whole numbers of
+    renormalization intervals renorm_every * dt (ValueError otherwise);
+    the defaults are the whole numbers of intervals nearest 50/gamma and
+    500/gamma.
 
     If a tangent collapses to zero (numerically degenerate family) it is
     re-seeded with a fresh random vector, a warning is issued, and the
@@ -731,18 +736,18 @@ def lyapunov_spectrum(
     if blocks < 2:
         raise ValueError(f"blocks must be >= 2 for a standard error, got {blocks}")
     _check_dt(dt)
-    gamma = initial.params.gamma
+    span, gamma = renorm_every * dt, initial.params.gamma
     if t_transient is None:
-        t_transient = 50.0 / gamma
+        t_transient = round(50.0 / gamma / span) * span
     if t_average is None:
-        t_average = 500.0 / gamma
+        t_average = round(500.0 / gamma / span) * span
     if not 0.0 <= t_transient < math.inf:
         raise ValueError(f"t_transient must be finite and >= 0, got {t_transient!r}")
     if not 0.0 < t_average < math.inf:
         raise ValueError(f"t_average must be finite and > 0, got {t_average!r}")
-    span = renorm_every * dt
-    n_trans = int(round(t_transient / span))
-    n_avg = int(round(t_average / span))
+    n_trans, n_avg = (_whole_count(0.0, window, span, f"{name} = {window!r} is not a whole "
+                                   f"number of renorm_every * dt = {span!r} intervals")
+                      for name, window in (("t_transient", t_transient), ("t_average", t_average)))
     if n_avg < blocks:
         raise ValueError("t_average too short for the requested block count")
 

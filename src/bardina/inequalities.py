@@ -1,6 +1,6 @@
 """Numerical verification of the spectral inequalities behind the dimension
 estimates: the lattice sum F(m) < pi (two independent routes), the Bessel
-K1 tail bound, the auxiliary function Psi(m), and Monte-Carlo checks of the
+function K1, the auxiliary function Psi(m), and Monte-Carlo checks of the
 L2 bound for sums of squared smoothed orthonormal families and of the
 Hilbert-Schmidt trace bound.
 
@@ -18,11 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import SpectralField, make_grid
+from .spectral import SpectralField
 
 __all__ = [
     "k1",
-    "k1_bound_check",
     "lattice_F",
     "poisson_F",
     "LatticeSumResult",
@@ -110,17 +109,6 @@ def k1(x):
     if np.any(~lo):
         out[~lo] = _k1_asymptotic(arr[~lo])
     return float(out[0]) if scalar else out
-
-
-def k1_bound_check(x):
-    """Margin of the closed-form tail bound on K1.
-
-    Returns bound(x) - K1(x) with bound = (1 + 1/(2x)) sqrt(pi/(2x)) e^-x;
-    positivity of the margin is the inequality under test.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    bound = (1.0 + 0.5 / arr) * np.sqrt(np.pi / (2.0 * arr)) * np.exp(-arr)
-    return bound - k1(x)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from .spectral import FourierGrid, SpectralField, VectorField, zero_field, zero_
 __all__ = [
     "KolmogorovSpec", "Chain", "ContinuedFractionError", "BracketError",
     "kolmogorov_forcing", "stationary_vorticity", "threshold_amplitude", "region_lattice",
-    "in_region", "continued_fraction_g", "f_sigma", "solve_sigma", "solve_sigmas", "solve_lambda0",
-    "solve_lambda0s", "sigma_bounds", "coupling_bounds", "chain_matrix", "chain_matrix_eigen",
+    "continued_fraction_g", "f_sigma", "solve_sigma", "solve_sigmas", "solve_lambda0s",
+    "sigma_bounds", "coupling_bounds", "chain_matrix", "chain_matrix_eigen",
     "unstable_count",
 ]
 
@@ -122,19 +122,11 @@ def _admissible(s: int, t: int, r: int) -> bool:
             and t * t + (r + s) ** 2 > s * s and -s < 6 * r < s)
 
 
-def in_region(s: int, t: int, r: int, delta: float) -> bool:
-    """Admissibility of the base mode (t, r): inside the open disk of
-    radius s/sqrt(3), outside both unit-shifted disks of radius s, strip
-    |r| < s/6 (strict), and t >= delta*s.  All but the delta cut are exact
-    integer comparisons.
-    """
-    if not 0.0 < delta < 1.0 / math.sqrt(3.0):
-        raise ValueError("delta must lie in (0, 1/sqrt(3))")
-    return _admissible(s, t, r) and t >= delta * s
-
-
 def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
-    """All integer (t, r) in the admissible region, ordered by (t, r).
+    """All integer (t, r) in the admissible region, ordered by (t, r): inside
+    the open disk of radius s/sqrt(3), outside both unit-shifted disks of
+    radius s, strip |r| < s/6 (strict), and t >= delta*s.  All but the delta
+    cut, which the range of t makes, are exact integer comparisons.
 
     Empty for small s (the constraints are incompatible below s = 4).
     """
@@ -143,7 +135,7 @@ def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
     t_max = int(math.floor(s / math.sqrt(3.0)))
     r_hi = (s - 1) // 6  # strict |r| < s/6
     return [(t, r) for t in range(max(1, int(math.ceil(delta * s))), t_max + 1)
-            for r in range(-r_hi, r_hi + 1) if in_region(s, t, r, delta)]
+            for r in range(-r_hi, r_hi + 1) if _admissible(s, t, r)]
 
 
 @dataclass(frozen=True)
@@ -173,9 +165,6 @@ class Chain:
     def from_spec(cls, spec: KolmogorovSpec, alpha: float, t: int, r: int) -> "Chain":
         coupling = spec.amplitude / (2.0 * math.sqrt(2.0) * math.pi * (1.0 + alpha * spec.s**2))
         return cls(s=spec.s, t=t, r=r, alpha=alpha, gamma=spec.gamma, coupling=coupling)
-
-    def in_region(self, delta: float) -> bool:
-        return in_region(self.s, self.t, self.r, delta)
 
     def admissible(self) -> bool:
         """The delta-independent region conditions (delta -> 0 limit)."""
@@ -379,9 +368,18 @@ def solve_sigma(chain: Chain, tol: float = SIGMA_TOL, n_max: int = 32) -> float:
 
 
 def solve_lambda0s(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarray:
-    """Array of :func:`solve_lambda0` over the chains, found in one lockstep bisection;
-    each entry is bit-identical to solving that chain alone, and it raises
-    as :func:`solve_lambda0` does for the first chain that fails."""
+    """Critical coupling of each chain, where its eigenvalue crosses zero.
+
+    The gap f - g at sigma = 0 is strictly decreasing in the coupling;
+    bisection starts from the closed-form two-sided estimate (at the
+    chain's maximal delta = t/s) and expands if needed.  All chains are
+    bisected in lockstep, and each entry is bit-identical to solving that
+    chain alone.
+
+    Raises:
+        ValueError: if a chain violates the admissibility conditions.
+        BracketError: if the expansion finds no sign change.
+    """
     chains = list(chains)
     if not all(c.admissible() for c in chains):
         raise ValueError("chain base mode outside the admissible region")
@@ -400,20 +398,6 @@ def solve_lambda0s(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarra
         raise BracketError("no negative gap at large coupling")
     # the gap falls with the coupling, so a coupling without a positive gap is above the root
     return _bisect(lambda c, i: ~(gap(c, i) > 0.0), lo, hi, zero, tol)
-
-
-def solve_lambda0(chain: Chain, tol: float = SIGMA_TOL, n_max: int = 32) -> float:
-    """Critical coupling at which the chain eigenvalue crosses zero.
-
-    The gap f - g at sigma = 0 is strictly decreasing in the coupling;
-    bisection starts from the closed-form two-sided estimate (at the
-    chain's maximal delta = t/s) and expands if needed.
-
-    Raises:
-        ValueError: if the chain violates the admissibility conditions.
-        BracketError: if the expansion finds no sign change.
-    """
-    return float(solve_lambda0s([chain], tol, n_max)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ __all__ = [
     "zero_field",
     "zero_vector_field",
     "smooth",
-    "gradient",
     "curl",
     "stream_velocity",
     "velocity_from_vorticity",
@@ -209,11 +208,6 @@ def smooth(f: SpectralField, alpha: float) -> SpectralField:
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     return SpectralField(f.grid, f.coeffs / (1.0 + alpha * f.grid.k_sq))
-
-
-def gradient(f: SpectralField) -> VectorField:
-    g = f.grid
-    return VectorField(g, np.stack((1j * g.k1 * f.coeffs, 1j * g.k2 * f.coeffs)))
 
 
 def curl(u: VectorField) -> SpectralField:

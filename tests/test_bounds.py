@@ -11,7 +11,6 @@ from conftest import (
     ADELTA4_MAX,
     AREA_ORACLE,
     C1_CONSTANT,
-    CHAIN_COUNT_ORACLE,
     DELTA_STAR,
 )
 

@@ -1,12 +1,14 @@
 """Command line interface: parsing, precedence, determinism, exit codes."""
 import ctypes
 import glob
+import itertools
 import json
 import os
 import shlex
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -195,6 +197,147 @@ class TestConfigProperties:
         assert got.keys() == want.keys()
         for key, val in want.items():
             assert type(got[key]) is type(val) and repr(got[key]) == repr(val), key
+
+
+_COMMON = {"alpha", "gamma", "seed", "output", "threads"}
+# the settings each subcommand takes, as a flag and as a config-file key
+_TAKES = {
+    "simulate": _COMMON | {"grid", "dt", "t_end", "forcing", "initial", "save", "observe_every"},
+    "lyapunov": _COMMON | {"grid", "dt", "forcing", "initial", "exponents", "renorm_every",
+                           "t_transient", "t_average"},
+    "instability": _COMMON | {"s", "delta", "amplitude"},
+    "bounds": _COMMON,
+    "verify": _COMMON | {"suite", "delta"},
+}
+# a value other than the default for every setting
+_OTHER = {"subcommand": "verify", "alpha": "0.5", "gamma": "2.0", "grid": "64", "dt": "0.02",
+          "t_end": "0.04", "forcing": "kolmogorov 4 2.0", "seed": "5", "output": "other.csv",
+          "threads": "1", "s": "8", "delta": "0.3", "amplitude": "30.0", "exponents": "2",
+          "renorm_every": "2", "t_transient": "0.08", "t_average": "0.16",
+          "suite": "psi-negative", "initial": "start.ebv", "save": "end.ebv",
+          "observe_every": "2"}
+# a quick run of each subcommand
+_TINY = {
+    "simulate": ("--alpha", "0.0625", "--gamma", "1", "--grid", "32", "--dt", "0.01",
+                 "--t-end", "0.02"),
+    "lyapunov": ("--alpha", "0.0625", "--gamma", "1", "--grid", "32", "--dt", "0.05",
+                 "--exponents", "1", "--renorm-every", "1", "--t-transient", "0.05",
+                 "--t-average", "0.4"),
+    "instability": ("--s", "8", "--alpha", "0.01", "--gamma", "1"),
+    "bounds": ("--alpha", "0.004", "--gamma", "1"),
+    "verify": ("--suite", "psi-negative"),
+}
+_SETTINGS = list(_OTHER)
+
+
+def _flag_parses(cmd, key, capsys):
+    try:
+        args = cli._build_parser().parse_args([cmd, "--" + key.replace("_", "-"), _OTHER[key]])
+    except SystemExit as exc:
+        assert exc.code == 2
+        capsys.readouterr()
+        return False
+    assert getattr(args, key) == cli._PARSERS[key](_OTHER[key])
+    return True
+
+
+class _Recording:
+    """A RunConfig stand-in that notes every setting read from it."""
+
+    def __init__(self, cfg, seen):
+        self._cfg, self._seen = cfg, seen
+
+    def __getattr__(self, name):
+        self._seen.add(name)
+        return getattr(self._cfg, name)
+
+
+class TestSettingsTable:
+    def test_table_lists_every_setting(self):
+        assert _SETTINGS == [f.name for f in fields(RunConfig)]
+
+    @pytest.mark.parametrize("key", _SETTINGS)
+    @pytest.mark.parametrize("cmd", sorted(_TAKES))
+    def test_flag_and_file_key_follow_the_table(self, tmp_path, capsys, monkeypatch, cmd, key):
+        # a flag parses exactly when the subcommand takes the setting; a file
+        # key it does not take is refused before anything is written
+        monkeypatch.chdir(tmp_path)
+        assert _flag_parses(cmd, key, capsys) == (key in _TAKES[cmd])
+        other = "bounds" if cmd == "verify" and key == "subcommand" else _OTHER[key]
+        (tmp_path / "run.conf").write_text(f"{key} = {other}\n")
+        if key in _TAKES[cmd]:
+            args = cli._build_parser().parse_args([cmd, "--config", "run.conf"])
+            assert getattr(cli._effective_config(args), key) == cli._PARSERS[key](other)
+            return
+        save = ("--save", "saved.ebv") if "save" in _TAKES[cmd] else ()
+        rc, out, err = run(capsys, cmd, "--config", "run.conf", *_TINY[cmd],
+                           "--output", "out.csv", *save)
+        assert rc == 2 and out == ""
+        assert f"run.conf: {cmd} does not read {key!r}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
+    @pytest.mark.parametrize("cmd, extra", [
+        ("simulate", ("--forcing", "kolmogorov 4 2.0", "--observe-every", "2",
+                      "--save", "state.ebv")),
+        ("simulate", ("--initial", "state.ebv", "--t-end", "0.04")),
+        ("lyapunov", ("--seed", "2")),
+        ("lyapunov", ("--initial", "state.ebv")),
+        ("instability", ("--delta", "0.3")),
+        ("instability", ("--amplitude", "30.0")),
+        ("bounds", ()),
+        ("verify", ("--suite", "all", "--seed", "1")),
+    ], ids=["simulate", "simulate-resumed", "lyapunov", "lyapunov-initial", "instability",
+            "instability-amplitude", "bounds", "verify"])
+    def test_commands_read_only_settings_they_take(self, tmp_path, capsys, monkeypatch,
+                                                   cmd, extra):
+        monkeypatch.chdir(tmp_path)
+        if "--initial" in extra:
+            assert run(capsys, "simulate", *_TINY["simulate"], "--save", "state.ebv")[0] == 0
+        seen, effective, lines = set(), cli._effective_config, cli.config_lines
+        monkeypatch.setattr(cli, "_effective_config",
+                            lambda args: _Recording(effective(args), seen))
+        # the header echoes every setting; that is not a read by the command
+        monkeypatch.setattr(cli, "config_lines", lambda cfg: lines(getattr(cfg, "_cfg", cfg)))
+        if "all" in extra:
+            os.mkdir("out")  # one file per suite
+        rc, _, err = run(capsys, cmd, *_TINY[cmd], *extra, "--output", "out")
+        assert rc == 0, err
+        assert seen - {"subcommand"} <= {key for key in _SETTINGS
+                                         if _flag_parses(cmd, key, capsys)}
+
+    @pytest.mark.parametrize("cmd", sorted(_TAKES))
+    def test_echoed_header_reads_back_for_every_subcommand(self, tmp_path, capsys, cmd):
+        rc, out, err = run(capsys, cmd, *_TINY[cmd])
+        assert rc == 0, err
+        p = tmp_path / "echo.conf"
+        header = itertools.takewhile(lambda l: l.startswith("#"), out.splitlines())
+        p.write_text("\n".join(l[2:] for l in header if " = " in l) + "\n")
+        assert "subcommand" in load_config(str(p))
+        rc, again, err = run(capsys, cmd, "--config", str(p))
+        assert rc == 0, err
+        assert again == out
+
+    def test_lyapunov_refuses_simulate_settings_from_a_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"save = {tmp_path / 'state.ebv'}\nobserve_every = 5\n")
+        rc, out, err = run(capsys, "lyapunov", "--config", str(cfg), *_TINY["lyapunov"])
+        assert rc == 2 and out == ""
+        assert "lyapunov does not read 'save'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+    def test_file_for_another_subcommand_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("subcommand = lyapunov\n")
+        rc, out, err = run(capsys, "bounds", "--config", str(cfg), *_TINY["bounds"])
+        assert rc == 2 and out == ""
+        assert "bounds does not read 'subcommand'" in err
+
+    def test_verify_delta_moves_the_sigma_bounds_suite(self, capsys):
+        rc, default, _ = run(capsys, "verify", "--suite", "sigma-bounds")
+        rc2, moved, _ = run(capsys, "verify", "--suite", "sigma-bounds", "--delta", "0.3")
+        assert rc == rc2 == 0
+        assert "# delta = 0.3" in moved.splitlines()
+        assert len(data_lines(moved)) > len(data_lines(default))
 
 
 def _openblas_pool():

@@ -17,7 +17,6 @@ from bardina.spectral import (
     VectorField,
     alpha_inner,
     curl,
-    gradient,
     hermitianize,
     make_grid,
     random_field,
@@ -651,7 +650,8 @@ class TestVariationalRhs:
 
         def n_vel(omega_field):
             ub = velocity_from_vorticity(omega_field, alpha)
-            d = [gradient(ub.component(j)) for j in range(2)]
+            d = [VectorField(grid, np.stack((1j * grid.k1 * c, 1j * grid.k2 * c)))
+                 for c in ub.coeffs]
             u1 = ub.component(0).to_samples()
             u2 = ub.component(1).to_samples()
             comps = []
@@ -792,7 +792,8 @@ class TestTangentStepping:
         th = _random_divfree(grid, rng)
         with_mean = th.copy()
         with_mean.coeffs[0, 0, 0] = 0.1
-        grad = gradient(random_field(grid, rng, band=6))
+        phi = random_field(grid, rng, band=6).coeffs
+        grad = VectorField(grid, np.stack((1j * grid.k1 * phi, 1j * grid.k2 * phi)))
         with_grad = VectorField(grid, th.coeffs + 1e-6 * grad.coeffs)
         for bad, what in ((with_mean, "zero mean"), (with_grad, "divergence-free")):
             with pytest.raises(ValueError, match=what):
@@ -875,6 +876,18 @@ class TestLyapunov:
         kw = dict(n=1, dt=0.05, renorm_every=2, t_transient=0.1, t_average=1.0, seed=1, blocks=2)
         with pytest.raises(ValueError, match=what):
             lyapunov_spectrum(st, **{**kw, **bad})
+
+    @pytest.mark.parametrize("name, window", [("t_transient", 0.1), ("t_average", 2.3)])
+    def test_window_must_be_whole_intervals(self, name, window):
+        # an interval is renorm_every * dt = 0.25; rounding would run no
+        # transient for 0.1 and average over 2.25 for 2.3
+        st = make_state(zero_field(make_grid(16)), PARAMS)
+        kw = dict(n=1, dt=0.025, renorm_every=10, t_transient=0.25, t_average=2.25, blocks=2)
+        with pytest.raises(ValueError, match=f"{name} = {window} is not a whole number"):
+            lyapunov_spectrum(st, **{**kw, name: window})
+        # within the 1e-9 relative tolerance of simulate's t_end rule
+        nearly = lyapunov_spectrum(st, **{**kw, name: kw[name] * (1 + 1e-12)})
+        assert nearly == lyapunov_spectrum(st, **kw)
 
     def test_unforced_all_exponents_equal_damping(self):
         grid = make_grid(32)

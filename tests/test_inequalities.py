@@ -47,7 +47,8 @@ class TestK1:
 
     def test_tail_bound_margin(self):
         xs = np.logspace(math.log10(0.01), math.log10(50.0), 500)
-        assert np.all(ineq.k1_bound_check(xs) > 0)
+        bound = (1.0 + 0.5 / xs) * np.sqrt(np.pi / (2.0 * xs)) * np.exp(-xs)
+        assert np.all(bound - ineq.k1(xs) > 0)
         # bound is asymptotically sharp: within 0.3 percent at x = 50
         bound = (1 + 1 / 100.0) * math.sqrt(math.pi / 100.0) * math.exp(-50.0)
         assert 0.99 < ineq.k1(50.0) / bound < 1.0

@@ -292,7 +292,7 @@ class TestLambda0:
                    if inst.Chain(s=4, t=t, r=r, alpha=1 / 16, gamma=1.0, coupling=1.0).admissible()]
         bits = TestSolveSigmas._bits
         got = inst.solve_lambda0s(chains)
-        assert np.array_equal(bits(got), bits([inst.solve_lambda0(c) for c in chains]))
+        assert np.array_equal(bits(got), bits([inst.solve_lambda0s([c])[0] for c in chains]))
         order = np.random.default_rng(3).permutation(len(chains))
         shuffled = inst.solve_lambda0s([chains[i] for i in order])
         assert np.array_equal(bits(shuffled), bits(got)[order])
@@ -304,7 +304,7 @@ class TestLambda0:
             inst.solve_lambda0s([PINNED, bad])
 
     def test_sign_change_around_root(self):
-        lam0 = inst.solve_lambda0(PINNED)
+        (lam0,) = inst.solve_lambda0s([PINNED])
         assert inst.solve_sigma(replace(PINNED, coupling=1.01 * lam0)) > 0
         assert inst.solve_sigma(replace(PINNED, coupling=0.99 * lam0)) < 0
 
@@ -312,14 +312,14 @@ class TestLambda0:
         for s in (8, 16, 32):
             for delta in (0.2, 0.35, 0.5):
                 alpha = 1.0 / s**2
-                for t, r in inst.region_lattice(s, delta):
-                    ch = inst.Chain(s=s, t=t, r=r, alpha=alpha, gamma=1.0, coupling=1.0)
-                    lam0 = inst.solve_lambda0(ch)
+                chains = [inst.Chain(s=s, t=t, r=r, alpha=alpha, gamma=1.0, coupling=1.0)
+                          for t, r in inst.region_lattice(s, delta)]
+                for ch, lam0 in zip(chains, inst.solve_lambda0s(chains)):
                     lo, hi = inst.coupling_bounds(ch, delta)
                     assert lo < lam0 < hi
 
     def test_matches_matrix_crossing(self):
-        lam0 = inst.solve_lambda0(PINNED)
+        (lam0,) = inst.solve_lambda0s([PINNED])
         lo, hi = 0.5 * lam0, 2.0 * lam0
 
         def eig(c):
