@@ -23,6 +23,7 @@ import numpy as np
 
 from . import instability
 from .inequalities import B2
+from .spectral import ModelParams
 
 __all__ = [
     "upper_bound",
@@ -134,11 +135,11 @@ def dimension_report(alpha: float, gamma: float) -> DimensionReport:
     (their ratio is the alpha-independent constant 8 pi c1).
 
     Raises:
-        ValueError: on non-positive alpha or gamma, or if the admissible
-            region holds no lattice points at s = ceil(1/sqrt(alpha)).
+        ValueError: naming alpha or gamma if it is not positive and finite,
+            or if the admissible region holds no lattice points at
+            s = ceil(1/sqrt(alpha)).
     """
-    if alpha <= 0 or gamma <= 0:
-        raise ValueError("alpha and gamma must be positive")
+    ModelParams(alpha=alpha, gamma=gamma)  # raises unless both are positive and finite
     s = math.ceil(1.0 / math.sqrt(alpha))
     c1, delta_star = lower_bound_constant()
     if s < 4 or not instability.region_lattice(s, delta_star):

@@ -38,11 +38,11 @@ from dataclasses import dataclass, field, fields
 from typing import get_args, get_type_hints
 
 # A pool size is read once, when numpy loads OpenBLAS, and the default pool
-# keeps a second core spinning from import on.  The BLAS problems of every
-# subcommand but lyapunov are small (depth-sized eigenvalue problems, thin
-# QRs), so start the CLI's pool at one thread unless the environment chose
-# one; lyapunov gets the default pool back while it runs (_blas_pool), and
-# --threads and EBA_THREADS cap the pool of any command.
+# keeps a second core spinning from import on.  No subcommand's BLAS work
+# gains from a second thread (depth-sized eigenvalue problems, thin QRs, and
+# lyapunov's QR of the tangent stack at its default cadence), so start the
+# CLI's pool at one thread unless the environment chose one; --threads caps
+# the pool of any command while it runs (_blas_pool).
 _ONE_THREAD_START = "numpy" not in sys.modules and not any(
     os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                                     "OMP_NUM_THREADS"))
@@ -93,9 +93,8 @@ class RunConfig:
     seed: int = _setting(0, _ALL, "RNG seed (default 0)")
     output: str | None = _setting(None, _ALL, "output file (default: stdout)")
     threads: int = _setting(
-        0, _ALL, "cap on the BLAS thread pool, 0 = no cap; EBA_THREADS is the fallback. "
-        "Unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS sets it, the pool "
-        "has one thread, and one per usable CPU for lyapunov")
+        0, _ALL, "cap on the BLAS thread pool while the command runs, 0 = no cap. The pool has "
+        "one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS sets it")
     s: int | None = _setting(None, ("instability",), "forcing wavenumber")
     delta: float = _setting(0.35, ("instability", "verify"), "region parameter (default 0.35)")
     amplitude: float | None = _setting(
@@ -173,16 +172,8 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    if merged["threads"] == 0:
-        env = os.environ.get("EBA_THREADS", "").strip()
-        if env:
-            try:
-                merged["threads"] = int(env)
-            except ValueError:
-                raise ConfigError(f"EBA_THREADS = {env!r} is not an integer")
     if merged["threads"] < 0:
-        raise ConfigError(f"threads = {merged['threads']} (--threads, config file or "
-                          "EBA_THREADS) must be >= 0, 0 = no cap")
+        raise ConfigError(f"threads = {merged['threads']} must be >= 0, 0 = no cap")
     cfg = RunConfig(**merged)
     config_lines(cfg)  # refuse a setting the header cannot echo before any work starts
     return cfg
@@ -260,42 +251,20 @@ def _openblas_pool():
     return None
 
 
-# subcommands whose BLAS work is worth sharing between threads: lyapunov's QR
-# of the (2 (2K+1)(K+1), exponents) tangent matrix takes 159 instead of 199 ms
-# on two threads at 256^2 with 64 exponents
-_WIDE_BLAS = ("lyapunov",)
-
-
-def _default_pool_size() -> int:
-    """Threads OpenBLAS starts with when no variable sets them: the usable CPUs."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 @contextlib.contextmanager
-def _blas_pool(threads: int, wide: bool):
-    # size the BLAS pool while one command runs: a wide command gets back the
-    # default pool that the one-thread start withheld, and threads > 0 caps
-    # the pool and reaches child processes too; the FFT path is single-threaded
-    widen = wide and _ONE_THREAD_START
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-    elif not widen:
-        yield
-        return
-    pool = _openblas_pool()
+def _blas_pool(threads: int):
+    # threads > 0 caps the BLAS pool while one command runs; the FFT path is
+    # single-threaded
+    pool = _openblas_pool() if threads else None
     if pool is None:
         if threads:
-            print("bardina: no OpenBLAS thread setter found; --threads/EBA_THREADS reach "
-                  "child processes only", file=sys.stderr)
+            print("bardina: no OpenBLAS thread setter found; --threads has no effect",
+                  file=sys.stderr)
         yield
         return
     get, put = pool
     before = get()
-    size = _default_pool_size() if widen else before
-    put(min(threads, size) if threads else size)
+    put(min(threads, before))
     try:
         yield
     finally:
@@ -569,7 +538,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _effective_config(args)
-        with _blas_pool(cfg.threads, cfg.subcommand in _WIDE_BLAS):
+        with _blas_pool(cfg.threads):
             return _COMMANDS[cfg.subcommand][0](cfg)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"bardina: {exc}", file=sys.stderr)
@@ -581,3 +550,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
 
 def main() -> int:
     return parse_and_dispatch()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

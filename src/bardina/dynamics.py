@@ -484,7 +484,9 @@ def step(state: SimState, dt: float) -> SimState:
 
 def _whole_count(start: float, end: float, unit: float, message: str) -> int:
     """(end - start) / unit if that is a whole number >= 0, to 1e-9 relative to
-    max(1, |end|); otherwise ValueError(message)."""
+    max(1, |end|); otherwise (a non-finite end too) ValueError(message)."""
+    if not math.isfinite(end):
+        raise ValueError(message)
     count = int(round((end - start) / unit))
     if count < 0 or abs(start + count * unit - end) > 1e-9 * max(1.0, abs(end)):
         raise ValueError(message)

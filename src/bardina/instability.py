@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import FourierGrid, SpectralField, VectorField, zero_field, zero_vector_field
+from .spectral import (FourierGrid, ModelParams, SpectralField, VectorField, zero_field,
+                       zero_vector_field)
 
 __all__ = [
     "KolmogorovSpec", "Chain", "ContinuedFractionError", "BracketError",
@@ -76,11 +77,13 @@ def threshold_amplitude(s: int, delta: float, alpha: float, gamma: float) -> flo
     """Forcing amplitude (110 pi/21) gamma delta^-2 (1+alpha s^2)^2 / s,
     large enough that every admissible chain at this s has a positive
     eigenvalue (it pushes the coupling past each chain's critical value).
+    Raises ValueError naming alpha or gamma if it is not positive and finite.
     """
     if not 0.0 < delta < 1.0 / math.sqrt(3.0):
         raise ValueError("delta must lie in (0, 1/sqrt(3))")
-    if s < 1 or alpha <= 0 or gamma <= 0:
-        raise ValueError("need s >= 1, alpha > 0, gamma > 0")
+    if s < 1:
+        raise ValueError(f"need s >= 1, got {s}")
+    ModelParams(alpha=alpha, gamma=gamma)  # raises unless both are positive and finite
     return (110.0 * math.pi / 21.0) * gamma * (1.0 + alpha * s * s) ** 2 / (delta * delta * s)
 
 
@@ -128,7 +131,7 @@ def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
     radius s, strip |r| < s/6 (strict), and t >= delta*s.  All but the delta
     cut, which the range of t makes, are exact integer comparisons.
 
-    Empty for small s (the constraints are incompatible below s = 4).
+    Empty at s = 1; at s = 2 and 3 it holds (t, r) = (1, 0) when delta*s <= 1.
     """
     if not 0.0 < delta < 1.0 / math.sqrt(3.0):
         raise ValueError("delta must lie in (0, 1/sqrt(3))")
@@ -158,8 +161,9 @@ class Chain:
             raise ValueError("need s >= 1 and t >= 1")
         # alpha 0 = unregularized limit; legal in the chain algebra even
         # though the evolution modules require alpha > 0
-        if self.alpha < 0 or self.gamma <= 0 or self.coupling <= 0:
-            raise ValueError("alpha must be >= 0, gamma and coupling > 0")
+        if not (self.alpha >= 0 and self.gamma > 0 and self.coupling > 0):  # NaN fails too
+            raise ValueError(f"alpha must be >= 0, gamma and coupling > 0; got alpha = "
+                             f"{self.alpha}, gamma = {self.gamma}, coupling = {self.coupling}")
 
     @classmethod
     def from_spec(cls, spec: KolmogorovSpec, alpha: float, t: int, r: int) -> "Chain":

@@ -232,6 +232,14 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             bounds.dimension_report(-0.1, 1.0)
 
+    @pytest.mark.parametrize("alpha, gamma, name", [
+        (math.nan, 1.0, "alpha"), (math.inf, 1.0, "alpha"),
+        (0.001, 0.0, "gamma"), (0.001, math.nan, "gamma"), (0.001, math.inf, "gamma"),
+    ])
+    def test_names_a_parameter_that_is_not_positive_and_finite(self, alpha, gamma, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            bounds.dimension_report(alpha, gamma)
+
 
 class TestDimensionReport:
     def test_fields_echo_inputs(self):

@@ -93,42 +93,12 @@ class TestConfigFile:
         assert rc2 == 0
         assert out2.splitlines()[1] == out.splitlines()[1]
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("EBA_THREADS", "many")
-        rc, _, err = run(capsys, "bounds", "--alpha", "0.004", "--gamma", "1")
-        assert rc == 2
-        assert "EBA_THREADS" in err
-
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")  # registers teardown restore
-        monkeypatch.setenv("EBA_THREADS", "3")
-        rc, _, _ = run(capsys, "bounds", "--alpha", "0.004", "--gamma", "1")
-        assert rc == 0
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-
-    def test_threads_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        monkeypatch.setenv("EBA_THREADS", "3")
-        rc, _, _ = run(capsys, "bounds", "--alpha", "0.004", "--gamma", "1",
-                       "--threads", "2")
-        assert rc == 0
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-
     def test_negative_threads_flag_rejected(self, capsys, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        monkeypatch.delenv("EBA_THREADS", raising=False)
         rc, out, err = run(capsys, "bounds", "--alpha", "0.004", "--gamma", "1",
                            "--threads", "-4")
         assert rc == 2 and out == ""
         assert "threads = -4" in err
-        assert os.environ["OMP_NUM_THREADS"] == "1"
-
-    def test_negative_threads_env_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        monkeypatch.setenv("EBA_THREADS", "-4")
-        rc, out, err = run(capsys, "bounds", "--alpha", "0.004", "--gamma", "1")
-        assert rc == 2 and out == ""
-        assert "EBA_THREADS" in err
         assert os.environ["OMP_NUM_THREADS"] == "1"
 
     @pytest.mark.parametrize("value", ["x#1.json", "a\nb.json", " out.json", "out.json\t"])
@@ -357,11 +327,13 @@ def _openblas_pool():
 
 
 class TestThreadCap:
-    def test_threads_flag_caps_blas_pool_for_the_command(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("file_threads, flags", [
+        (None, ("--threads", "1")), ("1", ()), ("2", ("--threads", "1")),
+    ], ids=["flag", "file", "flag-beats-file"])
+    def test_threads_cap_blas_pool_for_the_command(self, tmp_path, capsys, monkeypatch,
+                                                   file_threads, flags):
         get, put = _openblas_pool()
         original = get()
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)  # restored at teardown
         seen = []
         oracle = instability.chain_matrix_eigen
 
@@ -370,17 +342,36 @@ class TestThreadCap:
             return oracle(*args, **kwargs)
 
         monkeypatch.setattr(instability, "chain_matrix_eigen", spy)
+        config = ()
+        if file_threads is not None:
+            (tmp_path / "run.conf").write_text(f"threads = {file_threads}\n")
+            config = ("--config", str(tmp_path / "run.conf"))
         put(2)
         try:
             before = get()
             rc, _, err = run(capsys, "instability", "--s", "12", "--alpha", "0.0069",
-                             "--gamma", "1", "--threads", "1")
+                             "--gamma", "1", *config, *flags)
             after = get()
         finally:
             put(original)
         assert rc == 0 and err == ""
         assert seen and set(seen) == {1}
         assert after == before
+
+    def test_missing_thread_setter_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_pool", lambda: None)
+        rc, out, err = run(capsys, "bounds", "--alpha", "0.004", "--gamma", "1", "--threads", "1")
+        assert rc == 0 and out.startswith("# bardina ")
+        assert err == "bardina: no OpenBLAS thread setter found; --threads has no effect\n"
+
+    def test_threads_leave_the_environment_alone(self, capsys, monkeypatch):
+        # bardina starts no child process, so a cap has no business in os.environ
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        env = dict(os.environ)
+        rc, _, _ = run(capsys, "bounds", "--alpha", "0.004", "--gamma", "1", "--threads", "2")
+        assert rc == 0
+        assert dict(os.environ) == env
 
 
 _POOL_CHILD = """
@@ -453,20 +444,22 @@ class TestBlasDefault:
         pool, seen, unchanged = _pool_child(_POOL_CHILD.format(preload="import numpy"))
         assert [pool] == plain and seen == "None" and unchanged == "True"
 
-    # lyapunov's QR gains from more threads, so it gets the default pool back
-    def test_lyapunov_runs_on_the_default_pool(self):
+    # lyapunov keeps the one-thread pool like every other subcommand
+    def test_lyapunov_runs_on_a_one_thread_pool(self):
         _openblas_pool()
-        plain = _pool_child(_PLAIN_CHILD)
-        assert _pool_child(_LYAPUNOV_CHILD.format(extra="")) == ["0", *plain, "1"]
+        assert _pool_child(_LYAPUNOV_CHILD.format(extra="")) == ["0", "1", "1"]
 
     def test_lyapunov_pool_is_capped_by_threads(self):
         _openblas_pool()
-        assert _pool_child(_LYAPUNOV_CHILD.format(extra=', "--threads", "1"')) == ["0", "1", "1"]
+        plain = _pool_child(_PLAIN_CHILD, OPENBLAS_NUM_THREADS="2")
+        assert _pool_child(_LYAPUNOV_CHILD.format(extra=', "--threads", "1"'),
+                           OPENBLAS_NUM_THREADS="2") == ["0", "1", *plain]
 
     def test_lyapunov_keeps_an_environment_pool(self):
         _openblas_pool()
+        plain = _pool_child(_PLAIN_CHILD, OPENBLAS_NUM_THREADS="2")
         assert _pool_child(_LYAPUNOV_CHILD.format(extra=""),
-                           OPENBLAS_NUM_THREADS="1") == ["0", "1", "1"]
+                           OPENBLAS_NUM_THREADS="2") == ["0", *plain, *plain]
 
 
 class TestUsageErrors:
@@ -596,6 +589,13 @@ class TestSimulate:
                        "--dt", "0.01", "--t-end", "0.2", "--initial", ck)
         assert rc == 0  # repeating the checkpoint's grid is fine
 
+    @pytest.mark.parametrize("t_end", ["0.105", "inf", "nan"])
+    def test_bad_t_end_exits_1(self, capsys, t_end):
+        rc, out, err = run(capsys, "simulate", "--alpha", "0.0625", "--gamma", "1",
+                           "--grid", "32", "--dt", "0.01", "--t-end", t_end)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"bardina: t_end = {t_end} ") and "Traceback" not in err
+
     def test_output_file(self, tmp_path, capsys):
         p = tmp_path / "run.csv"
         rc, out, _ = run(capsys, *self.ARGS, "--output", str(p))
@@ -682,6 +682,18 @@ class TestInstabilityCommand:
         assert len(data_lines(out)) >= 2
 
 
+@pytest.mark.parametrize("command", [("bounds",), ("instability", "--s", "8")],
+                         ids=["bounds", "instability"])
+@pytest.mark.parametrize("name, value", [
+    ("alpha", "nan"), ("alpha", "inf"), ("alpha", "-0.01"), ("gamma", "nan"), ("gamma", "inf"),
+])
+def test_bad_alpha_or_gamma_is_named(capsys, command, name, value):
+    values = {"alpha": "0.01", "gamma": "1", name: value}
+    rc, out, err = run(capsys, *command, "--alpha", values["alpha"], "--gamma", values["gamma"])
+    assert rc == 1 and out == ""
+    assert err == f"bardina: {name} must be positive and finite, got {value}\n"
+
+
 class TestBoundsCommand:
     def test_spec_example_json(self, capsys):
         rc, out, _ = run(capsys, "bounds", "--alpha", "0.0009765625", "--gamma", "1")
@@ -761,6 +773,18 @@ class TestConsoleScript:
             assert proc.returncode == 0, (command, proc.stderr)
             assert proc.stdout.startswith("# bardina "), command
             assert _run_child(command, "transmogrify").returncode == 2, command
+
+    def test_module_runs_like_the_console_script(self):
+        # `python -m bardina.cli` is the console script without an install
+        module, _, func = _declared_entry_point().partition(":")
+        script = [sys.executable, "-c",
+                  f"import sys; from {module} import {func}; sys.exit({func}())"]
+        as_module = [sys.executable, "-m", "bardina.cli"]
+        args = ("bounds", "--alpha", "0.001", "--gamma", "1")
+        want, got = _run_child(script, *args), _run_child(as_module, *args)
+        assert want.returncode == got.returncode == 0, got.stderr
+        assert got.stdout.startswith("# bardina ") and got.stdout == want.stdout
+        assert _run_child(as_module, "bounds", "--frobnicate", "1").returncode == 2
 
     def test_subprocess_smoke(self):
         proc = _run_child(

@@ -350,6 +350,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="whole number"):
             simulate(st, 0.05, 0.02)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_non_finite_t_end_rejected(self, rng, t_end):
+        st = make_state(random_field(make_grid(16), rng, band=3), PARAMS)
+        with pytest.raises(ValueError, match=f"t_end = {t_end} is not a whole number"):
+            simulate(st, t_end, 0.02)
+
     def test_observers_called_at_row_instants(self, rng):
         st = make_state(random_field(make_grid(16), rng, band=3), PARAMS)
         seen = []

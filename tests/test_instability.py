@@ -85,6 +85,19 @@ class TestForcing:
         with pytest.raises(ValueError):
             inst.KolmogorovSpec(s=2, amplitude=amplitude, gamma=gamma)
 
+    @pytest.mark.parametrize("alpha, gamma, name", [
+        (0.0, 1.0, "alpha"), (math.nan, 1.0, "alpha"), (math.inf, 1.0, "alpha"),
+        (0.01, -1.0, "gamma"), (0.01, math.nan, "gamma"), (0.01, math.inf, "gamma"),
+    ])
+    def test_threshold_amplitude_names_a_bad_parameter(self, alpha, gamma, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            inst.threshold_amplitude(8, 0.35, alpha, gamma)
+
+    def test_chain_rejects_nan_alpha(self):
+        spec = inst.KolmogorovSpec(s=8, amplitude=40.0, gamma=1.0)
+        with pytest.raises(ValueError, match="alpha = nan"):
+            inst.Chain.from_spec(spec, math.nan, 4, 0)
+
 
 class TestRegion:
     def test_frozen_counts(self):
@@ -92,8 +105,10 @@ class TestRegion:
             assert len(inst.region_lattice(s, 0.35)) == want
 
     def test_small_s(self):
+        # empty at s = 1; at s = 2 and 3, (1, 0) holds while delta * s <= 1
         assert inst.region_lattice(1, 0.35) == []
-        assert inst.region_lattice(3, 0.35) == []
+        assert inst.region_lattice(2, 0.5) == inst.region_lattice(3, 0.2) == [(1, 0)]
+        assert inst.region_lattice(2, 0.57) == inst.region_lattice(3, 0.35) == []
 
     def test_matches_brute_force(self):
         for s, delta in [(24, 0.35), (17, 0.2), (40, 0.5)]:
