@@ -142,7 +142,8 @@ def dimension_report(alpha: float, gamma: float) -> DimensionReport:
     ModelParams(alpha=alpha, gamma=gamma)  # raises unless both are positive and finite
     s = math.ceil(1.0 / math.sqrt(alpha))
     c1, delta_star = lower_bound_constant()
-    if s < 4 or not instability.region_lattice(s, delta_star):
+    # one admissible point certifies the bound; the whole lattice grows as 1/alpha
+    if s < 4 or next(instability._region_points(s, delta_star), None) is None:
         raise ValueError(f"no lower bound certified at this alpha (s={s}: region empty)")
     lam = instability.threshold_amplitude(s, delta_star, alpha, gamma)
     curl_sq = (gamma * lam * s) ** 2

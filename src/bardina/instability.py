@@ -10,7 +10,9 @@ a batch of chains at once as the root of a continued-fraction identity.
 The truncated tridiagonal matrix of the chain cross-checks it by a route
 that uses no continued fraction: the matrix has a zero diagonal, so its
 spectrum is +-lambda and the mu = lambda^2 are the eigenvalues of one
-depth-sized block of its square.  Counting the admissible lattice points and
+depth-sized tridiagonal block of its square; for an admissible chain that
+block is similar to a symmetric one, whose real eigenvalues one symmetric
+eigensolver finds.  Counting the admissible lattice points and
 driving them all unstable with a large enough forcing amplitude gives the
 dimension lower bound of :mod:`bardina.bounds`.
 """
@@ -125,6 +127,16 @@ def _admissible(s: int, t: int, r: int) -> bool:
             and t * t + (r + s) ** 2 > s * s and -s < 6 * r < s)
 
 
+def _region_points(s: int, delta: float):
+    """Iterator over the points of :func:`region_lattice`, in its order."""
+    if not 0.0 < delta < 1.0 / math.sqrt(3.0):
+        raise ValueError("delta must lie in (0, 1/sqrt(3))")
+    t_max = int(math.floor(s / math.sqrt(3.0)))
+    r_hi = (s - 1) // 6  # strict |r| < s/6
+    return ((t, r) for t in range(max(1, int(math.ceil(delta * s))), t_max + 1)
+            for r in range(-r_hi, r_hi + 1) if _admissible(s, t, r))
+
+
 def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
     """All integer (t, r) in the admissible region, ordered by (t, r): inside
     the open disk of radius s/sqrt(3), outside both unit-shifted disks of
@@ -133,12 +145,7 @@ def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
 
     Empty at s = 1; at s = 2 and 3 it holds (t, r) = (1, 0) when delta*s <= 1.
     """
-    if not 0.0 < delta < 1.0 / math.sqrt(3.0):
-        raise ValueError("delta must lie in (0, 1/sqrt(3))")
-    t_max = int(math.floor(s / math.sqrt(3.0)))
-    r_hi = (s - 1) // 6  # strict |r| < s/6
-    return [(t, r) for t in range(max(1, int(math.ceil(delta * s))), t_max + 1)
-            for r in range(-r_hi, r_hi + 1) if _admissible(s, t, r)]
+    return list(_region_points(s, delta))
 
 
 @dataclass(frozen=True)
@@ -460,8 +467,23 @@ def chain_matrix_eigen(chain: Chain, depth: int = 200) -> float:
     even block adds only the zero eigenvalue that an odd-sized M must have.
     So the largest real part is max Re sqrt(mu) over the odd block, from one
     depth x depth eigenvalue problem instead of a (2 depth + 1)^2 one.
+
+    The odd block B is tridiagonal.  Where every product c_j = B[j, j+1] B[j+1, j]
+    is >= 0, B is diagonally similar to the symmetric tridiagonal matrix with
+    off-diagonals sqrt(c_j) (blocks split where c_j = 0), so mu is real and
+    ``numpy.linalg.eigvalsh`` solves it.  This holds for every admissible
+    chain at even depth (the default): the odd rows are then the odd n, where
+    1/A_n > 0.  A block with a negative product goes to ``numpy.linalg.eigvals``:
+    that of an inadmissible chain, or of an admissible one at odd depth >= 3,
+    whose odd rows hold n = 0, where 1/A_0 < 0.
     """
-    mu = np.linalg.eigvals(_odd_block(chain, depth)).astype(complex)
+    b = _odd_block(chain, depth)
+    c = np.diagonal(b, 1) * np.diagonal(b, -1)
+    if np.all(c >= 0.0):
+        j = np.arange(depth - 1)
+        b[j + 1, j] = np.sqrt(c)  # eigvalsh reads the lower triangle only
+        return math.sqrt(max(np.linalg.eigvalsh(b)[-1], 0.0)) - chain.gamma
+    mu = np.linalg.eigvals(b).astype(complex)
     return float(np.sqrt(mu).real.max()) - chain.gamma
 
 

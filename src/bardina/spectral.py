@@ -49,7 +49,6 @@ __all__ = [
     "curl",
     "stream_velocity",
     "velocity_from_vorticity",
-    "alpha_inner",
     "random_field",
 ]
 
@@ -358,21 +357,6 @@ def _full(grid: FourierGrid, half: np.ndarray) -> np.ndarray:
     out[..., : n // 2 + 1] = half
     out[..., n // 2 + 1 :] = np.conj(half[..., grid._neg, 1 : n // 2][..., ::-1])
     return out
-
-
-def alpha_inner(theta: VectorField, xi: VectorField, alpha: float) -> float:
-    """Inner product of the filtered energy space.
-
-    (theta, xi)_alpha = ((1-alpha*Lap)^(-1/2) theta, (1-alpha*Lap)^(-1/2) xi),
-    computed spectrally as (2*pi)^2 sum Re(theta.conj(xi)) / (1+alpha|k|^2).
-    Its square norm equals ||thetabar||^2 + alpha*||grad thetabar||^2 with
-    thetabar = (1-alpha*Lap)^(-1) theta.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    w = 1.0 / (1.0 + alpha * theta.grid.k_sq)
-    s = np.sum((theta.coeffs * np.conj(xi.coeffs)).real * w)
-    return float((2.0 * np.pi) ** 2 * s)
 
 
 def random_field(

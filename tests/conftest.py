@@ -78,6 +78,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def alpha_inner(theta, xi, alpha: float) -> float:
+    """Inner product of the filtered energy space, the reference of the tangent
+    orthonormalization tests.
+
+    (theta, xi)_alpha = ((1-alpha*Lap)^(-1/2) theta, (1-alpha*Lap)^(-1/2) xi),
+    computed spectrally as (2*pi)^2 sum Re(theta.conj(xi)) / (1+alpha|k|^2)
+    over the full-layout coefficients of two vector fields.  Its square norm
+    equals ||thetabar||^2 + alpha*||grad thetabar||^2 with
+    thetabar = (1-alpha*Lap)^(-1) theta.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    w = 1.0 / (1.0 + alpha * theta.grid.k_sq)
+    s = np.sum((theta.coeffs * np.conj(xi.coeffs)).real * w)
+    return float((2.0 * np.pi) ** 2 * s)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.Generator(np.random.Philox(20260814))

@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -704,6 +705,14 @@ class TestBoundsCommand:
         assert payload["alpha"] == 0.0009765625
         assert 0.0 < payload["lower"] <= payload["upper"]
         assert payload["s"] == 32  # ceil(1/sqrt(alpha))
+
+    def test_tiny_alpha_needs_one_admissible_point(self, capsys):
+        # s = 100000: the whole admissible lattice would hold about 2.8e8 points
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, "bounds", "--alpha", "1e-10", "--gamma", "1")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 0
+        assert json.loads("\n".join(data_lines(out)))["s"] == 100000
 
 
 class TestVerifyCommand:

@@ -15,7 +15,6 @@ from bardina.spectral import (
     ModelParams,
     SpectralField,
     VectorField,
-    alpha_inner,
     curl,
     hermitianize,
     make_grid,
@@ -49,6 +48,8 @@ from bardina.instability import (
     kolmogorov_forcing,
     stationary_vorticity,
 )
+
+from conftest import alpha_inner
 
 PARAMS = ModelParams(alpha=1.0 / 64.0, gamma=1.0)
 

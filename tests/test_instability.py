@@ -416,6 +416,26 @@ class TestMatrixOracle:
         mu = np.linalg.eigvals(block)
         _match(np.linalg.eigvals(m) ** 2, np.concatenate((mu, mu, [0.0])), 1e-9 * scale)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), s=st.integers(2, 48), alpha=st.floats(0.0, 0.5),
+           coupling=st.floats(0.05, 5.0), half_depth=st.integers(1, 100))
+    def test_admissible_odd_block_takes_the_symmetric_route(self, data, s, alpha, coupling,
+                                                            half_depth):
+        # at even depth the odd rows are the odd n, where an admissible chain has 1/A_n > 0,
+        # so every off-diagonal product of the block is >= 0 and eigvalsh applies
+        t, r = data.draw(st.sampled_from(inst.region_lattice(s, 1e-3)))
+        ch = inst.Chain(s=s, t=t, r=r, alpha=alpha, gamma=1.0, coupling=coupling)
+        block = inst._odd_block(ch, 2 * half_depth)
+        assert np.all(np.diagonal(block, 1) * np.diagonal(block, -1) >= 0.0)
+        general = float(np.sqrt(np.linalg.eigvals(block).astype(complex)).real.max()) - ch.gamma
+        scale = max(1.0, float(np.abs(block).max()))
+        assert abs(inst.chain_matrix_eigen(ch, 2 * half_depth) - general) <= 1e-10 * scale
+
+    def test_outside_chain_keeps_the_general_route(self):
+        # a negative product, so test_matches_dense_route covers the eigvals route too
+        block = inst._odd_block(ORACLE_CHAINS["outside-t1"], 200)
+        assert np.min(np.diagonal(block, 1) * np.diagonal(block, -1)) < 0.0
+
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
             inst.chain_matrix_eigen(PINNED, depth=0)

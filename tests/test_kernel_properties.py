@@ -17,7 +17,6 @@ from bardina.dynamics import _band_weight, _check_real_coeffs, _orthonormalize
 from bardina.spectral import (
     ModelParams,
     SpectralField,
-    alpha_inner,
     curl,
     hermitianize,
     make_grid,
@@ -26,6 +25,8 @@ from bardina.spectral import (
     stream_velocity,
 )
 from bardina.spectral import _band, _full, _sample_scratch, _samples, _spectrum, _unband
+
+from conftest import alpha_inner
 
 GRIDS = st.integers(4, 32).map(lambda half: 2 * half)
 ALPHAS = st.floats(2.0**-12, 1.0)

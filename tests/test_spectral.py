@@ -9,7 +9,6 @@ from bardina.spectral import (
     ModelParams,
     SpectralField,
     VectorField,
-    alpha_inner,
     curl,
     hermitianize,
     make_grid,
@@ -19,6 +18,8 @@ from bardina.spectral import (
     velocity_from_vorticity,
     zero_field,
 )
+
+from conftest import alpha_inner
 
 
 class TestGrid:
