@@ -130,6 +130,13 @@ class DimensionReport:
     delta_star: float
 
 
+def _region_empty(s: int, delta: float) -> bool:
+    """Whether instability.region_lattice(s, delta) is empty: (t, 0) is admissible iff
+    3 t^2 < s^2, as is every admissible (t, r), so the least t of the region decides."""
+    t0 = max(1, math.ceil(delta * s))
+    return 3 * t0 * t0 >= s * s
+
+
 def dimension_report(alpha: float, gamma: float) -> DimensionReport:
     """Evaluate both bounds on the same forcing g_s; lower <= upper always
     (their ratio is the alpha-independent constant 8 pi c1).
@@ -142,8 +149,7 @@ def dimension_report(alpha: float, gamma: float) -> DimensionReport:
     ModelParams(alpha=alpha, gamma=gamma)  # raises unless both are positive and finite
     s = math.ceil(1.0 / math.sqrt(alpha))
     c1, delta_star = lower_bound_constant()
-    # one admissible point certifies the bound; the whole lattice grows as 1/alpha
-    if s < 4 or next(instability._region_points(s, delta_star), None) is None:
+    if s < 4 or _region_empty(s, delta_star):
         raise ValueError(f"no lower bound certified at this alpha (s={s}: region empty)")
     lam = instability.threshold_amplitude(s, delta_star, alpha, gamma)
     curl_sq = (gamma * lam * s) ** 2

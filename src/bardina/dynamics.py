@@ -50,9 +50,9 @@ step_with_tangents, vorticity_rhs and variational_rhs.  It holds a copy of
 the stack, so no input is ever written, and every buffer the stages need;
 the transforms and the stage arithmetic write into it in place, in the
 order of operations of the allocating form, so a step allocates nothing of
-the grid's size and its result is the same to the bit.  The states a run
-hands out share its forcing, checked once when its first state was built,
-and simulate computes the absorbing radius of its rows once per run.
+the grid's size and its result is the same to the bit.  Fields are checked
+where they enter (SimState, _check_tangent), not where a run hands them out
+(see _published).  simulate computes the absorbing radius once per run.
 
 curl and stream_velocity convert at the edge; they are inverse to each
 other on zero-mean divergence-free fields.  Lyapunov exponents come from
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -123,7 +123,7 @@ def _check_real_coeffs(grid: FourierGrid, coeffs: np.ndarray, what: str) -> None
     if not math.isfinite(scale):
         raise ValueError(f"{what} coefficients are not finite")
     tol = 1e-12 * max(scale, 1e-300)
-    # one temporary, reused in place: every published state runs this check
+    # one temporary, reused in place
     gap = coeffs[..., grid._neg, :][..., :, grid._neg]
     np.subtract(coeffs, np.conjugate(gap, out=gap), out=gap)
     if float(np.abs(gap).max()) > tol:
@@ -137,7 +137,8 @@ class SimState:
     """Vorticity snapshot plus everything needed to advance it.
 
     forcing_curl holds curl g; the vorticity equation never needs g itself.
-    omega must be a real (Hermitian) zero-mean field on the same grid.
+    SimState(...), make_state, io.load_state and dataclasses.replace check that time
+    is finite and omega and forcing_curl finite, real, zero-mean fields on one grid.
     """
 
     omega: SpectralField
@@ -151,19 +152,7 @@ class SimState:
         if not math.isfinite(self.time):
             raise ValueError(f"time must be finite, got {self.time!r}")
         _check_real_coeffs(self.omega.grid, self.omega.coeffs, "omega")
-        if not self.__dict__.pop("_forcing_checked", False):
-            _check_real_coeffs(self.forcing_curl.grid, self.forcing_curl.coeffs, "forcing_curl")
-
-    @classmethod
-    def _on_checked_flow(
-        cls, omega: SpectralField, time: float, params: ModelParams, forcing_curl: SpectralField
-    ) -> "SimState":
-        """A state whose forcing_curl is already checked: the flow of the
-        integrator run that hands the state out.  Only omega is checked."""
-        state = cls.__new__(cls)
-        state._forcing_checked = True  # read and dropped by __post_init__
-        state.__init__(omega, time, params, forcing_curl)
-        return state
+        _check_real_coeffs(self.forcing_curl.grid, self.forcing_curl.coeffs, "forcing_curl")
 
     @property
     def grid(self) -> FourierGrid:
@@ -321,14 +310,14 @@ class _Work:
         """curl g / gamma in the full layout, added to w by _published."""
         return self.forcing_curl.coeffs / self.params.gamma
 
-    def half(self, first: int, band: np.ndarray, side: np.ndarray) -> np.ndarray:
-        """Half spectra of the stack rows first, first + 1, ... from their
-        band coefficients band and the side values side of the stack."""
+    def full(self, first: int, band: np.ndarray, side: np.ndarray) -> np.ndarray:
+        """Full-layout coefficients of the stack rows first, first + 1, ... from
+        their band coefficients band and the stack's side values side."""
         out = _unband(self.grid, band)
         r, i, j = self.side
         keep = (r >= first) & (r < first + len(band))
         out[r[keep] - first, i[keep], j[keep]] = side[keep]
-        return out
+        return _full(self.grid, out)
 
 
 def _rates(work: _Work, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -463,16 +452,24 @@ def _if_rk4(work: _Work, dt: float) -> None:
         raise BlowUpError(f"non-finite coefficients after a step of dt = {dt!r}")
 
 
+def _unchecked(cls: type, *values):
+    """Instance of the dataclass cls holding values, without its __post_init__ check."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip((f.name for f in fields(cls)), values))
+    return obj
+
+
 def _published(work: _Work, time: float) -> SimState:
     """The SimState at time on the run's flow, from w = omega - curl g / gamma.
 
-    Its forcing is the run's own, checked when the run's first state was
-    built, so it is not checked again.
+    Not checked again: the forcing is the run's own, and omega keeps the symmetry
+    and zero mean of the run's checked input, as _full mirrors exactly, _spectrum
+    makes k = 0 zero and the k2 = 0 band column exactly Hermitian, and every other
+    entry moves by real scalars.
     """
-    c = _full(work.grid, work.half(0, work.w[None], work.side_w)[0])
+    c = work.full(0, work.w[None], work.side_w)[0]
     c += work.full_shift
-    omega = SpectralField(work.grid, c)
-    return SimState._on_checked_flow(omega, time, work.params, work.forcing_curl)
+    return _unchecked(SimState, SpectralField(work.grid, c), time, work.params, work.forcing_curl)
 
 
 def step(state: SimState, dt: float) -> SimState:
@@ -581,18 +578,17 @@ def step_with_tangents(bundle: TangentBundle, dt: float) -> TangentBundle:
 
     Tangents are propagated as vorticity perturbations zeta = curl theta by
     the exact Jacobian of the discrete base map (see _if_rk4) and converted
-    back to velocity at the end.
+    back to velocity at the end.  The bundle is not checked again: the
+    velocities of zero-mean vorticities are zero-mean and divergence-free.
     """
     state = bundle.base
     grid = state.grid
     zetas = [_half(curl(v).coeffs) for v in bundle.vectors]
     work = _Work(state, np.stack([_half(state.omega.coeffs), *zetas]))
     _if_rk4(work, dt)
-    return TangentBundle(
-        _published(work, state.time + dt),
-        [stream_velocity(SpectralField(grid, z))
-         for z in _full(grid, work.half(1, work.y[1:], work.side_y))],
-    )
+    vectors = [stream_velocity(SpectralField(grid, z))
+               for z in work.full(1, work.y[1:], work.side_y)]
+    return _unchecked(TangentBundle, _published(work, state.time + dt), vectors)
 
 
 # ---------------------------------------------------------------------------

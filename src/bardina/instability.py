@@ -10,7 +10,7 @@ a batch of chains at once as the root of a continued-fraction identity.
 The truncated tridiagonal matrix of the chain cross-checks it by a route
 that uses no continued fraction: the matrix has a zero diagonal, so its
 spectrum is +-lambda and the mu = lambda^2 are the eigenvalues of one
-depth-sized tridiagonal block of its square; for an admissible chain that
+tridiagonal block of its square, the rows of the odd n; for an admissible chain that
 block is similar to a symmetric one, whose real eigenvalues one symmetric
 eigensolver finds.  Counting the admissible lattice points and
 driving them all unstable with a large enough forcing amplitude gives the
@@ -127,16 +127,6 @@ def _admissible(s: int, t: int, r: int) -> bool:
             and t * t + (r + s) ** 2 > s * s and -s < 6 * r < s)
 
 
-def _region_points(s: int, delta: float):
-    """Iterator over the points of :func:`region_lattice`, in its order."""
-    if not 0.0 < delta < 1.0 / math.sqrt(3.0):
-        raise ValueError("delta must lie in (0, 1/sqrt(3))")
-    t_max = int(math.floor(s / math.sqrt(3.0)))
-    r_hi = (s - 1) // 6  # strict |r| < s/6
-    return ((t, r) for t in range(max(1, int(math.ceil(delta * s))), t_max + 1)
-            for r in range(-r_hi, r_hi + 1) if _admissible(s, t, r))
-
-
 def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
     """All integer (t, r) in the admissible region, ordered by (t, r): inside
     the open disk of radius s/sqrt(3), outside both unit-shifted disks of
@@ -145,7 +135,12 @@ def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
 
     Empty at s = 1; at s = 2 and 3 it holds (t, r) = (1, 0) when delta*s <= 1.
     """
-    return list(_region_points(s, delta))
+    if not 0.0 < delta < 1.0 / math.sqrt(3.0):
+        raise ValueError("delta must lie in (0, 1/sqrt(3))")
+    t_max = int(math.floor(s / math.sqrt(3.0)))
+    r_hi = (s - 1) // 6  # strict |r| < s/6
+    return [(t, r) for t in range(max(1, int(math.ceil(delta * s))), t_max + 1)
+            for r in range(-r_hi, r_hi + 1) if _admissible(s, t, r)]
 
 
 @dataclass(frozen=True)
@@ -438,20 +433,21 @@ def chain_matrix(chain: Chain, depth: int) -> np.ndarray:
     return m
 
 
-def _odd_block(chain: Chain, depth: int) -> np.ndarray:
-    """Rows and columns 1, 3, ..., 2 depth - 1 of M^2, M = chain_matrix(chain, depth).
+def _square_block(chain: Chain, depth: int, first: int) -> np.ndarray:
+    """Rows and columns first, first + 2, ... (first 0 or 1) of M^2, M = chain_matrix(chain, depth).
 
     With w = 1/A_n along M's rows, M[i, i+1] = w_i and M[i+1, i] = -w_{i+1},
     so M^2 is tridiagonal in steps of two: diagonal -w_i (w_{i-1} + w_{i+1}),
     M^2[i, i+2] = w_i w_{i+1} and M^2[i+2, i] = w_{i+2} w_{i+1}.
     """
     w = _inv_ladder(chain, depth)
-    odd, inner = w[1::2], w[2:-1:2]
-    b = np.zeros((depth, depth))
-    j = np.arange(depth)
-    b[j, j] = -odd * (w[:-1:2] + w[2::2])
-    b[j[:-1], j[1:]] = odd[:-1] * inner
-    b[j[1:], j[:-1]] = odd[1:] * inner
+    rows, inner, padded = w[first::2], w[first + 1 : -1 : 2], np.pad(w, 1)
+    size = rows.size
+    b = np.zeros((size, size))
+    j = np.arange(size)
+    b[j, j] = -rows * (padded[first:-2:2] + padded[first + 2 :: 2])
+    b[j[:-1], j[1:]] = rows[:-1] * inner
+    b[j[1:], j[:-1]] = rows[1:] * inner
     return b
 
 
@@ -462,27 +458,27 @@ def chain_matrix_eigen(chain: Chain, depth: int = 200) -> float:
     agrees with :func:`solve_sigma` once depth is large (coefficients grow
     like n^2, so boundary truncation decays fast).  The matrix M has a zero
     diagonal, so D M D = -M for D = diag((-1)^i): its spectrum is +-lambda,
-    and M^2 splits into the even and the odd rows and columns.  The odd
-    block, of size depth, holds every mu = lambda^2 of a nonzero lambda; the
-    even block adds only the zero eigenvalue that an odd-sized M must have.
-    So the largest real part is max Re sqrt(mu) over the odd block, from one
-    depth x depth eigenvalue problem instead of a (2 depth + 1)^2 one.
+    and M^2 splits into its even and odd rows and columns (row i holds n = i - depth).
+    Each block holds every mu = lambda^2 of a nonzero lambda; the even rows, one
+    more, add the zero eigenvalue of the odd-sized M.  So the largest real part is
+    max Re sqrt(mu) over one block instead of a (2 depth + 1)^2 problem.
 
-    The odd block B is tridiagonal.  Where every product c_j = B[j, j+1] B[j+1, j]
-    is >= 0, B is diagonally similar to the symmetric tridiagonal matrix with
-    off-diagonals sqrt(c_j) (blocks split where c_j = 0), so mu is real and
-    ``numpy.linalg.eigvalsh`` solves it.  This holds for every admissible
-    chain at even depth (the default): the odd rows are then the odd n, where
-    1/A_n > 0.  A block with a negative product goes to ``numpy.linalg.eigvals``:
-    that of an inadmissible chain, or of an admissible one at odd depth >= 3,
-    whose odd rows hold n = 0, where 1/A_0 < 0.
+    The block B of the odd n is tridiagonal.  Where every product
+    c_j = B[j, j+1] B[j+1, j] is >= 0, B is diagonally similar to the
+    symmetric tridiagonal matrix with off-diagonals sqrt(c_j) (blocks split
+    where c_j = 0), so mu is real and ``numpy.linalg.eigvalsh`` solves it.
+    This holds for every admissible chain at every depth, as 1/A_n > 0 at
+    every n != 0.  Any other chain goes to ``numpy.linalg.eigvals`` on the odd
+    rows, without the zero eigenvalue, whose rounding the sqrt would magnify.
     """
-    b = _odd_block(chain, depth)
+    b = _square_block(chain, depth, 1 - depth % 2)  # the odd n
     c = np.diagonal(b, 1) * np.diagonal(b, -1)
     if np.all(c >= 0.0):
-        j = np.arange(depth - 1)
+        j = np.arange(len(c))
         b[j + 1, j] = np.sqrt(c)  # eigvalsh reads the lower triangle only
         return math.sqrt(max(np.linalg.eigvalsh(b)[-1], 0.0)) - chain.gamma
+    if depth % 2:
+        b = _square_block(chain, depth, 1)
     mu = np.linalg.eigvals(b).astype(complex)
     return float(np.sqrt(mu).real.max()) - chain.gamma
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bardina import bounds, instability
@@ -227,6 +227,17 @@ class TestLowerBound:
             bounds.dimension_report(1.0, 1.0)
         with pytest.raises(ValueError, match="no lower bound certified"):
             bounds.dimension_report(0.25, 1.0)  # s = 2 < 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.integers(1, 399),
+           delta=st.floats(0.0, 1.0 / math.sqrt(3.0), exclude_min=True, exclude_max=True))
+    @example(s=2, delta=0.5)  # the one point (1, 0)
+    @example(s=7, delta=4.0 / 7.0)  # t = 4, the last t with 3 t^2 < s^2
+    @example(s=7, delta=0.5715)  # t >= 5: empty
+    @example(s=399, delta=0.5764)  # t = 230, the last t
+    @example(s=399, delta=0.577)  # t >= 231: empty
+    def test_closed_form_emptiness_agrees_with_the_lattice(self, s, delta):
+        assert bounds._region_empty(s, delta) == (not instability.region_lattice(s, delta))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -707,12 +707,14 @@ class TestBoundsCommand:
         assert payload["s"] == 32  # ceil(1/sqrt(alpha))
 
     def test_tiny_alpha_needs_one_admissible_point(self, capsys):
-        # s = 100000: the whole admissible lattice would hold about 2.8e8 points
-        start = time.perf_counter()
-        rc, out, _ = run(capsys, "bounds", "--alpha", "1e-10", "--gamma", "1")
-        assert time.perf_counter() - start < 1.0
-        assert rc == 0
-        assert json.loads("\n".join(data_lines(out)))["s"] == 100000
+        # s = 100000: the whole admissible lattice would hold about 2.8e8 points;
+        # s = 10^8: a scan of its first row would pass some 10^7 points
+        for alpha, s in (("1e-10", 100000), ("1e-16", 100000000)):
+            start = time.perf_counter()
+            rc, out, _ = run(capsys, "bounds", "--alpha", alpha, "--gamma", "1")
+            assert time.perf_counter() - start < 1.0
+            assert rc == 0
+            assert json.loads("\n".join(data_lines(out)))["s"] == s
 
 
 class TestVerifyCommand:

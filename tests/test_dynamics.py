@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 try:
     import resource
@@ -38,7 +40,8 @@ from bardina.dynamics import (
     variational_rhs,
     vorticity_rhs,
 )
-from bardina.dynamics import _orthonormalize, _r0_sq_from_curl, _renormalize
+import bardina.dynamics as dyn
+from bardina.dynamics import _check_tangent, _orthonormalize, _r0_sq_from_curl, _renormalize
 from bardina.spectral import _band, _full, _unband
 from bardina.instability import (
     Chain,
@@ -140,6 +143,72 @@ class TestSimState:
         with pytest.raises(ValueError, match="not both"):
             make_state(f, PARAMS, forcing=VectorField(grid, np.zeros((2, 16, 16), complex)),
                        forcing_curl=f)
+
+
+def _exactly_real(field):
+    """Exactly Hermitian coefficients with an exactly zero mean."""
+    c, neg = field.coeffs, field.grid._neg
+    return np.array_equal(c, np.conj(c[..., neg, :][..., :, neg])) and not c[..., 0, 0].any()
+
+
+def _full_spectrum_state(grid, rng, forcing):
+    """make_state of a random omega on every mode, off the band too, with no
+    forcing, a Kolmogorov forcing on the band or a shear forcing off it."""
+    n = grid.n
+    c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (1.0 + grid.k_sq)
+    if forcing == "none":
+        return make_state(SpectralField(grid, c), PARAMS)
+    if forcing == "band":
+        spec = KolmogorovSpec(s=grid.cut, amplitude=2.0, gamma=PARAMS.gamma)
+        return make_state(SpectralField(grid, c), PARAMS, forcing=kolmogorov_forcing(spec, grid))
+    s = int(rng.integers(grid.cut + 1, n // 2 + 1))  # the Nyquist column too
+    return make_state(SpectralField(grid, c), PARAMS, forcing_curl=_shear_curl(grid, s, 2.0))
+
+
+class TestStatesOfARun:
+    """The integrators do not check what they hand out; these pin that it is
+    valid by construction, when the run's input came from make_state."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=hs.sampled_from([8, 12, 16, 30]), seed=hs.integers(0, 2**32 - 1),
+           forcing=hs.sampled_from(["none", "band", "off-band"]))
+    def test_states_are_exactly_real_and_zero_mean(self, n, seed, forcing):
+        grid = make_grid(n)
+        st = _full_spectrum_state(grid, np.random.default_rng(seed), forcing)
+        assert _exactly_real(st.omega) and _exactly_real(st.forcing_curl)
+        seen = []
+        final, _ = simulate(st, 0.05, 0.01, observers=(seen.append,))
+        assert len(seen) == 6 and seen[-1] is final
+        for state in seen + [step(st, 0.01)]:
+            assert _exactly_real(state.omega)
+            assert state.forcing_curl is st.forcing_curl
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=hs.sampled_from([8, 16, 30]), seed=hs.integers(0, 2**32 - 1),
+           m=hs.integers(1, 3), forcing=hs.sampled_from(["none", "band", "off-band"]))
+    def test_tangent_steps_hand_out_tangents(self, n, seed, m, forcing):
+        grid = make_grid(n)
+        rng = np.random.default_rng(seed)
+        st = _full_spectrum_state(grid, rng, forcing)
+        off = np.where(grid.dealias, 0.0, rng.standard_normal((n, n)) + 0j)
+        extra = stream_velocity(SpectralField(grid, hermitianize(grid, off)))
+        vecs = make_tangents(grid, m, PARAMS.alpha, rng)
+        out = step_with_tangents(TangentBundle(st, [vecs[0] + extra, *vecs[1:]]), 0.01)
+        assert _exactly_real(out.base.omega) and len(out.vectors) == m
+        for v in out.vectors:
+            _check_tangent(grid, v)
+
+    def test_runs_check_nothing_they_build(self, rng, monkeypatch):
+        grid = make_grid(16)
+        st = _full_spectrum_state(grid, rng, "off-band")
+        bundle = TangentBundle(st, make_tangents(grid, 2, PARAMS.alpha, rng))
+        checked = []
+        monkeypatch.setattr(dyn, "_check_real_coeffs", lambda *args: checked.append(args[-1]))
+        monkeypatch.setattr(dyn, "_check_tangent", lambda *args: checked.append("tangent"))
+        _, rows = simulate(st, 0.01, 1e-3)
+        step(st, 1e-3)
+        step_with_tangents(bundle, 1e-3)
+        assert len(rows) == 11 and checked == []
 
 
 class TestVorticityRhs:

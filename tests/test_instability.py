@@ -406,34 +406,39 @@ class TestMatrixOracle:
         m = inst.chain_matrix(ch, depth)
         d = np.diag((-1.0) ** np.arange(m.shape[0]))
         assert np.array_equal(d @ m @ d, -m)
-        # so M^2 has no even-odd entries, and the odd block is the package's
+        # so M^2 has no even-odd entries, and its rows of the odd n are the package's block
         m2 = m @ m
         assert np.all(m2[1::2, ::2] == 0.0) and np.all(m2[::2, 1::2] == 0.0)
-        block = inst._odd_block(ch, depth)
+        odd_n = np.arange(-depth, depth + 1) % 2 == 1
+        block = inst._square_block(ch, depth, 1 - depth % 2)
         scale = max(1.0, float(np.abs(m).max())) ** 2
-        assert np.allclose(block, m2[1::2, 1::2], rtol=0.0, atol=1e-14 * scale)
-        # M's spectrum is +-lambda plus one zero: its squares are mu, mu and 0
+        assert np.allclose(block, m2[np.ix_(odd_n, odd_n)], rtol=0.0, atol=1e-14 * scale)
+        # M's spectrum is +-lambda plus one zero: its squares are mu, mu and 0, where
+        # the block holds the zero too at odd depth (size depth + 1)
         mu = np.linalg.eigvals(block)
-        _match(np.linalg.eigvals(m) ** 2, np.concatenate((mu, mu, [0.0])), 1e-9 * scale)
+        if depth % 2:
+            _match(np.append(np.linalg.eigvals(m) ** 2, 0.0), np.concatenate((mu, mu)), 1e-9 * scale)
+        else:
+            _match(np.linalg.eigvals(m) ** 2, np.concatenate((mu, mu, [0.0])), 1e-9 * scale)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), s=st.integers(2, 48), alpha=st.floats(0.0, 0.5),
-           coupling=st.floats(0.05, 5.0), half_depth=st.integers(1, 100))
+           coupling=st.floats(0.05, 5.0), depth=st.integers(1, 200))
     def test_admissible_odd_block_takes_the_symmetric_route(self, data, s, alpha, coupling,
-                                                            half_depth):
-        # at even depth the odd rows are the odd n, where an admissible chain has 1/A_n > 0,
-        # so every off-diagonal product of the block is >= 0 and eigvalsh applies
+                                                            depth):
+        # the block holds the odd n, where an admissible chain has 1/A_n > 0, so every
+        # off-diagonal product of the block is >= 0 and eigvalsh applies, at any depth
         t, r = data.draw(st.sampled_from(inst.region_lattice(s, 1e-3)))
         ch = inst.Chain(s=s, t=t, r=r, alpha=alpha, gamma=1.0, coupling=coupling)
-        block = inst._odd_block(ch, 2 * half_depth)
+        block = inst._square_block(ch, depth, 1 - depth % 2)
         assert np.all(np.diagonal(block, 1) * np.diagonal(block, -1) >= 0.0)
         general = float(np.sqrt(np.linalg.eigvals(block).astype(complex)).real.max()) - ch.gamma
         scale = max(1.0, float(np.abs(block).max()))
-        assert abs(inst.chain_matrix_eigen(ch, 2 * half_depth) - general) <= 1e-10 * scale
+        assert abs(inst.chain_matrix_eigen(ch, depth) - general) <= 1e-10 * scale
 
     def test_outside_chain_keeps_the_general_route(self):
         # a negative product, so test_matches_dense_route covers the eigvals route too
-        block = inst._odd_block(ORACLE_CHAINS["outside-t1"], 200)
+        block = inst._square_block(ORACLE_CHAINS["outside-t1"], 200, 1)
         assert np.min(np.diagonal(block, 1) * np.diagonal(block, -1)) < 0.0
 
     def test_rejects_zero_depth(self):

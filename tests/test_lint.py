@@ -1,8 +1,14 @@
-"""Lint step on the standard library: no module imports a name it never uses.
+"""Lint steps on the standard library.
 
-An import counts as used if its bound name is read anywhere in the module,
-appears in a string annotation, or is listed in `__all__`.  `__future__`
-imports and star imports are not checked.
+No module imports a name it never uses.  An import counts as used if its
+bound name is read anywhere in the module, appears in a string annotation,
+or is listed in `__all__`.  `__future__` imports and star imports are not
+checked.
+
+No module of the package imports or reads a `_`-prefixed name of another
+package module, save the band kernel of `spectral` (its private transforms
+and band layout, which the integrators run on).  Dunder names such as
+`__version__` are not private.
 """
 import ast
 import os
@@ -72,3 +78,63 @@ def test_scan_finds_an_unused_import(tmp_path):
                     "from json import dumps as d, loads\n"
                     "def f(x: 'Sequence') -> None:\n    return os.path.join(loads(x))\n")
     assert [hit.rpartition(": ")[2] for hit in unused_imports(str(path))] == ["math", "d"]
+
+
+PACKAGE = "bardina"
+SHARED_PRIVATE = {"spectral"}  # the band kernel
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(path):
+    """`path:line: module.name` of every `_`-prefixed name of another package
+    module that the module at path imports, or reads as an attribute of an
+    imported package module."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), filename=path)
+    rel = os.path.relpath(path, ROOT)
+    modules, hits = {}, []  # bound name -> package module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").partition(".")[0] != PACKAGE:
+                continue
+            module = (node.module or "").removeprefix(PACKAGE).lstrip(".")
+            for alias in node.names:
+                if not module:  # from . import spectral
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    hits.append((node.lineno, module, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, module = alias.name.partition(".")
+                if head == PACKAGE and module and alias.asname:
+                    modules[alias.asname] = module
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            hits.append((node.lineno, modules[node.value.id], node.attr))
+    return [f"{rel}:{line}: {module}.{name}" for line, module, name in sorted(hits)
+            if module not in SHARED_PRIVATE]
+
+
+def test_no_private_name_crosses_a_package_module():
+    files = list(_python_files(os.path.join("src", PACKAGE)))
+    assert files
+    assert [hit for path in files for hit in private_reads(path)] == []
+
+
+def test_scan_finds_a_private_name_of_another_module(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("from . import __version__, instability as inst\n"
+                    "from .spectral import _band, make_grid\n"
+                    "from .dynamics import _check_tangent\n"
+                    "from bardina.bounds import _region_empty\n"
+                    "import bardina.io as ckpt\n"
+                    "import bardina.spectral as sp\n"
+                    "x = inst._region_points(1, 0.5), inst.region_lattice, ckpt._HEADER\n"
+                    "y = sp._full, make_grid(8)._neg, _band, _check_tangent, __version__\n")
+    assert [hit.rpartition(": ")[2] for hit in private_reads(str(path))] == [
+        "dynamics._check_tangent", "bounds._region_empty",
+        "instability._region_points", "io._HEADER"]
