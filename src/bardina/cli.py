@@ -51,11 +51,12 @@ if _ONE_THREAD_START:
 
 import numpy as np  # noqa: E402  (after the pool size is chosen)
 
-from . import __version__
+from . import __version__, instability
 from .spectral import ModelParams, SpectralField, curl, make_grid, random_field
-from . import bounds as bounds_mod
-from . import dynamics, inequalities, instability
-from . import io as ckpt
+
+# dynamics, io, bounds and inequalities are imported by the commands that run
+# them, so a process that runs instability or bounds does not load the flow
+# integrator and the checkpoint format
 
 __all__ = ["ConfigError", "RunConfig", "config_lines", "load_config", "main", "parse_and_dispatch"]
 
@@ -91,7 +92,8 @@ class RunConfig:
     t_end: float | None = _setting(None, ("simulate",), "final time, a whole number of steps")
     forcing: str = _setting("zero", _FLOW, "'zero' | 'kolmogorov S LAMBDA' | 'checkpoint PATH'")
     seed: int = _setting(0, _ALL, "RNG seed (default 0)")
-    output: str | None = _setting(None, _ALL, "output file (default: stdout)")
+    output: str | None = _setting(None, _ALL, "output file (default: stdout); verify --suite all "
+                                  "takes a directory, made if missing, and writes SUITE.csv there")
     threads: int = _setting(
         0, _ALL, "cap on the BLAS thread pool while the command runs, 0 = no cap. The pool has "
         "one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS sets it")
@@ -288,7 +290,9 @@ def _make_forcing(cfg: RunConfig, grid, params: ModelParams) -> SpectralField:
     if parts and parts[0] == "checkpoint":
         if len(parts) != 2:
             raise ConfigError(f"forcing {cfg.forcing!r}: expected 'checkpoint PATH'")
-        field, fparams, _ = ckpt.read_scalar(parts[1])
+        from .io import read_scalar
+
+        field, fparams, _ = read_scalar(parts[1])
         if field.grid.n != grid.n:
             raise ConfigError(f"forcing checkpoint grid {field.grid.n} != run grid {grid.n}")
         return field
@@ -296,8 +300,11 @@ def _make_forcing(cfg: RunConfig, grid, params: ModelParams) -> SpectralField:
 
 
 def _initial_state(cfg: RunConfig, params: ModelParams) -> dynamics.SimState:
+    from . import dynamics
+    from .io import load_state
+
     if cfg.initial is not None:
-        state = ckpt.load_state(cfg.initial)
+        state = load_state(cfg.initial)
         if cfg.grid is not None and cfg.grid != state.grid.n:
             raise ConfigError(f"grid = {cfg.grid} disagrees with the {state.grid.n}^2 grid of "
                               f"checkpoint {cfg.initial}; the checkpoint carries its grid")
@@ -322,6 +329,9 @@ def _initial_state(cfg: RunConfig, params: ModelParams) -> dynamics.SimState:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
+    from . import dynamics
+    from .io import save_state
+
     _require(cfg, "alpha", "gamma", "dt", "t_end")
     params = ModelParams(alpha=cfg.alpha, gamma=cfg.gamma)
     state = _initial_state(cfg, params)
@@ -332,15 +342,17 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     )
     _emit(cfg, body)
     if cfg.save is not None:
-        ckpt.save_state(state, cfg.save)
+        save_state(state, cfg.save)
     return 0
 
 
 def _cmd_lyapunov(cfg: RunConfig) -> int:
+    from .dynamics import lyapunov_spectrum
+
     _require(cfg, "alpha", "gamma", "dt")
     params = ModelParams(alpha=cfg.alpha, gamma=cfg.gamma)
     state = _initial_state(cfg, params)
-    report = dynamics.lyapunov_spectrum(
+    report = lyapunov_spectrum(
         state,
         n=cfg.exponents,
         dt=cfg.dt,
@@ -384,8 +396,10 @@ def _cmd_instability(cfg: RunConfig) -> int:
 
 
 def _cmd_bounds(cfg: RunConfig) -> int:
+    from .bounds import dimension_report
+
     _require(cfg, "alpha", "gamma")
-    rep = bounds_mod.dimension_report(cfg.alpha, cfg.gamma)
+    rep = dimension_report(cfg.alpha, cfg.gamma)
     record = {
         "alpha": rep.alpha,
         "gamma": rep.gamma,
@@ -405,10 +419,12 @@ def _cmd_bounds(cfg: RunConfig) -> int:
 
 
 def _suite_lattice_f(cfg: RunConfig):
+    from .inequalities import lattice_F
+
     rows, ok = [], True
     for m in np.linspace(0.1, 16.0, 61):
         m = float(m)
-        res = inequalities.lattice_F(m)
+        res = lattice_F(m)
         margin = res.margin()
         good = margin > 0.0
         ok &= good
@@ -417,10 +433,12 @@ def _suite_lattice_f(cfg: RunConfig):
 
 
 def _suite_rho_l2(cfg: RunConfig):
+    from .inequalities import rho_l2_check
+
     rows, ok = [], True
     for n in (1, 2, 4, 8, 16):
         for m in (0.25, 0.5, 1.0, 2.0):
-            res = inequalities.rho_l2_check(n=n, m=m, trials=25, seed=cfg.seed)
+            res = rho_l2_check(n=n, m=m, trials=25, seed=cfg.seed)
             margin = 1.0 - res.worst_ratio
             good = res.violations == 0
             ok &= good
@@ -429,6 +447,8 @@ def _suite_rho_l2(cfg: RunConfig):
 
 
 def _suite_trace_k2(cfg: RunConfig):
+    from .inequalities import trace_k2_check
+
     rows, ok = [], True
     rng = np.random.default_rng(np.random.Philox(cfg.seed))
     grid = make_grid(64)
@@ -437,7 +457,7 @@ def _suite_trace_k2(cfg: RunConfig):
             raw = random_field(grid, rng, amplitude=1.0, band=10)
             samples = raw.to_samples()
             v = SpectralField(grid, np.fft.fft2(samples * samples) / grid.n**2)
-            res = inequalities.trace_k2_check(v, m=m)
+            res = trace_k2_check(v, m=m)
             margin = res.rhs - res.lhs
             good = margin >= 0.0
             ok &= good
@@ -466,10 +486,12 @@ def _suite_sigma_bounds(cfg: RunConfig):
 
 
 def _suite_psi_negative(cfg: RunConfig):
+    from .inequalities import psi_big
+
     rows, ok = [], True
     for m in np.linspace(0.9, 16.0, 31):
         m = float(m)
-        val = inequalities.psi_big(m)
+        val = psi_big(m)
         margin = -val
         good = margin > 0.0
         ok &= good
@@ -493,6 +515,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
             raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)} or all")
     all_ok = True
     multi = len(names) > 1 and cfg.output is not None
+    if multi:
+        try:
+            os.makedirs(cfg.output, exist_ok=True)
+        except FileExistsError:
+            raise ConfigError(f"output = {cfg.output}: verify --suite all writes one file per "
+                              "suite into a directory, and this path is not one") from None
     for name in names:
         columns, rows, ok = _SUITES[name](cfg)
         all_ok &= ok
@@ -540,7 +568,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
         cfg = _effective_config(args)
         with _blas_pool(cfg.threads):
             return _COMMANDS[cfg.subcommand][0](cfg)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a path the configuration names
         print(f"bardina: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

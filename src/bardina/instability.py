@@ -37,6 +37,7 @@ __all__ = [
 SIGMA_TOL = 1e-12  # relative bisection tolerance on eigenvalues
 GAMMA_OFFSET = 1e-10  # bracket offset from -gamma, in units of gamma
 _MAX_DEPTH = 1 << 15  # g needs depth ~ (gamma+sigma)^(-1/2) near -gamma; doubled up to this
+_ORACLE_DEPTHS = (16, 32, 64, 128, 200)  # chain_matrix_eigen's truncations without a depth
 
 
 class ContinuedFractionError(RuntimeError):
@@ -451,7 +452,19 @@ def _square_block(chain: Chain, depth: int, first: int) -> np.ndarray:
     return b
 
 
-def chain_matrix_eigen(chain: Chain, depth: int = 200) -> float:
+def _symmetric_sigma(chain: Chain, depth: int) -> float | None:
+    """max Re sqrt(mu) - gamma over the block of the odd n by ``eigvalsh``, or
+    None where the block is not similar to a symmetric one."""
+    b = _square_block(chain, depth, 1 - depth % 2)  # the odd n
+    c = np.diagonal(b, 1) * np.diagonal(b, -1)
+    if not np.all(c >= 0.0):
+        return None
+    j = np.arange(len(c))
+    b[j + 1, j] = np.sqrt(c)  # eigvalsh reads the lower triangle only
+    return math.sqrt(max(np.linalg.eigvalsh(b)[-1], 0.0)) - chain.gamma
+
+
+def chain_matrix_eigen(chain: Chain, depth: int | None = None) -> float:
     """Largest real part of the spectrum of ``chain_matrix(chain, depth)``, minus gamma.
 
     Independent route to the chain eigenvalue (no continued fraction);
@@ -470,15 +483,29 @@ def chain_matrix_eigen(chain: Chain, depth: int = 200) -> float:
     This holds for every admissible chain at every depth, as 1/A_n > 0 at
     every n != 0.  Any other chain goes to ``numpy.linalg.eigvals`` on the odd
     rows, without the zero eigenvalue, whose rounding the sqrt would magnify.
+
+    With no depth, the symmetric route doubles the depth, 16, 32, 64, 128 and
+    last 200, and returns the first truncation that agrees with the one
+    before to SIGMA_TOL * max(gamma, |sigma|), the tolerance
+    :func:`solve_sigmas` bisects sigma to; a chain that has not converged by
+    then gets its value at depth 200.  A chain off the symmetric route is
+    solved at depth 200.
     """
-    b = _square_block(chain, depth, 1 - depth % 2)  # the odd n
-    c = np.diagonal(b, 1) * np.diagonal(b, -1)
-    if np.all(c >= 0.0):
-        j = np.arange(len(c))
-        b[j + 1, j] = np.sqrt(c)  # eigvalsh reads the lower triangle only
-        return math.sqrt(max(np.linalg.eigvalsh(b)[-1], 0.0)) - chain.gamma
-    if depth % 2:
-        b = _square_block(chain, depth, 1)
+    if depth is None:
+        last = None
+        for depth in _ORACLE_DEPTHS:
+            sigma = _symmetric_sigma(chain, depth)
+            if sigma is None or (last is not None and abs(sigma - last)
+                                 <= SIGMA_TOL * max(chain.gamma, abs(sigma))):
+                break
+            last = sigma
+        if sigma is not None:
+            return sigma
+        depth = _ORACLE_DEPTHS[-1]
+    sigma = _symmetric_sigma(chain, depth)
+    if sigma is not None:
+        return sigma
+    b = _square_block(chain, depth, 1)
     mu = np.linalg.eigvals(b).astype(complex)
     return float(np.sqrt(mu).real.max()) - chain.gamma
 

@@ -33,9 +33,17 @@ MAGIC = b"EBV1"
 _HEADER = struct.Struct("<4sIddd")
 
 
+def _naming(exc: OSError, path: str) -> OSError:
+    # an error the OS reports on the temporary file is reported on its target
+    return OSError(exc.errno, exc.strerror, path) if exc.filename is not None else exc
+
+
 def _write_atomic(path: str, *chunks: bytes) -> None:
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
-    fh = open(tmp, "xb")
+    try:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise _naming(exc, path) from None
     try:
         with fh:
             for chunk in chunks:
@@ -43,8 +51,10 @@ def _write_atomic(path: str, *chunks: bytes) -> None:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise _naming(exc, path) from None
         raise
 
 

@@ -512,6 +512,28 @@ class TestUsageErrors:
         assert proc.stderr.startswith("bardina: ") and "Traceback" not in proc.stderr
         assert str(path) in proc.stderr
 
+    def test_output_that_is_a_directory(self, tmp_path, capsys):
+        rc, out, err = run(capsys, "bounds", "--alpha", "0.001", "--gamma", "1",
+                           "--output", str(tmp_path))
+        assert rc == 2 and out == ""
+        assert err.startswith("bardina: ") and str(tmp_path) in err
+
+    def test_verify_all_into_a_file(self, tmp_path, capsys):
+        path = tmp_path / "report"
+        path.write_text("keep\n")
+        rc, out, err = run(capsys, "verify", "--suite", "all", "--output", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("bardina: ") and str(path) in err
+        assert path.read_text() == "keep\n"
+
+    def test_save_into_a_missing_directory_names_the_checkpoint(self, tmp_path, capsys):
+        target = tmp_path / "nodir" / "x.ebv"
+        rc, _, err = run(capsys, *TestSimulate.ARGS, "--save", str(target),
+                         "--output", str(tmp_path / "run.csv"))
+        assert rc == 2
+        assert err.startswith("bardina: ") and str(target) in err and ".tmp" not in err
+        assert sorted(os.listdir(tmp_path)) == ["run.csv"]
+
 
 class TestHeaders:
     def test_every_output_starts_with_version_hash_seed(self, capsys):
@@ -739,6 +761,13 @@ class TestVerifyCommand:
         for f in outdir.iterdir():
             assert "# result: PASS" in f.read_text()
 
+    def test_all_suites_to_a_new_directory(self, tmp_path, capsys):
+        outdir = tmp_path / "report_dir" / "today"
+        rc, _, err = run(capsys, "verify", "--suite", "all", "--output", str(outdir))
+        assert rc == 0, err
+        assert sorted(f.name for f in outdir.iterdir()) == [
+            "lattice-F.csv", "psi-negative.csv", "rho-l2.csv", "sigma-bounds.csv", "trace-k2.csv"]
+
     def test_failing_suite_exit_code(self, capsys, monkeypatch):
         def rigged(cfg):
             return ("x", "status"), [(1.0, "FAIL")], False
@@ -796,6 +825,22 @@ class TestConsoleScript:
         assert want.returncode == got.returncode == 0, got.stderr
         assert got.stdout.startswith("# bardina ") and got.stdout == want.stdout
         assert _run_child(as_module, "bounds", "--frobnicate", "1").returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["instability", "--alpha", "0.006944", "--gamma", "1", "--s", "12"],
+        ["bounds", "--alpha", "0.001", "--gamma", "1"],
+    ], ids=["instability", "bounds"])
+    def test_lower_bound_commands_load_no_flow_code(self, argv):
+        # the integrator and the checkpoint format are imported by the commands that run them
+        proc = _run_child([sys.executable, "-c",
+                           "import sys; from bardina.cli import parse_and_dispatch; "
+                           f"code = parse_and_dispatch({argv!r}); "
+                           "print(sorted(m for m in sys.modules if m.startswith('bardina.')), "
+                           "file=sys.stderr); sys.exit(code)"])
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stderr.strip().splitlines()[-1]
+        assert "'bardina.instability'" in loaded
+        assert "'bardina.dynamics'" not in loaded and "'bardina.io'" not in loaded
 
     def test_subprocess_smoke(self):
         proc = _run_child(

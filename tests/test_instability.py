@@ -355,6 +355,21 @@ def dense_oracle(chain, depth):
     return float(np.linalg.eigvals(inst.chain_matrix(chain, depth)).real.max()) - chain.gamma
 
 
+def fixed_depth_oracle(chain, depth):
+    """The oracle at one depth: eigvalsh on the symmetrized block of the odd n
+    where every off-diagonal product is >= 0, else eigvals on the odd rows."""
+    b = inst._square_block(chain, depth, 1 - depth % 2)
+    c = np.diagonal(b, 1) * np.diagonal(b, -1)
+    if np.all(c >= 0.0):
+        j = np.arange(len(c))
+        b[j + 1, j] = np.sqrt(c)
+        return math.sqrt(max(np.linalg.eigvalsh(b)[-1], 0.0)) - chain.gamma
+    if depth % 2:
+        b = inst._square_block(chain, depth, 1)
+    mu = np.linalg.eigvals(b).astype(complex)
+    return float(np.sqrt(mu).real.max()) - chain.gamma
+
+
 def _threshold_chains(s, delta=0.35, gamma=1.0):
     alpha = 1.0 / s**2
     spec = inst.KolmogorovSpec(s=s, amplitude=inst.threshold_amplitude(s, delta, alpha, gamma),
@@ -444,6 +459,32 @@ class TestMatrixOracle:
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
             inst.chain_matrix_eigen(PINNED, depth=0)
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("s", [8, 12, 24, 96])
+    def test_default_depth_is_converged(self, s, gamma):
+        # without a depth the truncation doubles until two agree to the tolerance
+        # solve_sigmas bisects to; the result sits that close to depth 200
+        for ch in _threshold_chains(s, gamma=gamma):
+            want = inst.chain_matrix_eigen(ch, 200)
+            got = inst.chain_matrix_eigen(ch)
+            assert abs(got - want) <= inst.SIGMA_TOL * max(gamma, abs(want)), (ch.t, ch.r)
+
+    @pytest.mark.parametrize("name", list(ORACLE_CHAINS))
+    def test_explicit_depth_keeps_its_arithmetic(self, name):
+        ch = ORACLE_CHAINS[name]
+        for depth in (1, 3, 5, 16, 60, 121, 200, 400):
+            assert inst.chain_matrix_eigen(ch, depth) == fixed_depth_oracle(ch, depth), depth
+        got = inst.chain_matrix_eigen(ch)
+        if name.startswith("outside"):  # off the symmetric route: depth 200, bit for bit
+            assert got == fixed_depth_oracle(ch, 200)
+        else:
+            assert abs(got - fixed_depth_oracle(ch, 200)) <= inst.SIGMA_TOL * max(1.0, abs(got))
+
+    def test_unconverged_chain_gets_its_depth_200_value(self, monkeypatch):
+        monkeypatch.setattr(inst, "SIGMA_TOL", -1.0)  # no two truncations agree
+        for ch in _threshold_chains(24)[:4] + [ORACLE_CHAINS["stable-shear"]]:
+            assert inst.chain_matrix_eigen(ch) == fixed_depth_oracle(ch, 200)
 
     def test_depth_stability(self):
         assert abs(

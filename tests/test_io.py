@@ -184,6 +184,21 @@ class TestStateCheckpoint:
         assert np.array_equal(back.omega.coeffs, old.omega.coeffs)
         assert back.time == old.time
 
+    @pytest.mark.parametrize("where", ["missing-directory", "onto-a-directory"])
+    def test_failed_save_names_the_target(self, tmp_path, rng, where):
+        # the error names the file that was asked for, not the temporary file, and
+        # no temporary file is left
+        if where == "missing-directory":
+            p, target = tmp_path / "nodir" / "x.ebv", tmp_path / "nodir" / "x.ebv.forcing"
+        else:
+            p = target = tmp_path / "x.ebv"
+            p.mkdir()  # the forcing file is written, the vorticity file cannot replace a directory
+        with pytest.raises(OSError) as info:
+            save_state(self._state(rng), str(p))
+        assert info.value.filename == str(target)
+        assert ".tmp" not in str(info.value)
+        assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
     @pytest.mark.parametrize("observe_every", [1, 7, 40])
     def test_restart_is_bit_identical(self, tmp_path, rng, observe_every):
         # run to T in one go vs checkpoint at T/2 and resume: same bytes,
