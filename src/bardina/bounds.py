@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import instability
-from .inequalities import B2
 from .spectral import ModelParams
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "dimension_report",
 ]
 
+B2 = 0.5 / math.sqrt(math.pi)  # constant in the rho and trace bounds, shared with inequalities
 DELTA_MAX = 1.0 / math.sqrt(3.0)
 # arithmetic prefactor of the lower-bound constant: (1/8)(21/(110 pi))^2
 C1_PREFACTOR = (21.0 / (110.0 * math.pi)) ** 2 / 8.0

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import glob
 import hashlib
 import json
@@ -218,6 +219,33 @@ def _emit(cfg: RunConfig, body: list[str], path: str | None = None) -> None:
     else:
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _output_dir(cfg: RunConfig) -> bool:
+    """Whether --output names a directory: verify --suite all writes one file per suite there."""
+    return cfg.subcommand == "verify" and cfg.suite == "all" and cfg.output is not None
+
+
+def _check_targets(cfg: RunConfig) -> None:
+    """Refuse a file target that cannot be written before any work starts:
+    --output (unless it names a directory) and --save, with a missing parent
+    directory, a directory in its place, or no write permission."""
+    paths = {} if _output_dir(cfg) else {"output": cfg.output}
+    if cfg.subcommand == "simulate":
+        paths["save"] = cfg.save
+    for name, path in paths.items():
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            problem = f"{parent} is not a directory"
+        elif os.path.isdir(path):
+            problem = "it is a directory"
+        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            problem = "no write permission"
+        else:
+            continue
+        raise ConfigError(f"{name} = {path}: cannot write there, {problem}")
 
 
 def _fmt(x) -> str:
@@ -514,7 +542,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         if name not in _SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(_SUITES)} or all")
     all_ok = True
-    multi = len(names) > 1 and cfg.output is not None
+    multi = _output_dir(cfg)
     if multi:
         try:
             os.makedirs(cfg.output, exist_ok=True)
@@ -542,7 +570,9 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it found it
     parser = argparse.ArgumentParser(
         prog="bardina",
         description="Damped Euler-Bardina model: simulation, instability, dimension bounds.",
@@ -566,6 +596,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _effective_config(args)
+        _check_targets(cfg)
         with _blas_pool(cfg.threads):
             return _COMMANDS[cfg.subcommand][0](cfg)
     except (ConfigError, OSError) as exc:  # OSError: a path the configuration names

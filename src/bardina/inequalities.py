@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bounds import B2
 from .spectral import SpectralField
 
 __all__ = [
@@ -35,8 +36,6 @@ __all__ = [
     "trace_k2_check",
     "TraceCheckResult",
 ]
-
-B2 = 0.5 / math.sqrt(math.pi)  # constant in the rho and trace bounds
 
 _SERIES_ASYMPTOTIC_SPLIT = 10.0
 

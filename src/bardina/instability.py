@@ -212,58 +212,77 @@ def _ladder_table(cols: np.ndarray, depth: int) -> np.ndarray:
 
 
 def _tabulated(cols: np.ndarray, n_max: int):
-    """A_n lookup (depth, chain indices) -> table for a batch of chains.
+    """Lookup scaled(depth, i, c) -> d_n = c A_n of the chains i of a batch, c = gamma + sigma,
+    n = 1..depth on both tails: shape (depth, tail, chain).
 
-    Every continued fraction sweeps depths n_max and 2 n_max, so those tables
-    are made once for the whole batch, and once per solve where the couplings
-    stay fixed across bisection rounds; deeper sweeps, which only chains probed
-    near sigma = -gamma need, are made for the chains asking.  While every
-    chain is still in play, the table is handed over as it is: a copy of it
-    costs more than the sweep that reads it.
+    Every continued fraction starts with one pass at depth 2 n_max, which
+    yields depth n_max from the same rows, so that A_n table is made once for
+    the whole batch, and once per solve where the couplings stay fixed across
+    bisection rounds.  Its d_n go into one buffer that each lookup overwrites,
+    straight from the table while every chain is still in play, else from
+    the chains' columns gathered there first.  Deeper passes, which only
+    chains probed near sigma = -gamma need, get tables made for the chains
+    asking.
     """
-    tables, every = {}, np.arange(cols.shape[1])
+    first, every = _ladder_table(cols, 2 * n_max), np.arange(cols.shape[1])
+    buffer = np.empty(first.size)
 
-    def table(depth, i):
+    def scaled(depth, i, c):
         if depth > 2 * n_max:
-            return _ladder_table(cols[:, i], depth)
-        if depth not in tables:
-            tables[depth] = _ladder_table(cols, depth)
-        return tables[depth] if np.array_equal(i, every) else tables[depth][:, :, i]
+            a = _ladder_table(cols[:, i], depth)
+            return np.multiply(c, a, out=a)
+        d = buffer[: 4 * n_max * i.size].reshape(2 * n_max, 2, i.size)
+        if np.array_equal(i, every):
+            return np.multiply(c, first, out=d)
+        return np.multiply(c, np.take(first, i, axis=2, out=d), out=d)
 
-    return table
+    return scaled
 
 
 def _cf(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int, max_depth: int,
-        table) -> np.ndarray:
-    # g of the chains cols[:, i] at depth 2n once depths n and 2n agree to 1e-10;
-    # n doubles per chain from n_max.  table(depth, i) hands over their A_n.
-    def sweep(j, depth):
-        # both tails 1/(d_1 + 1/(d_2 + ... + 1/d_depth)), d_n = (gamma + sigma) A_n
-        a, c = table(depth, i[j]), cols[4, i[j]] + sigma[j]
-        acc, d_n = c * a[-1], np.empty_like(a[-1])
-        for a_n in a[-2::-1]:
-            np.multiply(c, a_n, out=d_n)
+        scaled) -> np.ndarray:
+    """g of the chains cols[:, i] at depth 2n once depths n and 2n agree to 1e-10;
+    n doubles per chain from n_max.  scaled(depth, i, gamma + sigma) hands over their d_n.
+
+    Both tails are 1/(d_1 + 1/(d_2 + ... + 1/d_depth)), d_n = (gamma + sigma) A_n,
+    summed from the deepest row up.  The first pass makes depths n_max and
+    2 n_max at once: the deeper fraction runs alone down to row n_max, where
+    the shallower one starts, and from there both run stacked.  Each fraction
+    meets the same operations in the same order as in a pass of its own, so
+    its bits do not depend on the sharing; later doublings take one pass each.
+    """
+    def descend(j, depth, split=0):
+        # fractions of depth `depth` and, with split > 0, of depth `split`: shape (2, chain)
+        d = scaled(depth, i[j], cols[4, i[j]] + sigma[j])
+        acc = d[-1]
+        for d_n in d[max(split - 1, 0):-1][::-1]:
             np.divide(1.0, acc, out=acc)
             np.add(d_n, acc, out=acc)
-        return 1.0 / acc[0] + 1.0 / acc[1]
+        if split:
+            acc = np.stack((acc, d[split - 1]))
+            for d_n in d[: split - 1][::-1]:
+                np.divide(1.0, acc, out=acc)
+                np.add(d_n, acc, out=acc)
+        return 1.0 / acc[..., 0, :] + 1.0 / acc[..., 1, :]
 
     depth, todo = n_max, np.arange(sigma.size)
-    g = sweep(todo, depth)
-    while todo.size:
-        deeper = sweep(todo, 2 * depth)
+    deeper, g = descend(todo, 2 * depth, depth)
+    while True:
         moved = np.abs(g[todo] - deeper)
         g[todo] = deeper
         bad = moved > 1e-10
         todo, depth = todo[bad], 2 * depth
-        if todo.size and depth > max_depth:
+        if not todo.size:
+            return g
+        if depth > max_depth:
             raise ContinuedFractionError(f"depth doubling moved g by {moved[bad][0]:.3e} "
                                          f"at sigma={float(sigma[todo[0]])!r}")
-    return g
+        deeper = descend(todo, 2 * depth)
 
 
 def _gap(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int,
-         table) -> np.ndarray:
-    return _f(cols[:, i], sigma) - _cf(cols, i, sigma, n_max, _MAX_DEPTH, table)
+         scaled) -> np.ndarray:
+    return _f(cols[:, i], sigma) - _cf(cols, i, sigma, n_max, _MAX_DEPTH, scaled)
 
 
 def _expand(holds, x: np.ndarray, step) -> np.ndarray:
@@ -342,10 +361,10 @@ def solve_sigmas(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarray:
     if not all(c.admissible() for c in chains):
         raise ValueError("chain base mode outside the admissible region")
     cols = _columns(chains)
-    gamma, table = cols[4], _tabulated(cols, n_max)
+    gamma, scaled = cols[4], _tabulated(cols, n_max)
 
     def above(sigma, i):
-        return _gap(cols, i, sigma, n_max, table) > 0.0
+        return _gap(cols, i, sigma, n_max, scaled) > 0.0
 
     lo = -gamma + GAMMA_OFFSET * gamma
     # the gap is negative at lo (f ~ 0+, g > 0), where g converges too slowly to probe

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from bardina.instability import ContinuedFractionError
+
 # F(m) = m^2 sum_{k in Z^2, k != 0} (|k|^2 + m^2)^-2, mpmath dps=40 via the
 # one-dimensional collapse sum_j (j^2+c^2)^-2 = pi*coth(pi c)/(2c^3)
 #                                               + pi^2/(2c^2 sinh(pi c)^2).
@@ -93,6 +95,44 @@ def alpha_inner(theta, xi, alpha: float) -> float:
     w = 1.0 / (1.0 + alpha * theta.grid.k_sq)
     s = np.sum((theta.coeffs * np.conj(xi.coeffs)).real * w)
     return float((2.0 * np.pi) ** 2 * s)
+
+
+def cf_two_sweeps(chain, sigma: float, n_max: int, max_depth: int) -> tuple[float, int]:
+    """Reference of the continued fraction g(sigma) of a chain, one sweep per depth.
+
+    Sweeps depth n_max, then 2 n_max, and doubles while two successive depths
+    differ by more than 1e-10; returns g at the last depth and that depth, or
+    raises ContinuedFractionError once the depth would pass max_depth.  Each
+    sweep runs both tails 1/(d_1 + 1/(d_2 + ... + 1/d_depth)) from the deepest
+    row up, d_n = (gamma + sigma) A_n, on plain floats with the operation order
+    of the library's A_n, so its bits are those the batched solver must give.
+    """
+    s, t, r = float(chain.s), float(chain.t), float(chain.r)
+    alpha, coupling, c = chain.alpha, chain.coupling, chain.gamma + sigma
+
+    def d(n):
+        kn = s * n + r
+        k_sq = t * t + kn * kn
+        return c * ((k_sq + alpha * k_sq * k_sq) / (coupling * t * (k_sq - s * s)))
+
+    def sweep(depth):
+        tails = []
+        for sign in (1.0, -1.0):
+            acc = d(sign * depth)
+            for n in range(depth - 1, 0, -1):
+                acc = d(sign * n) + 1.0 / acc
+            tails.append(1.0 / acc)
+        return tails[0] + tails[1]
+
+    depth, g = n_max, sweep(n_max)
+    while True:
+        deeper = sweep(2 * depth)
+        moved, g, depth = abs(g - deeper), deeper, 2 * depth
+        if not moved > 1e-10:
+            return g, depth
+        if depth > max_depth:
+            raise ContinuedFractionError(f"depth doubling moved g by {moved:.3e} "
+                                         f"at sigma={sigma!r}")
 
 
 @pytest.fixture(scope="session")

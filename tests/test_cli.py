@@ -532,7 +532,35 @@ class TestUsageErrors:
                          "--output", str(tmp_path / "run.csv"))
         assert rc == 2
         assert err.startswith("bardina: ") and str(target) in err and ".tmp" not in err
-        assert sorted(os.listdir(tmp_path)) == ["run.csv"]
+        assert os.listdir(tmp_path) == []  # checked before the run, so no run.csv either
+
+    @pytest.mark.parametrize("cmd, extra, named", [
+        ("simulate", ("--save", "nodir/x.ebv", "--output", "run.csv"), "nodir/x.ebv"),
+        ("simulate", ("--output", "nodir/run.csv"), "nodir/run.csv"),
+        ("lyapunov", ("--output", "nodir/run.csv"), "nodir/run.csv"),
+        ("instability", ("--output", "nodir/run.csv"), "nodir/run.csv"),
+        ("instability", ("--output", "taken"), "taken"),
+        ("bounds", ("--output", "nodir/bounds.json"), "nodir/bounds.json"),
+        ("verify", ("--output", "nodir/run.csv"), "nodir/run.csv"),
+    ], ids=["simulate-save", "simulate", "lyapunov", "instability", "instability-directory",
+            "bounds", "verify"])
+    def test_unwritable_target_stops_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     cmd, extra, named):
+        from bardina import bounds, dynamics
+
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("taken")
+        ran = []
+        for module, name in [(dynamics, "make_state"), (dynamics, "simulate"),
+                             (dynamics, "lyapunov_spectrum"), (instability, "solve_sigmas"),
+                             (instability, "chain_matrix_eigen"), (bounds, "dimension_report")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: ran.append(name))
+        for suite in cli._SUITES:
+            monkeypatch.setitem(cli._SUITES, suite, lambda cfg, suite=suite: ran.append(suite))
+        rc, out, err = run(capsys, cmd, *_TINY[cmd], *extra)
+        assert rc == 2 and out == "" and ran == []
+        assert err.startswith("bardina: ") and named in err
+        assert os.listdir() == ["taken"] and os.listdir("taken") == []
 
 
 class TestHeaders:
@@ -841,6 +869,33 @@ class TestConsoleScript:
         loaded = proc.stderr.strip().splitlines()[-1]
         assert "'bardina.instability'" in loaded
         assert "'bardina.dynamics'" not in loaded and "'bardina.io'" not in loaded
+        assert "'bardina.inequalities'" not in loaded
+
+    def test_one_parser_serves_every_call_of_a_process(self):
+        # each call prints what it prints in a fresh process, an argparse exit included
+        child = ("import contextlib, io, json, sys\n"
+                 "from bardina import cli\n"
+                 "seen = []\n"
+                 "for argv in json.loads(sys.argv[1]):\n"
+                 "    out, err = io.StringIO(), io.StringIO()\n"
+                 "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+                 "        seen.append((cli.parse_and_dispatch(argv), out.getvalue(), "
+                 "err.getvalue()))\n"
+                 "print(json.dumps([seen, cli._build_parser.cache_info().misses]))\n")
+        calls = [["bounds", "--alpha", "0.001", "--gamma", "1"],
+                 ["bounds", "--alpha", "0.001", "--frobnicate", "1"],
+                 ["instability", "--alpha", "0.006944", "--gamma", "1", "--s", "12"],
+                 ["bounds", "--alpha", "0.001", "--gamma", "1"]]
+
+        def results(argvs):
+            proc = _run_child([sys.executable, "-c", child, json.dumps(argvs)])
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        together, builds = results(calls)
+        assert builds == 1
+        assert [code for code, _, _ in together] == [0, 2, 0, 0]
+        assert together == [results([argv])[0][0] for argv in calls]
 
     def test_subprocess_smoke(self):
         proc = _run_child(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bardina import instability as inst
 from bardina.spectral import curl, make_grid
 
-from conftest import CHAIN_COUNT_ORACLE
+from conftest import CHAIN_COUNT_ORACLE, cf_two_sweeps
 
 ALPHA = 1.0 / 64.0
 PINNED = inst.Chain(s=8, t=4, r=1, alpha=ALPHA, gamma=1.0, coupling=0.4)
@@ -178,6 +178,82 @@ class TestContinuedFraction:
     def test_nonconvergence_flagged_near_minus_gamma(self):
         with pytest.raises(inst.ContinuedFractionError):
             inst.continued_fraction_g(PINNED, -1.0 + 1e-10, n_max=8)
+
+
+def _g_or_error(compute):
+    """(value, None) or (None, message) of a continued-fraction evaluation."""
+    try:
+        return compute(), None
+    except inst.ContinuedFractionError as exc:
+        return None, str(exc)
+
+
+def _same_bits(a, b):
+    return a is b is None or np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+@st.composite
+def _chain_and_sigma(draw):
+    """An admissible chain and a sigma in (-gamma, its upper estimate], drawn
+    log-uniformly above -gamma so that some need depth doublings."""
+    s = draw(st.integers(4, 96))
+    t, r = draw(st.sampled_from(inst.region_lattice(s, 0.05)))
+    chain = inst.Chain(s=s, t=t, r=r, alpha=draw(st.sampled_from([0.0, 1.0 / s**2, 0.5])),
+                       gamma=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0])),
+                       coupling=draw(st.floats(0.05, 50.0)))
+    hi = inst.sigma_bounds(chain, t / s)[1]
+    return chain, -chain.gamma + 10.0 ** -draw(st.floats(0.0, 9.0)) * (hi + chain.gamma)
+
+
+class TestFusedPass:
+    """The pass that makes depths n and 2n together gives the bits of two
+    separate sweeps (conftest.cf_two_sweeps), per chain, in any batch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_chain_and_sigma(), n_max=st.sampled_from([2, 4, 8, 32]))
+    def test_continued_fraction_g_matches_two_sweeps(self, case, n_max):
+        chain, sigma = case
+        got = _g_or_error(lambda: inst.continued_fraction_g(chain, sigma, n_max))
+        want = _g_or_error(lambda: cf_two_sweeps(chain, sigma, n_max, n_max)[0])
+        assert _same_bits(got[0], want[0]) and got[1] == want[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases=st.lists(_chain_and_sigma(), min_size=1, max_size=6),
+           n_max=st.sampled_from([2, 4, 8, 32]), data=st.data())
+    def test_batch_matches_two_sweeps_per_chain(self, cases, n_max, data):
+        # the solvers' own depth limit; a subset of the batch reads a gathered table
+        chains, sigmas = zip(*cases)
+        cols = inst._columns(chains)
+        i = np.array(sorted(data.draw(st.sets(st.integers(0, len(chains) - 1), min_size=1))))
+        sigma = np.array(sigmas)[i]
+        got = _g_or_error(lambda: inst._cf(cols, i, sigma, n_max, inst._MAX_DEPTH,
+                                           inst._tabulated(cols, n_max)))
+        want = [_g_or_error(lambda k=k: cf_two_sweeps(chains[k], sigmas[k], n_max,
+                                                      inst._MAX_DEPTH)[0]) for k in i]
+        errors = [msg for _, msg in want if msg is not None]
+        if errors:
+            assert got == (None, errors[0])
+        else:
+            assert np.array_equal(got[0].view(np.int64),
+                                  np.array([g for g, _ in want]).view(np.int64))
+
+    def test_chains_that_need_depth_doublings(self):
+        # near sigma = -gamma the fraction converges slowly: at n_max = 4 these
+        # chains stop at different depths past 2 n_max
+        sigmas = np.array([-1.0 + 1e-6, -1.0 + 1e-4, -0.99, 0.5])
+        chains = [PINNED] * sigmas.size
+        want = [cf_two_sweeps(PINNED, float(x), 4, inst._MAX_DEPTH) for x in sigmas]
+        assert len({depth for _, depth in want}) > 2 and max(d for _, d in want) > 8
+        cols = inst._columns(chains)
+        got = inst._cf(cols, np.arange(sigmas.size), sigmas, 4, inst._MAX_DEPTH,
+                       inst._tabulated(cols, 4))
+        assert np.array_equal(got.view(np.int64), np.array([g for g, _ in want]).view(np.int64))
+
+    def test_error_names_the_same_depth_move(self):
+        # the ContinuedFractionError path of continued_fraction_g
+        got = _g_or_error(lambda: inst.continued_fraction_g(PINNED, -1.0 + 1e-10, n_max=8))
+        want = _g_or_error(lambda: cf_two_sweeps(PINNED, -1.0 + 1e-10, 8, 8)[0])
+        assert got[0] is None and got == want
 
 
 class TestFSigma:
