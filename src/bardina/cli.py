@@ -403,16 +403,11 @@ def _cmd_lyapunov(cfg: RunConfig) -> int:
 
 def _cmd_instability(cfg: RunConfig) -> int:
     _require(cfg, "alpha", "gamma", "s")
-    amplitude = cfg.amplitude
-    if amplitude is None:
-        amplitude = instability.threshold_amplitude(cfg.s, cfg.delta, cfg.alpha, cfg.gamma)
-    spec = instability.KolmogorovSpec(s=cfg.s, amplitude=amplitude, gamma=cfg.gamma)
-    chains = [instability.Chain.from_spec(spec, t=t, r=r, alpha=cfg.alpha)
-              for t, r in instability.region_lattice(cfg.s, cfg.delta)]
+    chains = instability.lattice_chains(cfg.s, cfg.delta, cfg.alpha, cfg.gamma, cfg.amplitude)
     rows = []
-    for ch, sigma in zip(chains, instability.solve_sigmas(chains).tolist()):
+    for ch, sigma, oracle in zip(chains, instability.solve_sigmas(chains).tolist(),
+                                 instability.chain_matrix_eigens(chains).tolist()):
         lo, hi = instability.sigma_bounds(ch, cfg.delta)
-        oracle = instability.chain_matrix_eigen(ch)
         rows.append((cfg.s, ch.t, ch.r, cfg.delta, ch.coupling, sigma, lo, hi, oracle))
     body = _csv(
         rows,
@@ -449,35 +444,29 @@ def _cmd_bounds(cfg: RunConfig) -> int:
 def _suite_lattice_f(cfg: RunConfig):
     from .inequalities import lattice_F
 
-    rows, ok = [], True
-    for m in np.linspace(0.1, 16.0, 61):
-        m = float(m)
+    rows = []
+    for m in np.linspace(0.1, 16.0, 61).tolist():
         res = lattice_F(m)
-        margin = res.margin()
-        good = margin > 0.0
-        ok &= good
-        rows.append((m, res.F_direct, res.tail_bound, margin, "PASS" if good else "FAIL"))
-    return ("m", "F_direct", "tail_bound", "margin", "status"), rows, ok
+        rows.append((m, res.F_direct, res.tail_bound, res.margin(), res.margin() > 0.0))
+    return ("m", "F_direct", "tail_bound", "margin"), rows
 
 
 def _suite_rho_l2(cfg: RunConfig):
     from .inequalities import rho_l2_check
 
-    rows, ok = [], True
+    rows = []
     for n in (1, 2, 4, 8, 16):
         for m in (0.25, 0.5, 1.0, 2.0):
             res = rho_l2_check(n=n, m=m, trials=25, seed=cfg.seed)
-            margin = 1.0 - res.worst_ratio
-            good = res.violations == 0
-            ok &= good
-            rows.append((n, m, res.trials, res.worst_ratio, margin, "PASS" if good else "FAIL"))
-    return ("n", "m", "trials", "worst_ratio", "margin", "status"), rows, ok
+            rows.append((n, m, res.trials, res.worst_ratio, 1.0 - res.worst_ratio,
+                         res.violations == 0))
+    return ("n", "m", "trials", "worst_ratio", "margin"), rows
 
 
 def _suite_trace_k2(cfg: RunConfig):
     from .inequalities import trace_k2_check
 
-    rows, ok = [], True
+    rows = []
     rng = np.random.default_rng(np.random.Philox(cfg.seed))
     grid = make_grid(64)
     for m in (0.5, 1.0, 2.0, 4.0):
@@ -487,46 +476,34 @@ def _suite_trace_k2(cfg: RunConfig):
             v = SpectralField(grid, np.fft.fft2(samples * samples) / grid.n**2)
             res = trace_k2_check(v, m=m)
             margin = res.rhs - res.lhs
-            good = margin >= 0.0
-            ok &= good
-            rows.append((m, trial, res.lhs, res.rhs, margin, "PASS" if good else "FAIL"))
-    return ("m", "trial", "lhs", "rhs", "margin", "status"), rows, ok
+            rows.append((m, trial, res.lhs, res.rhs, margin, margin >= 0.0))
+    return ("m", "trial", "lhs", "rhs", "margin"), rows
 
 
 def _suite_sigma_bounds(cfg: RunConfig):
-    rows, ok = [], True
+    rows = []
     alpha = cfg.alpha if cfg.alpha is not None else 1.0 / 64.0
     gamma = cfg.gamma if cfg.gamma is not None else 1.0
-    delta = cfg.delta
     for s in (8, 16, 32):
-        amplitude = instability.threshold_amplitude(s, delta, alpha, gamma)
-        spec = instability.KolmogorovSpec(s=s, amplitude=amplitude, gamma=gamma)
-        chains = [instability.Chain.from_spec(spec, t=t, r=r, alpha=alpha)
-                  for t, r in instability.region_lattice(s, delta)]
+        chains = instability.lattice_chains(s, cfg.delta, alpha, gamma)
         for ch, sigma in zip(chains, instability.solve_sigmas(chains).tolist()):
-            lo, hi = instability.sigma_bounds(ch, delta)
+            lo, hi = instability.sigma_bounds(ch, cfg.delta)
             margin = min(sigma - lo, hi - sigma)
-            good = margin >= 0.0 and sigma > 0.0
-            ok &= good
-            rows.append((s, ch.t, ch.r, sigma, lo, hi, margin, "PASS" if good else "FAIL"))
-    return ("s", "t", "r", "sigma", "sigma_lower_bound", "sigma_upper_bound",
-            "margin", "status"), rows, ok
+            rows.append((s, ch.t, ch.r, sigma, lo, hi, margin, margin >= 0.0 and sigma > 0.0))
+    return ("s", "t", "r", "sigma", "sigma_lower_bound", "sigma_upper_bound", "margin"), rows
 
 
 def _suite_psi_negative(cfg: RunConfig):
     from .inequalities import psi_big
 
-    rows, ok = [], True
-    for m in np.linspace(0.9, 16.0, 31):
-        m = float(m)
+    rows = []
+    for m in np.linspace(0.9, 16.0, 31).tolist():
         val = psi_big(m)
-        margin = -val
-        good = margin > 0.0
-        ok &= good
-        rows.append((m, val, margin, "PASS" if good else "FAIL"))
-    return ("m", "psi", "margin", "status"), rows, ok
+        rows.append((m, val, -val, -val > 0.0))
+    return ("m", "psi", "margin"), rows
 
 
+# each suite returns its columns and its rows; a row ends with whether it passes
 _SUITES = {
     "lattice-F": _suite_lattice_f,
     "rho-l2": _suite_rho_l2,
@@ -550,10 +527,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
             raise ConfigError(f"output = {cfg.output}: verify --suite all writes one file per "
                               "suite into a directory, and this path is not one") from None
     for name in names:
-        columns, rows, ok = _SUITES[name](cfg)
+        columns, rows = _SUITES[name](cfg)
+        ok = all(row[-1] for row in rows)
         all_ok &= ok
         body = [f"# suite: {name}", f"# result: {'PASS' if ok else 'FAIL'}"]
-        body += _csv(rows, columns)
+        body += _csv([(*row[:-1], "PASS" if row[-1] else "FAIL") for row in rows],
+                     (*columns, "status"))
         path = cfg.output
         if multi:
             path = os.path.join(cfg.output, f"{name}.csv")

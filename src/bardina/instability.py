@@ -10,15 +10,17 @@ a batch of chains at once as the root of a continued-fraction identity.
 The truncated tridiagonal matrix of the chain cross-checks it by a route
 that uses no continued fraction: the matrix has a zero diagonal, so its
 spectrum is +-lambda and the mu = lambda^2 are the eigenvalues of one
-tridiagonal block of its square, the rows of the odd n; for an admissible chain that
-block is similar to a symmetric one, whose real eigenvalues one symmetric
-eigensolver finds.  Counting the admissible lattice points and
-driving them all unstable with a large enough forcing amplitude gives the
-dimension lower bound of :mod:`bardina.bounds`.
+tridiagonal block of its square, the rows of the odd n; for an admissible
+chain that block is similar to a symmetric one, and one stacked symmetric
+eigensolve serves a batch.  Driving every admissible lattice point unstable
+with a large enough forcing amplitude, certified by the sign of the
+eigenvalue condition at sigma = 0, gives the dimension lower bound of
+:mod:`bardina.bounds`.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +31,17 @@ from .spectral import (FourierGrid, ModelParams, SpectralField, VectorField, zer
 __all__ = [
     "KolmogorovSpec", "Chain", "ContinuedFractionError", "BracketError",
     "kolmogorov_forcing", "stationary_vorticity", "threshold_amplitude", "region_lattice",
-    "continued_fraction_g", "f_sigma", "solve_sigma", "solve_sigmas", "solve_lambda0s",
-    "sigma_bounds", "coupling_bounds", "chain_matrix", "chain_matrix_eigen",
-    "unstable_count",
+    "lattice_chains", "continued_fraction_g", "f_sigma", "solve_sigma", "solve_sigmas",
+    "solve_lambda0s", "sigma_bounds", "coupling_bounds", "chain_matrix", "chain_matrix_eigen",
+    "chain_matrix_eigens", "unstable_count",
 ]
 
 SIGMA_TOL = 1e-12  # relative bisection tolerance on eigenvalues
 GAMMA_OFFSET = 1e-10  # bracket offset from -gamma, in units of gamma
+_N_MAX = 32  # first continued-fraction depth; the fractions are made at n_max and 2 n_max
 _MAX_DEPTH = 1 << 15  # g needs depth ~ (gamma+sigma)^(-1/2) near -gamma; doubled up to this
-_ORACLE_DEPTHS = (16, 32, 64, 128, 200)  # chain_matrix_eigen's truncations without a depth
+_ORACLE_DEPTHS = (16, 32, 64, 128, 200)  # the oracle's truncations without a depth
+_STACK_BYTES = 1 << 22  # the oracle's eigvalsh stacks hold at most this many bytes
 
 
 class ContinuedFractionError(RuntimeError):
@@ -135,7 +139,10 @@ def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
     cut, which the range of t makes, are exact integer comparisons.
 
     Empty at s = 1; at s = 2 and 3 it holds (t, r) = (1, 0) when delta*s <= 1.
+    Raises ValueError naming s unless it is an integer >= 1.
     """
+    if not isinstance(s, numbers.Integral) or s < 1:
+        raise ValueError(f"s must be an integer >= 1, got {s!r}")
     if not 0.0 < delta < 1.0 / math.sqrt(3.0):
         raise ValueError("delta must lie in (0, 1/sqrt(3))")
     t_max = int(math.floor(s / math.sqrt(3.0)))
@@ -177,10 +184,17 @@ class Chain:
         """The delta-independent region conditions (delta -> 0 limit)."""
         return _admissible(self.s, self.t, self.r)
 
-    def mode_sq(self, n) -> np.ndarray:
-        """|k_n|^2 = t^2 + (s n + r)^2, exact in float for moderate depth."""
-        kn = self.s * np.asarray(n, dtype=np.float64) + self.r
-        return self.t**2 + kn * kn
+
+def lattice_chains(s: int, delta: float, alpha: float, gamma: float,
+                   amplitude: float | None = None) -> list[Chain]:
+    """The chains of ``region_lattice(s, delta)``, in its order, for the forcing of
+    wavenumber s and the given amplitude, by default ``threshold_amplitude(s, delta,
+    alpha, gamma)``, which makes every one of them unstable."""
+    lattice = region_lattice(s, delta)
+    if amplitude is None:
+        amplitude = threshold_amplitude(s, delta, alpha, gamma)
+    spec = KolmogorovSpec(s=s, amplitude=amplitude, gamma=gamma)
+    return [Chain.from_spec(spec, alpha, t, r) for t, r in lattice]
 
 
 def _ladder_a(s, t, r, alpha, coupling, n):
@@ -280,9 +294,15 @@ def _cf(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int, max_dept
         deeper = descend(todo, 2 * depth)
 
 
-def _gap(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int,
-         scaled) -> np.ndarray:
-    return _f(cols[:, i], sigma) - _cf(cols, i, sigma, n_max, _MAX_DEPTH, scaled)
+def _gap(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, scaled) -> np.ndarray:
+    return _f(cols[:, i], sigma) - _cf(cols, i, sigma, _N_MAX, _MAX_DEPTH, scaled)
+
+
+def _gap_at_zero(cols: np.ndarray) -> np.ndarray:
+    """The gap f - g of each chain at sigma = 0: negative exactly when its eigenvalue is
+    positive, since the gap has one sign change, from - to +, at the eigenvalue."""
+    zero = np.zeros(cols.shape[1])
+    return _gap(cols, np.arange(zero.size), zero, _tabulated(cols, _N_MAX))
 
 
 def _expand(holds, x: np.ndarray, step) -> np.ndarray:
@@ -296,11 +316,11 @@ def _expand(holds, x: np.ndarray, step) -> np.ndarray:
     return todo
 
 
-def _bisect(above, lo: np.ndarray, hi: np.ndarray, floor: np.ndarray, tol: float) -> np.ndarray:
-    """Halve each [lo, hi] until hi - lo <= tol*max(floor, |hi|); above(x, i): x[i] past root i."""
+def _bisect(above, lo: np.ndarray, hi: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Halve each [lo, hi] to SIGMA_TOL max(floor, |hi|); above(x, i): x[i] past root i."""
     todo = np.arange(lo.size)
     while True:
-        todo = todo[hi[todo] - lo[todo] > tol * np.maximum(floor[todo], np.abs(hi[todo]))]
+        todo = todo[hi[todo] - lo[todo] > SIGMA_TOL * np.maximum(floor[todo], np.abs(hi[todo]))]
         if not todo.size:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo[todo] + hi[todo])
@@ -309,10 +329,10 @@ def _bisect(above, lo: np.ndarray, hi: np.ndarray, floor: np.ndarray, tol: float
         lo[todo[~up]] = mid[~up]
 
 
-def continued_fraction_g(chain: Chain, sigma: float, n_max: int = 32) -> float:
+def continued_fraction_g(chain: Chain, sigma: float) -> float:
     """g(sigma) = descending continued fractions from both chain tails.
 
-    Evaluated at depths n_max and 2*n_max; the coefficients grow like n^2
+    Evaluated at depths 32 and 64; the coefficients grow like n^2
     so the truncation error collapses rapidly.
 
     Raises:
@@ -321,7 +341,7 @@ def continued_fraction_g(chain: Chain, sigma: float, n_max: int = 32) -> float:
     if sigma <= -chain.gamma:
         raise ValueError("sigma must exceed -gamma")
     sigma, cols = np.array([sigma], dtype=np.float64), _columns([chain])
-    return float(_cf(cols, np.arange(1), sigma, n_max, n_max, _tabulated(cols, n_max))[0])
+    return float(_cf(cols, np.arange(1), sigma, _N_MAX, _N_MAX, _tabulated(cols, _N_MAX))[0])
 
 
 def f_sigma(chain: Chain, sigma: float) -> float:
@@ -353,7 +373,7 @@ def coupling_bounds(chain: Chain, delta: float) -> tuple[float, float]:
     return base * delta, base * 55.0 / (21.0 * delta * delta)
 
 
-def solve_sigmas(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarray:
+def solve_sigmas(chains) -> np.ndarray:
     """Array of :func:`solve_sigma` over the chains, found in one lockstep bisection;
     each entry is bit-identical to solving that chain alone, and it raises
     as :func:`solve_sigma` does for the first chain that fails."""
@@ -361,10 +381,10 @@ def solve_sigmas(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarray:
     if not all(c.admissible() for c in chains):
         raise ValueError("chain base mode outside the admissible region")
     cols = _columns(chains)
-    gamma, scaled = cols[4], _tabulated(cols, n_max)
+    gamma, scaled = cols[4], _tabulated(cols, _N_MAX)
 
     def above(sigma, i):
-        return _gap(cols, i, sigma, n_max, scaled) > 0.0
+        return _gap(cols, i, sigma, scaled) > 0.0
 
     lo = -gamma + GAMMA_OFFSET * gamma
     # the gap is negative at lo (f ~ 0+, g > 0), where g converges too slowly to probe
@@ -372,28 +392,29 @@ def solve_sigmas(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarray:
     stuck = _expand(above, hi, lambda sigma, i: 2.0 * sigma + gamma[i])  # keeps hi > -gamma
     if stuck.size:
         c, top = chains[stuck[0]], float(hi[stuck[0]])
-        samples = [(x, f_sigma(c, x), continued_fraction_g(c, x, n_max)) for x in (0.0, top)]
+        samples = [(x, f_sigma(c, x), continued_fraction_g(c, x)) for x in (0.0, top)]
         raise BracketError(f"no sign change up to sigma={top!r}; (sigma, f, g) = {samples}")
-    return _bisect(above, lo, hi, gamma, tol)
+    return _bisect(above, lo, hi, gamma)
 
 
-def solve_sigma(chain: Chain, tol: float = SIGMA_TOL, n_max: int = 32) -> float:
+def solve_sigma(chain: Chain) -> float:
     """Unique real eigenvalue of the chain: the root of f(sigma) = g(sigma).
 
     f grows linearly from f(-gamma) = 0 while g is positive and strictly
     decreasing, so the gap f - g has exactly one sign change on
     (-gamma, inf); bisection brackets it starting from the closed-form
-    upper estimate (taken at the chain's own maximal delta = t/s).
+    upper estimate (taken at the chain's own maximal delta = t/s), to
+    SIGMA_TOL relative to max(gamma, |sigma|).
 
     Raises:
         ValueError: if the chain violates the admissibility conditions
             (the sign structure of the recurrence is then lost).
         BracketError: if no sign change is found (diagnostic payload).
     """
-    return float(solve_sigmas([chain], tol, n_max)[0])
+    return float(solve_sigmas([chain])[0])
 
 
-def solve_lambda0s(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarray:
+def solve_lambda0s(chains) -> np.ndarray:
     """Critical coupling of each chain, where its eigenvalue crosses zero.
 
     The gap f - g at sigma = 0 is strictly decreasing in the coupling;
@@ -409,12 +430,11 @@ def solve_lambda0s(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarra
     chains = list(chains)
     if not all(c.admissible() for c in chains):
         raise ValueError("chain base mode outside the admissible region")
-    cols, zero = _columns(chains), np.zeros(len(chains))
+    cols = _columns(chains)
 
     def gap(coupling, i):
         # the coupling moves every round, so A_n is tabulated afresh for each probe
-        probe = np.vstack((cols[:5, i], coupling))
-        return _gap(probe, np.arange(i.size), zero[i], n_max, _tabulated(probe, n_max))
+        return _gap_at_zero(np.vstack((cols[:5, i], coupling)))
 
     bounds = np.array([coupling_bounds(c, c.t / c.s) for c in chains]).reshape(-1, 2)
     lo, hi = 0.5 * bounds[:, 0], 2.0 * bounds[:, 1]
@@ -423,19 +443,21 @@ def solve_lambda0s(chains, tol: float = SIGMA_TOL, n_max: int = 32) -> np.ndarra
     if _expand(lambda c, i: gap(c, i) < 0.0, hi, lambda c, i: 2.0 * c).size:
         raise BracketError("no negative gap at large coupling")
     # the gap falls with the coupling, so a coupling without a positive gap is above the root
-    return _bisect(lambda c, i: ~(gap(c, i) > 0.0), lo, hi, zero, tol)
+    return _bisect(lambda c, i: ~(gap(c, i) > 0.0), lo, hi, np.zeros(len(chains)))
 
 
 # ---------------------------------------------------------------------------
 # truncated matrix oracle
 
 
-def _inv_ladder(chain: Chain, depth: int) -> np.ndarray:
-    """1/A_n on n in [-depth, depth]; zero where |k_n| = s."""
+def _inv_ladders(cols: np.ndarray, depth: int) -> np.ndarray:
+    """1/A_n of each chain on n in [-depth, depth], zero where |k_n| = s: shape (chain, n)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    K = chain.mode_sq(np.arange(-depth, depth + 1))
-    return chain.coupling * chain.t * (K - chain.s**2) / (K + chain.alpha * K * K)
+    s, t, r, alpha, _, coupling = cols[:, :, None]
+    kn = s * np.arange(-depth, depth + 1.0) + r
+    k_sq = t * t + kn * kn
+    return coupling * t * (k_sq - s * s) / (k_sq + alpha * k_sq * k_sq)
 
 
 def chain_matrix(chain: Chain, depth: int) -> np.ndarray:
@@ -445,7 +467,7 @@ def chain_matrix(chain: Chain, depth: int) -> np.ndarray:
     1/A_n is evaluated directly, so rows with |k_n| = s (where the
     recurrence coefficient diverges) decouple gracefully with zero entries.
     """
-    inv_a = _inv_ladder(chain, depth)
+    inv_a = _inv_ladders(_columns([chain]), depth)[0]
     m = np.zeros((inv_a.size, inv_a.size))
     idx = np.arange(inv_a.size - 1)
     m[idx, idx + 1] = inv_a[:-1]
@@ -453,41 +475,30 @@ def chain_matrix(chain: Chain, depth: int) -> np.ndarray:
     return m
 
 
-def _square_block(chain: Chain, depth: int, first: int) -> np.ndarray:
-    """Rows and columns first, first + 2, ... (first 0 or 1) of M^2, M = chain_matrix(chain, depth).
+def _square_blocks(w: np.ndarray, first: int) -> np.ndarray:
+    """Rows and columns first, first + 2, ... (first 0 or 1) of M^2, M = chain_matrix,
+    for each row w of :func:`_inv_ladders`: shape (chain, size, size).
 
     With w = 1/A_n along M's rows, M[i, i+1] = w_i and M[i+1, i] = -w_{i+1},
-    so M^2 is tridiagonal in steps of two: diagonal -w_i (w_{i-1} + w_{i+1}),
-    M^2[i, i+2] = w_i w_{i+1} and M^2[i+2, i] = w_{i+2} w_{i+1}.
+    so M^2 is tridiagonal in steps of two: diagonal -w_i (w_{i-1} + w_{i+1}) (one
+    side at either end), M^2[i, i+2] = w_i w_{i+1} and M^2[i+2, i] = w_{i+2} w_{i+1}.
     """
-    w = _inv_ladder(chain, depth)
-    rows, inner, padded = w[first::2], w[first + 1 : -1 : 2], np.pad(w, 1)
-    size = rows.size
-    b = np.zeros((size, size))
-    j = np.arange(size)
-    b[j, j] = -rows * (padded[first:-2:2] + padded[first + 2 :: 2])
-    b[j[:-1], j[1:]] = rows[:-1] * inner
-    b[j[1:], j[:-1]] = rows[1:] * inner
+    sides = np.concatenate((w[:, 1:2], w[:, :-2] + w[:, 2:], w[:, -2:-1]), axis=1)
+    rows, inner = w[:, first::2], w[:, first + 1 : -1 : 2]
+    j = np.arange(rows.shape[1])
+    b = np.zeros((len(w), j.size, j.size))
+    b[:, j, j] = -rows * sides[:, first::2]
+    b[:, j[:-1], j[1:]] = rows[:, :-1] * inner
+    b[:, j[1:], j[:-1]] = rows[:, 1:] * inner
     return b
 
 
-def _symmetric_sigma(chain: Chain, depth: int) -> float | None:
-    """max Re sqrt(mu) - gamma over the block of the odd n by ``eigvalsh``, or
-    None where the block is not similar to a symmetric one."""
-    b = _square_block(chain, depth, 1 - depth % 2)  # the odd n
-    c = np.diagonal(b, 1) * np.diagonal(b, -1)
-    if not np.all(c >= 0.0):
-        return None
-    j = np.arange(len(c))
-    b[j + 1, j] = np.sqrt(c)  # eigvalsh reads the lower triangle only
-    return math.sqrt(max(np.linalg.eigvalsh(b)[-1], 0.0)) - chain.gamma
-
-
-def chain_matrix_eigen(chain: Chain, depth: int | None = None) -> float:
-    """Largest real part of the spectrum of ``chain_matrix(chain, depth)``, minus gamma.
+def chain_matrix_eigens(chains, depth: int | None = None) -> np.ndarray:
+    """Largest real part of the spectrum of ``chain_matrix(chain, depth)``, minus gamma,
+    for each chain; each entry is bit-identical to that chain solved alone.
 
     Independent route to the chain eigenvalue (no continued fraction);
-    agrees with :func:`solve_sigma` once depth is large (coefficients grow
+    agrees with :func:`solve_sigmas` once depth is large (coefficients grow
     like n^2, so boundary truncation decays fast).  The matrix M has a zero
     diagonal, so D M D = -M for D = diag((-1)^i): its spectrum is +-lambda,
     and M^2 splits into its even and odd rows and columns (row i holds n = i - depth).
@@ -498,35 +509,45 @@ def chain_matrix_eigen(chain: Chain, depth: int | None = None) -> float:
     The block B of the odd n is tridiagonal.  Where every product
     c_j = B[j, j+1] B[j+1, j] is >= 0, B is diagonally similar to the
     symmetric tridiagonal matrix with off-diagonals sqrt(c_j) (blocks split
-    where c_j = 0), so mu is real and ``numpy.linalg.eigvalsh`` solves it.
-    This holds for every admissible chain at every depth, as 1/A_n > 0 at
-    every n != 0.  Any other chain goes to ``numpy.linalg.eigvals`` on the odd
-    rows, without the zero eigenvalue, whose rounding the sqrt would magnify.
+    where c_j = 0), so mu is real, and one ``numpy.linalg.eigvalsh`` call
+    solves a stack of such blocks of one truncation.  This holds for every
+    admissible chain at every depth, as 1/A_n > 0 at every n != 0.  Any other
+    chain goes on its own to ``numpy.linalg.eigvals`` on the odd rows, without
+    the zero eigenvalue, whose rounding the sqrt would magnify.
 
     With no depth, the symmetric route doubles the depth, 16, 32, 64, 128 and
-    last 200, and returns the first truncation that agrees with the one
-    before to SIGMA_TOL * max(gamma, |sigma|), the tolerance
+    last 200, and a chain stops at the first truncation that agrees with the
+    one before to SIGMA_TOL * max(gamma, |sigma|), the tolerance
     :func:`solve_sigmas` bisects sigma to; a chain that has not converged by
     then gets its value at depth 200.  A chain off the symmetric route is
     solved at depth 200.
     """
-    if depth is None:
-        last = None
-        for depth in _ORACLE_DEPTHS:
-            sigma = _symmetric_sigma(chain, depth)
-            if sigma is None or (last is not None and abs(sigma - last)
-                                 <= SIGMA_TOL * max(chain.gamma, abs(sigma))):
-                break
-            last = sigma
-        if sigma is not None:
-            return sigma
-        depth = _ORACLE_DEPTHS[-1]
-    sigma = _symmetric_sigma(chain, depth)
-    if sigma is not None:
-        return sigma
-    b = _square_block(chain, depth, 1)
-    mu = np.linalg.eigvals(b).astype(complex)
-    return float(np.sqrt(mu).real.max()) - chain.gamma
+    cols = _columns(list(chains))
+    sigma, on = np.full(cols.shape[1], np.nan), np.ones(cols.shape[1], dtype=bool)
+    todo = np.arange(cols.shape[1])
+    for depth in _ORACLE_DEPTHS if depth is None else (depth,):  # leaves the last depth set
+        last, step = sigma[todo], max(1, _STACK_BYTES // (8 * (depth + 1) ** 2))
+        for i in np.split(todo, range(step, todo.size, step)):
+            b = _square_blocks(_inv_ladders(cols[:, i], depth), 1 - depth % 2)  # the odd n
+            j = np.arange(b.shape[1] - 1)
+            c = b[:, j, j + 1] * b[:, j + 1, j]
+            ok = np.all(c >= 0.0, axis=1)
+            on[i[~ok]] = False
+            b, i = b[ok], i[ok]
+            b[:, j + 1, j] = np.sqrt(c[ok])  # eigvalsh reads the lower triangle only
+            sigma[i] = np.sqrt(np.maximum(np.linalg.eigvalsh(b)[:, -1], 0.0)) - cols[4, i]
+        got = sigma[todo]  # `last` is NaN at the first depth, so no chain stops there
+        agree = np.abs(got - last) <= SIGMA_TOL * np.maximum(cols[4, todo], np.abs(got))
+        todo = todo[on[todo] & ~agree]
+    for k in np.flatnonzero(~on):
+        mu = np.linalg.eigvals(_square_blocks(_inv_ladders(cols[:, k : k + 1], depth), 1)[0])
+        sigma[k] = np.sqrt(mu.astype(complex)).real.max() - cols[4, k]
+    return sigma
+
+
+def chain_matrix_eigen(chain: Chain, depth: int | None = None) -> float:
+    """:func:`chain_matrix_eigens` of one chain."""
+    return float(chain_matrix_eigens([chain], depth)[0])
 
 
 def unstable_count(s: int, delta: float, alpha: float, gamma: float) -> int:
@@ -538,11 +559,9 @@ def unstable_count(s: int, delta: float, alpha: float, gamma: float) -> int:
         RuntimeError: if any admissible chain fails to certify a positive
             eigenvalue (contradicts the two-sided estimate).
     """
-    lam = threshold_amplitude(s, delta, alpha, gamma)
-    spec = KolmogorovSpec(s=s, amplitude=lam, gamma=gamma)
-    lattice = region_lattice(s, delta)
-    sigmas = solve_sigmas([Chain.from_spec(spec, alpha, t, r) for t, r in lattice])
-    for (t, r), sigma in zip(lattice, sigmas):
-        if not sigma > 0.0:
-            raise RuntimeError(f"chain (t={t}, r={r}) failed instability certification")
-    return 2 * len(lattice)
+    chains = lattice_chains(s, delta, alpha, gamma)
+    failed = np.flatnonzero(~(_gap_at_zero(_columns(chains)) < 0.0))
+    if failed.size:
+        c = chains[failed[0]]
+        raise RuntimeError(f"chain (t={c.t}, r={c.r}) failed instability certification")
+    return 2 * len(chains)

@@ -148,8 +148,9 @@ def test_criterion_5_unstable_mode_count():
         delta, gamma = 0.35, 1.0
         d = {}
         for s in (24, 48, 96):
-            # unstable_count certifies sigma > 0 on every chain (hard error
-            # otherwise) and returns two directions per chain
+            # unstable_count certifies sigma > 0 on every chain by the sign of
+            # its gap f - g at sigma = 0 (hard error otherwise) and returns two
+            # directions per chain
             count = inst.unstable_count(s, delta, alpha=1.0 / s**2, gamma=gamma)
             d[s] = len(inst.region_lattice(s, delta))
             checks.append((f"all chains unstable at s={s}", count == 2 * d[s]))

@@ -1,6 +1,7 @@
 """Command line interface: parsing, precedence, determinism, exit codes."""
 import ctypes
 import glob
+import hashlib
 import itertools
 import json
 import os
@@ -336,13 +337,13 @@ class TestThreadCap:
         get, put = _openblas_pool()
         original = get()
         seen = []
-        oracle = instability.chain_matrix_eigen
+        oracle = instability.chain_matrix_eigens
 
         def spy(*args, **kwargs):
             seen.append(get())
             return oracle(*args, **kwargs)
 
-        monkeypatch.setattr(instability, "chain_matrix_eigen", spy)
+        monkeypatch.setattr(instability, "chain_matrix_eigens", spy)
         config = ()
         if file_threads is not None:
             (tmp_path / "run.conf").write_text(f"threads = {file_threads}\n")
@@ -552,8 +553,9 @@ class TestUsageErrors:
         os.mkdir("taken")
         ran = []
         for module, name in [(dynamics, "make_state"), (dynamics, "simulate"),
-                             (dynamics, "lyapunov_spectrum"), (instability, "solve_sigmas"),
-                             (instability, "chain_matrix_eigen"), (bounds, "dimension_report")]:
+                             (dynamics, "lyapunov_spectrum"), (instability, "lattice_chains"),
+                             (instability, "solve_sigmas"), (instability, "chain_matrix_eigens"),
+                             (bounds, "dimension_report")]:
             monkeypatch.setattr(module, name, lambda *a, name=name, **k: ran.append(name))
         for suite in cli._SUITES:
             monkeypatch.setitem(cli._SUITES, suite, lambda cfg, suite=suite: ran.append(suite))
@@ -798,12 +800,13 @@ class TestVerifyCommand:
 
     def test_failing_suite_exit_code(self, capsys, monkeypatch):
         def rigged(cfg):
-            return ("x", "status"), [(1.0, "FAIL")], False
+            return ("x",), [(1.0, True), (2.0, False)]
 
         monkeypatch.setitem(cli._SUITES, "lattice-F", rigged)
         rc, out, _ = run(capsys, "verify", "--suite", "lattice-F")
         assert rc == 1
         assert "# result: FAIL" in out
+        assert data_lines(out) == ["x,status", "1.0,PASS", "2.0,FAIL"]
 
 
 def _declared_entry_point():
@@ -905,3 +908,60 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("# bardina ")
+
+
+# sha256 of stdout, made with numpy 2.4.6: instability at s = 8, 12, 24, alpha = 1/s^2,
+# gamma 1/4..2; bounds at alpha = 2^-k, k = 6..12; the sigma-bounds suite.  The header
+# holds the package version, so a version change moves every digest.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN = {
+    "instability --s 8 --alpha 0.015625 --gamma 0.25 --delta 0.35":
+        "729eafbe8e8dda0544730753bc0cdf4a11c2ed0af5a4baf87ed40d71f03201cc",
+    "instability --s 8 --alpha 0.015625 --gamma 0.5 --delta 0.35":
+        "ed12fd21e2f81a29d7ce6ed27418dece3020afd8a42fc848f869ae3491797ae5",
+    "instability --s 8 --alpha 0.015625 --gamma 1.0 --delta 0.35":
+        "f6cb98550f203bd87ddf9495b87f76041d45e33023b48a17da5ca3acbdfac9de",
+    "instability --s 8 --alpha 0.015625 --gamma 2.0 --delta 0.35":
+        "26a13856caa9c162b831f49a04db3877b16a991ad2ef29908e42ccdc255797d8",
+    "instability --s 12 --alpha 0.006944444444444444 --gamma 0.25 --delta 0.35":
+        "5a300660341f67e04de617f1fc29572e1b773156e062fad26d06b5444ed26fb4",
+    "instability --s 12 --alpha 0.006944444444444444 --gamma 0.5 --delta 0.35":
+        "d6265e06f8645f9237a467b03254de5268eb2380c753e088beff70a16b1608c5",
+    "instability --s 12 --alpha 0.006944444444444444 --gamma 1.0 --delta 0.35":
+        "bd16e17d9a5d136be408b29efca9c71096b7ef1537842cd639dbdf6758fa5ace",
+    "instability --s 12 --alpha 0.006944444444444444 --gamma 2.0 --delta 0.35":
+        "531abd4c559a9c6d907246e158fbfb586cf40b2f02ede2d02aaf30312e69e5a8",
+    "instability --s 24 --alpha 0.001736111111111111 --gamma 0.25 --delta 0.35":
+        "d725e2ac6c1540a0689b34f61401478b830b92b7aaf723c7be4717e4c4629641",
+    "instability --s 24 --alpha 0.001736111111111111 --gamma 0.5 --delta 0.35":
+        "a77756c037bd19bcb5487da0d55fa797df2255604a1f14123cd35580620b6efa",
+    "instability --s 24 --alpha 0.001736111111111111 --gamma 1.0 --delta 0.35":
+        "9534ba7342eaf614af769505f0ece12ed34c31c3cb9350ea13497d3b9337a696",
+    "instability --s 24 --alpha 0.001736111111111111 --gamma 2.0 --delta 0.35":
+        "8ed774f888c63f38d8c8951d886d10f945e0640e18b33a0aa0691a808c1a1248",
+    "bounds --alpha 0.015625 --gamma 1":
+        "b1a5671ccfded750d51bb6753000c7e8fe5d0e9ff68c1c12aff2ddc835f6288e",
+    "bounds --alpha 0.0078125 --gamma 1":
+        "937359fec1c891e752d310e67c4cf9364839858fa5d3e88363151ce90fa858ce",
+    "bounds --alpha 0.00390625 --gamma 1":
+        "3c8280458d211ff41f8984d5e57fb5232d8f6a6a8806d4244d056f864c6579aa",
+    "bounds --alpha 0.001953125 --gamma 1":
+        "0f5c809751817760ceb551fd8bb6ade4d55fa2b99ee3aee91c40c00c47433902",
+    "bounds --alpha 0.0009765625 --gamma 1":
+        "a7807633f6b126f49e9ad6b4e537221e4309403db118f8a531d5faba5f392255",
+    "bounds --alpha 0.00048828125 --gamma 1":
+        "3dc265f79ee7df31b855f0491dd699cc17c9446600c020ba71a287ab94b121ee",
+    "bounds --alpha 0.000244140625 --gamma 1":
+        "ff8ab50697fbdae9ed9d0d4a6ce5627797796126fe94fcf9bad62ecec86005cb",
+    "verify --suite sigma-bounds":
+        "53233bf4a02c684bf76d9ca1911a66981c63f685165ab9cfb01bc41bbcabdace",
+}
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                    reason=f"digests made with numpy {GOLDEN_NUMPY}, running {np.__version__}")
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_golden_output_bytes(capsys, argv):
+    rc, out, err = run(capsys, *argv.split())
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,19 @@ from conftest import CHAIN_COUNT_ORACLE, cf_two_sweeps
 
 ALPHA = 1.0 / 64.0
 PINNED = inst.Chain(s=8, t=4, r=1, alpha=ALPHA, gamma=1.0, coupling=0.4)
+
+
+def mode_sq(chain, n):
+    """|k_n|^2 = t^2 + (s n + r)^2 along a chain."""
+    kn = chain.s * np.asarray(n, dtype=np.float64) + chain.r
+    return chain.t**2 + kn * kn
+
+
+def g_from(chain, sigma, n_max):
+    """continued_fraction_g with first depth n_max: depths n_max and 2 n_max, no doubling."""
+    cols = inst._columns([chain])
+    return float(inst._cf(cols, np.arange(1), np.array([sigma]), n_max, n_max,
+                          inst._tabulated(cols, n_max))[0])
 
 
 def ladder_d(ch, n, sigma):
@@ -132,6 +146,24 @@ class TestRegion:
         with pytest.raises(ValueError):
             inst.region_lattice(12, 0.58)
 
+    @pytest.mark.parametrize("s", [0, -5, 96.5, 12.0, "12", None])
+    def test_rejects_a_bad_s(self, s):
+        with pytest.raises(ValueError, match=r"^s must be an integer >= 1, got "):
+            inst.region_lattice(s, 0.35)
+        with pytest.raises(ValueError, match=r"^s must be an integer >= 1, got "):
+            inst.lattice_chains(s, 0.35, 0.01, 1.0)
+
+    def test_numpy_integer_s(self):
+        assert inst.region_lattice(np.int64(24), 0.35) == inst.region_lattice(24, 0.35)
+
+    @pytest.mark.parametrize("amplitude", [None, 40.0])
+    def test_lattice_chains(self, amplitude):
+        s, delta, alpha, gamma = 24, 0.35, 1.0 / 576, 0.5
+        forced = inst.threshold_amplitude(s, delta, alpha, gamma) if amplitude is None else amplitude
+        spec = inst.KolmogorovSpec(s=s, amplitude=forced, gamma=gamma)
+        want = [inst.Chain.from_spec(spec, alpha, t, r) for t, r in inst.region_lattice(s, delta)]
+        assert inst.lattice_chains(s, delta, alpha, gamma, amplitude) == want
+
 
 class TestRecurrence:
     def test_coefficient_value(self):
@@ -167,9 +199,10 @@ class TestContinuedFraction:
         assert lower < g < upper
 
     def test_depth_insensitive(self):
-        a = inst.continued_fraction_g(PINNED, 0.3, n_max=8)
-        b = inst.continued_fraction_g(PINNED, 0.3, n_max=64)
+        a = g_from(PINNED, 0.3, 8)
+        b = g_from(PINNED, 0.3, 64)
         assert abs(a - b) < 1e-13
+        assert inst.continued_fraction_g(PINNED, 0.3) == g_from(PINNED, 0.3, 32)
 
     def test_rejects_sigma_at_minus_gamma(self):
         with pytest.raises(ValueError):
@@ -177,7 +210,9 @@ class TestContinuedFraction:
 
     def test_nonconvergence_flagged_near_minus_gamma(self):
         with pytest.raises(inst.ContinuedFractionError):
-            inst.continued_fraction_g(PINNED, -1.0 + 1e-10, n_max=8)
+            g_from(PINNED, -1.0 + 1e-10, 8)
+        with pytest.raises(inst.ContinuedFractionError):
+            inst.continued_fraction_g(PINNED, -1.0 + 1e-10)
 
 
 def _g_or_error(compute):
@@ -213,9 +248,12 @@ class TestFusedPass:
     @given(case=_chain_and_sigma(), n_max=st.sampled_from([2, 4, 8, 32]))
     def test_continued_fraction_g_matches_two_sweeps(self, case, n_max):
         chain, sigma = case
-        got = _g_or_error(lambda: inst.continued_fraction_g(chain, sigma, n_max))
+        got = _g_or_error(lambda: g_from(chain, sigma, n_max))
         want = _g_or_error(lambda: cf_two_sweeps(chain, sigma, n_max, n_max)[0])
         assert _same_bits(got[0], want[0]) and got[1] == want[1]
+        if n_max == 32:  # the public function's own depth
+            public = _g_or_error(lambda: inst.continued_fraction_g(chain, sigma))
+            assert _same_bits(public[0], want[0]) and public[1] == want[1]
 
     @settings(max_examples=40, deadline=None)
     @given(cases=st.lists(_chain_and_sigma(), min_size=1, max_size=6),
@@ -251,7 +289,7 @@ class TestFusedPass:
 
     def test_error_names_the_same_depth_move(self):
         # the ContinuedFractionError path of continued_fraction_g
-        got = _g_or_error(lambda: inst.continued_fraction_g(PINNED, -1.0 + 1e-10, n_max=8))
+        got = _g_or_error(lambda: g_from(PINNED, -1.0 + 1e-10, 8))
         want = _g_or_error(lambda: cf_two_sweeps(PINNED, -1.0 + 1e-10, 8, 8)[0])
         assert got[0] is None and got == want
 
@@ -281,11 +319,8 @@ class TestSolveSigma:
         assert abs(sigma - oracle) < 1e-8
 
     def test_all_threshold_chains_unstable(self):
-        s, delta = 12, 0.35
-        lam = inst.threshold_amplitude(s, delta, alpha=1 / 144, gamma=1.0)
-        spec = inst.KolmogorovSpec(s=s, amplitude=lam, gamma=1.0)
-        for t, r in inst.region_lattice(s, delta):
-            assert inst.solve_sigma(inst.Chain.from_spec(spec, 1 / 144, t, r)) > 0
+        for ch in _threshold_chains(12):
+            assert inst.solve_sigma(ch) > 0
 
     def test_monotone_in_coupling(self):
         for c in (0.2, 0.5, 1.0):
@@ -331,10 +366,7 @@ class TestSolveSigma:
 class TestSolveSigmas:
     @staticmethod
     def _lattice_chains(s, gamma, factors=(1.0,)):
-        alpha = 1.0 / s**2
-        lam = inst.threshold_amplitude(s, 0.35, alpha, gamma)
-        spec = inst.KolmogorovSpec(s=s, amplitude=lam, gamma=gamma)
-        chains = [inst.Chain.from_spec(spec, alpha, t, r) for t, r in inst.region_lattice(s, 0.35)]
+        chains = _threshold_chains(s, gamma=gamma)
         factors = np.resize(factors, len(chains))
         return [replace(c, coupling=c.coupling * f) for c, f in zip(chains, factors)]
 
@@ -356,13 +388,15 @@ class TestSolveSigmas:
         shuffled = inst.solve_sigmas([chains[i] for i in order])
         assert np.array_equal(self._bits(shuffled), self._bits(got)[list(order)])
 
-    def test_mixed_depths(self):
-        # at n_max = 4 the chains need different numbers of depth doublings
+    def test_mixed_depths(self, monkeypatch):
+        # from a first depth of 4 the chains need different numbers of depth doublings
         chains = self._lattice_chains(24, 1.0)
-        shallow = inst.solve_sigmas(chains, n_max=4)
-        alone = [inst.solve_sigma(c, n_max=4) for c in chains]
+        want = inst.solve_sigmas(chains)
+        monkeypatch.setattr(inst, "_N_MAX", 4)
+        shallow = inst.solve_sigmas(chains)
+        alone = [inst.solve_sigma(c) for c in chains]
         assert np.array_equal(self._bits(shallow), self._bits(alone))
-        assert np.array_equal(self._bits(shallow), self._bits(inst.solve_sigmas(chains)))
+        assert np.array_equal(self._bits(shallow), self._bits(want))
 
     def test_empty_batch(self):
         assert inst.solve_sigmas([]).shape == (0,)
@@ -431,26 +465,63 @@ def dense_oracle(chain, depth):
     return float(np.linalg.eigvals(inst.chain_matrix(chain, depth)).real.max()) - chain.gamma
 
 
-def fixed_depth_oracle(chain, depth):
-    """The oracle at one depth: eigvalsh on the symmetrized block of the odd n
-    where every off-diagonal product is >= 0, else eigvals on the odd rows."""
-    b = inst._square_block(chain, depth, 1 - depth % 2)
+def square_block(chain, depth, first):
+    """The package's rows and columns first, first + 2, ... of M^2, M = chain_matrix(chain, depth)."""
+    return inst._square_blocks(inst._inv_ladders(inst._columns([chain]), depth), first)[0]
+
+
+def one_chain_block(chain, depth, first):
+    """square_block of a chain alone, built as one dense scatter on its padded 1/A_n."""
+    k_sq = mode_sq(chain, np.arange(-depth, depth + 1))
+    w = chain.coupling * chain.t * (k_sq - chain.s**2) / (k_sq + chain.alpha * k_sq * k_sq)
+    rows, inner, padded = w[first::2], w[first + 1 : -1 : 2], np.pad(w, 1)
+    b = np.zeros((rows.size, rows.size))
+    j = np.arange(rows.size)
+    b[j, j] = -rows * (padded[first:-2:2] + padded[first + 2 :: 2])
+    b[j[:-1], j[1:]] = rows[:-1] * inner
+    b[j[1:], j[:-1]] = rows[1:] * inner
+    return b
+
+
+def _one_chain_symmetric(chain, depth):
+    b = one_chain_block(chain, depth, 1 - depth % 2)  # the odd n
     c = np.diagonal(b, 1) * np.diagonal(b, -1)
-    if np.all(c >= 0.0):
-        j = np.arange(len(c))
-        b[j + 1, j] = np.sqrt(c)
-        return math.sqrt(max(np.linalg.eigvalsh(b)[-1], 0.0)) - chain.gamma
-    if depth % 2:
-        b = inst._square_block(chain, depth, 1)
-    mu = np.linalg.eigvals(b).astype(complex)
+    if not np.all(c >= 0.0):
+        return None
+    j = np.arange(len(c))
+    b[j + 1, j] = np.sqrt(c)
+    return math.sqrt(max(np.linalg.eigvalsh(b)[-1], 0.0)) - chain.gamma
+
+
+def fixed_depth_oracle(chain, depth):
+    """The oracle of one chain at one depth: eigvalsh on the symmetrized block of
+    the odd n where every off-diagonal product is >= 0, else eigvals on the odd rows."""
+    sigma = _one_chain_symmetric(chain, depth)
+    if sigma is not None:
+        return sigma
+    mu = np.linalg.eigvals(one_chain_block(chain, depth, 1)).astype(complex)
     return float(np.sqrt(mu).real.max()) - chain.gamma
 
 
+def one_chain_oracle(chain, depth=None):
+    """chain_matrix_eigen solved one chain and one truncation at a time: without a
+    depth, doubling until two truncations agree, off the symmetric route at 200."""
+    if depth is None:
+        last = None
+        for depth in inst._ORACLE_DEPTHS:
+            sigma = _one_chain_symmetric(chain, depth)
+            if sigma is None or (last is not None and abs(sigma - last)
+                                 <= inst.SIGMA_TOL * max(chain.gamma, abs(sigma))):
+                break
+            last = sigma
+        if sigma is not None:
+            return sigma
+        depth = inst._ORACLE_DEPTHS[-1]
+    return fixed_depth_oracle(chain, depth)
+
+
 def _threshold_chains(s, delta=0.35, gamma=1.0):
-    alpha = 1.0 / s**2
-    spec = inst.KolmogorovSpec(s=s, amplitude=inst.threshold_amplitude(s, delta, alpha, gamma),
-                               gamma=gamma)
-    return [inst.Chain.from_spec(spec, alpha, t, r) for t, r in inst.region_lattice(s, delta)]
+    return inst.lattice_chains(s, delta, 1.0 / s**2, gamma)
 
 
 # unstable (threshold forcing), stable (the sub-critical shear of the stable
@@ -474,6 +545,18 @@ def _match(got, want, tol):
         k = int(np.argmin(np.abs(np.asarray(want) - g)))
         assert abs(want[k] - g) <= tol, (g, want[k])
         want.pop(k)
+
+
+@st.composite
+def _oracle_chain(draw):
+    """An admissible chain of s 4..96 and gamma 1/4..2, at its threshold coupling
+    or at a drawn one."""
+    s = draw(st.integers(4, 96))
+    gamma = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    chain = draw(st.sampled_from(_threshold_chains(s, 0.2, gamma)))
+    if draw(st.booleans()):
+        chain = replace(chain, coupling=draw(st.floats(0.05, 50.0)))
+    return chain
 
 
 class TestMatrixOracle:
@@ -501,7 +584,7 @@ class TestMatrixOracle:
         m2 = m @ m
         assert np.all(m2[1::2, ::2] == 0.0) and np.all(m2[::2, 1::2] == 0.0)
         odd_n = np.arange(-depth, depth + 1) % 2 == 1
-        block = inst._square_block(ch, depth, 1 - depth % 2)
+        block = square_block(ch, depth, 1 - depth % 2)
         scale = max(1.0, float(np.abs(m).max())) ** 2
         assert np.allclose(block, m2[np.ix_(odd_n, odd_n)], rtol=0.0, atol=1e-14 * scale)
         # M's spectrum is +-lambda plus one zero: its squares are mu, mu and 0, where
@@ -521,15 +604,46 @@ class TestMatrixOracle:
         # off-diagonal product of the block is >= 0 and eigvalsh applies, at any depth
         t, r = data.draw(st.sampled_from(inst.region_lattice(s, 1e-3)))
         ch = inst.Chain(s=s, t=t, r=r, alpha=alpha, gamma=1.0, coupling=coupling)
-        block = inst._square_block(ch, depth, 1 - depth % 2)
+        block = square_block(ch, depth, 1 - depth % 2)
         assert np.all(np.diagonal(block, 1) * np.diagonal(block, -1) >= 0.0)
         general = float(np.sqrt(np.linalg.eigvals(block).astype(complex)).real.max()) - ch.gamma
         scale = max(1.0, float(np.abs(block).max()))
         assert abs(inst.chain_matrix_eigen(ch, depth) - general) <= 1e-10 * scale
 
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), depth=st.sampled_from([None, None, 1, 2, 5, 16, 31, 32, 121, 200]))
+    def test_stacked_oracle_matches_the_one_chain_route(self, data, depth):
+        # admissible chains of several s and gamma, unstable and stable, and one
+        # inadmissible chain, which takes eigvals on its own
+        chains = data.draw(st.lists(_oracle_chain(), min_size=1, max_size=8))
+        outside = ORACLE_CHAINS[data.draw(st.sampled_from(["outside-t1", "outside-decoupled"]))]
+        chains.insert(data.draw(st.integers(0, len(chains))), outside)
+        got = inst.chain_matrix_eigens(chains, depth)
+        want = np.array([one_chain_oracle(c, depth) for c in chains])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert inst.chain_matrix_eigen(chains[0], depth) == want[0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=_chain_and_sigma(), depth=st.integers(1, 40), first=st.sampled_from([0, 1]))
+    def test_block_matches_the_dense_scatter(self, case, depth, first):
+        chain, _ = case
+        got, want = square_block(chain, depth, first), one_chain_block(chain, depth, first)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_stacks_split_at_the_byte_cap(self, monkeypatch):
+        chains = _threshold_chains(24)[:7] + [ORACLE_CHAINS["outside-t1"]]
+        want = inst.chain_matrix_eigens(chains, 16)
+        monkeypatch.setattr(inst, "_STACK_BYTES", 3 * 8 * 17**2)  # three blocks a stack
+        got = inst.chain_matrix_eigens(chains, 16)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_empty_batch(self):
+        assert inst.chain_matrix_eigens([]).shape == (0,)
+        assert inst.chain_matrix_eigens([], 16).shape == (0,)
+
     def test_outside_chain_keeps_the_general_route(self):
         # a negative product, so test_matches_dense_route covers the eigvals route too
-        block = inst._square_block(ORACLE_CHAINS["outside-t1"], 200, 1)
+        block = square_block(ORACLE_CHAINS["outside-t1"], 200, 1)
         assert np.min(np.diagonal(block, 1) * np.diagonal(block, -1)) < 0.0
 
     def test_rejects_zero_depth(self):
@@ -590,7 +704,7 @@ class TestMatrixOracle:
         ch = PINNED
         depth = 150
         n = np.arange(-depth, depth + 1)
-        K = ch.mode_sq(n)
+        K = mode_sq(ch, n)
         C = (K - ch.s**2) / (K + ch.alpha * K * K)
         m = np.zeros((n.size, n.size))
         i = np.arange(n.size - 1)
@@ -615,6 +729,37 @@ class TestUnstableCount:
         assert abs(counts[48] / counts[24] - 4.0) <= 1.0
 
     def test_certification_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(inst, "solve_sigmas", lambda chains: np.full(len(chains), -1.0))
-        with pytest.raises(RuntimeError):
+        # a thousandth of the threshold is below every chain's critical coupling
+        # (coupling_bounds), so every gap at sigma = 0 is positive
+        threshold = inst.threshold_amplitude
+        monkeypatch.setattr(inst, "threshold_amplitude", lambda *args: 1e-3 * threshold(*args))
+        t, r = inst.region_lattice(12, 0.35)[0]
+        with pytest.raises(RuntimeError, match=rf"^chain \(t={t}, r={r}\) failed"):
             inst.unstable_count(12, 0.35, alpha=1 / 144, gamma=1.0)
+
+    def test_rejects_a_fractional_s(self):
+        with pytest.raises(ValueError, match="^s must be an integer >= 1, got 96.5"):
+            inst.unstable_count(96.5, 0.35, 1e-4, 1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), factors=st.lists(
+        st.one_of(st.floats(0.5, 2.0), st.sampled_from([1.0 - 1e-9, 1.0 + 1e-9])),
+        min_size=1, max_size=8))
+    def test_sign_certificate_agrees_with_the_solved_rate(self, data, factors):
+        # couplings on both sides of each chain's critical coupling
+        chains = [data.draw(_oracle_chain()) for _ in factors]
+        lam0 = inst.solve_lambda0s(chains)
+        chains = [replace(c, coupling=l * f) for c, l, f in zip(chains, lam0, factors)]
+        sigma = inst.solve_sigmas(chains)
+        gamma = np.array([c.gamma for c in chains])
+        clear = np.abs(sigma) > 1e-9 * gamma
+        certified = inst._gap_at_zero(inst._columns(chains)) < 0.0
+        assert np.array_equal(certified[clear], (sigma > 0.0)[clear])
+        # unstable_count certifies its lattice by that sign, naming the first failure
+        with mock.patch.object(inst, "lattice_chains", lambda *args: chains):
+            if certified.all():
+                assert inst.unstable_count(8, 0.35, 1.0, 1.0) == 2 * len(chains)
+            else:
+                c = chains[np.flatnonzero(~certified)[0]]
+                with pytest.raises(RuntimeError, match=rf"^chain \(t={c.t}, r={c.r}\) failed"):
+                    inst.unstable_count(8, 0.35, 1.0, 1.0)
