@@ -13,7 +13,8 @@ sha256 of the effective configuration, and the seed; identical
 configuration and seed give byte-identical output.  Floats are printed with
 repr, the shortest decimal that round-trips.  The JSON body of `bounds`
 follows the comment lines, so strip `#` lines before handing it to a JSON
-parser.
+parser.  A file named by --output is written whole: to a temporary file
+next to it, renamed over it (io.write_atomic).
 
 Configuration may come from a `key = value` file (# comments allowed);
 command-line flags override file values.  `RunConfig` is the one table of
@@ -53,11 +54,11 @@ if _ONE_THREAD_START:
 import numpy as np  # noqa: E402  (after the pool size is chosen)
 
 from . import __version__, instability
-from .spectral import ModelParams, SpectralField, curl, make_grid, random_field
+from .spectral import ModelParams, SpectralField, curl, make_grid, random_field, zero_field
 
 # dynamics, io, bounds and inequalities are imported by the commands that run
 # them, so a process that runs instability or bounds does not load the flow
-# integrator and the checkpoint format
+# integrator, and loads the file writer of io only for an --output file
 
 __all__ = ["ConfigError", "RunConfig", "config_lines", "load_config", "main", "parse_and_dispatch"]
 
@@ -217,8 +218,9 @@ def _emit(cfg: RunConfig, body: list[str], path: str | None = None) -> None:
     if target is None:
         sys.stdout.write(text)
     else:
-        with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        from .io import write_atomic
+
+        write_atomic(target, text.encode("utf-8"))
 
 
 def _output_dir(cfg: RunConfig) -> bool:
@@ -229,7 +231,8 @@ def _output_dir(cfg: RunConfig) -> bool:
 def _check_targets(cfg: RunConfig) -> None:
     """Refuse a file target that cannot be written before any work starts:
     --output (unless it names a directory) and --save, with a missing parent
-    directory, a directory in its place, or no write permission."""
+    directory, a directory in its place, or no write permission on the file or
+    on its directory, where io.write_atomic makes its temporary file."""
     paths = {} if _output_dir(cfg) else {"output": cfg.output}
     if cfg.subcommand == "simulate":
         paths["save"] = cfg.save
@@ -241,7 +244,7 @@ def _check_targets(cfg: RunConfig) -> None:
             problem = f"{parent} is not a directory"
         elif os.path.isdir(path):
             problem = "it is a directory"
-        elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        elif not all(os.access(p, os.W_OK) for p in (parent, path) if os.path.exists(p)):
             problem = "no write permission"
         else:
             continue
@@ -305,7 +308,7 @@ def _make_forcing(cfg: RunConfig, grid, params: ModelParams) -> SpectralField:
     """Forcing spec: 'zero' | 'kolmogorov S LAMBDA' | 'checkpoint PATH'."""
     parts = cfg.forcing.split()
     if parts == ["zero"]:
-        return SpectralField(grid, np.zeros((grid.n, grid.n), dtype=complex))
+        return zero_field(grid)
     if parts and parts[0] == "kolmogorov":
         if len(parts) != 3:
             raise ConfigError(f"forcing {cfg.forcing!r}: expected 'kolmogorov S LAMBDA'")

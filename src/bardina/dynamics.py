@@ -164,11 +164,9 @@ class SimState:
         c = self.omega.coeffs
         return float((2.0 * np.pi) ** 2 * np.sum((c * np.conj(c)).real * w))
 
-    def diagnostics(self) -> "DiagnosticRow":
-        return self._diagnostics(_r0_sq_from_curl(self.params, self.forcing_curl))
-
     def _diagnostics(self, r0_sq: float) -> "DiagnosticRow":
-        """diagnostics() given R0^2 of the flow, which a run computes once."""
+        """The observer sample of this state, given R0^2 of the flow, which a run
+        computes once."""
         g = self.grid
         alpha = self.params.alpha
         w = 1.0 / (1.0 + alpha * g.k_sq)
@@ -778,7 +776,7 @@ def lyapunov_spectrum(
 
     # block averages over the kept intervals for a crude error bar
     splits = np.array_split(kept, blocks)
-    block_means = np.array([s.sum(axis=0) / (len(s) * span) for s in splits if len(s)])
+    block_means = np.array([s.sum(axis=0) / (len(s) * span) for s in splits])
     stderr = block_means.std(axis=0, ddof=1) / math.sqrt(len(block_means))
 
     order = np.argsort(exponents)[::-1]

@@ -5,17 +5,20 @@ u = g / gamma.  Linearizing the damped filtered-vorticity equation around
 it couples Fourier modes only along vertical ladders k = (t, s n + r),
 n in Z, so the eigenvalue problem splits into independent three-term
 recurrences ("chains").  For chains whose base mode lies in an explicit
-admissible region the recurrence has a unique real eigenvalue, solved for
-a batch of chains at once as the root of a continued-fraction identity.
-The truncated tridiagonal matrix of the chain cross-checks it by a route
-that uses no continued fraction: the matrix has a zero diagonal, so its
-spectrum is +-lambda and the mu = lambda^2 are the eigenvalues of one
-tridiagonal block of its square, the rows of the odd n; for an admissible
-chain that block is similar to a symmetric one, and one stacked symmetric
-eigensolve serves a batch.  Driving every admissible lattice point unstable
-with a large enough forcing amplitude, certified by the sign of the
-eigenvalue condition at sigma = 0, gives the dimension lower bound of
-:mod:`bardina.bounds`.
+admissible region the recurrence has a unique real eigenvalue, the root of
+f(sigma) = g(sigma): f is linear in sigma, and g sums continued fractions
+down both tails of the ladder, their depth doubled per chain until two
+depths agree.  `solve_sigmas` finds the roots of a batch of chains at once
+and `solve_lambda0s` the couplings where they cross zero.
+`chain_matrix_eigens` cross-checks them on the truncated tridiagonal matrix
+of the chain, by a route that uses no continued fraction: the matrix has a
+zero diagonal, so its spectrum is +-lambda and the mu = lambda^2 are the
+eigenvalues of one tridiagonal block of its square, the rows of the odd n;
+for an admissible chain that block is similar to a symmetric one, and one
+stacked symmetric eigensolve serves a batch.  Driving every admissible
+lattice point unstable with a large enough forcing amplitude, certified by
+the sign of the eigenvalue condition at sigma = 0, gives the dimension
+lower bound of :mod:`bardina.bounds`.
 """
 from __future__ import annotations
 
@@ -31,9 +34,8 @@ from .spectral import (FourierGrid, ModelParams, SpectralField, VectorField, zer
 __all__ = [
     "KolmogorovSpec", "Chain", "ContinuedFractionError", "BracketError",
     "kolmogorov_forcing", "stationary_vorticity", "threshold_amplitude", "region_lattice",
-    "lattice_chains", "continued_fraction_g", "f_sigma", "solve_sigma", "solve_sigmas",
-    "solve_lambda0s", "sigma_bounds", "coupling_bounds", "chain_matrix", "chain_matrix_eigen",
-    "chain_matrix_eigens", "unstable_count",
+    "lattice_chains", "solve_sigma", "solve_sigmas", "solve_lambda0s", "sigma_bounds",
+    "coupling_bounds", "chain_matrix_eigen", "chain_matrix_eigens", "unstable_count",
 ]
 
 SIGMA_TOL = 1e-12  # relative bisection tolerance on eigenvalues
@@ -70,11 +72,6 @@ class KolmogorovSpec:
             raise ValueError("need s >= 1, finite amplitude >= 0, finite gamma > 0")
 
     @property
-    def force_norm_sq(self) -> float:
-        """||g||^2 in L2 of the torus: gamma^2 amplitude^2."""
-        return (self.gamma * self.amplitude) ** 2
-
-    @property
     def curl_norm_sq(self) -> float:
         """||curl g||^2 = gamma^2 amplitude^2 s^2."""
         return (self.gamma * self.amplitude * self.s) ** 2
@@ -101,7 +98,7 @@ def kolmogorov_forcing(spec: KolmogorovSpec, grid: FourierGrid) -> VectorField:
         ValueError: if the forcing wavenumber lies outside the de-aliased
             band of the grid.
     """
-    if spec.s > (grid.n - 1) // 3:
+    if spec.s > grid.cut:
         raise ValueError("forcing wavenumber outside the de-aliased band")
     g = zero_vector_field(grid)
     c = spec.gamma * spec.amplitude / (math.sqrt(2.0) * math.pi)
@@ -114,7 +111,7 @@ def kolmogorov_forcing(spec: KolmogorovSpec, grid: FourierGrid) -> VectorField:
 def stationary_vorticity(spec: KolmogorovSpec, grid: FourierGrid) -> SpectralField:
     """Vorticity of the stationary solution u = g/gamma:
     omega = -(amplitude*s/(sqrt2 pi)) cos(s x2).  Independent of alpha."""
-    if spec.s > (grid.n - 1) // 3:
+    if spec.s > grid.cut:
         raise ValueError("forcing wavenumber outside the de-aliased band")
     w = zero_field(grid)
     c = -spec.amplitude * spec.s / (math.sqrt(2.0) * math.pi)
@@ -329,29 +326,6 @@ def _bisect(above, lo: np.ndarray, hi: np.ndarray, floor: np.ndarray) -> np.ndar
         lo[todo[~up]] = mid[~up]
 
 
-def continued_fraction_g(chain: Chain, sigma: float) -> float:
-    """g(sigma) = descending continued fractions from both chain tails.
-
-    Evaluated at depths 32 and 64; the coefficients grow like n^2
-    so the truncation error collapses rapidly.
-
-    Raises:
-        ContinuedFractionError: if the two depths disagree by > 1e-10.
-    """
-    if sigma <= -chain.gamma:
-        raise ValueError("sigma must exceed -gamma")
-    sigma, cols = np.array([sigma], dtype=np.float64), _columns([chain])
-    return float(_cf(cols, np.arange(1), sigma, _N_MAX, _N_MAX, _tabulated(cols, _N_MAX))[0])
-
-
-def f_sigma(chain: Chain, sigma: float) -> float:
-    """Left side of the eigenvalue condition:
-    f(sigma) = (gamma+sigma)(q + alpha q^2)/(coupling * t * (s^2 - q)),
-    q = t^2 + r^2.  Vanishes at sigma = -gamma and increases linearly.
-    """
-    return float(_f(_columns([chain]), sigma)[0])
-
-
 def sigma_bounds(chain: Chain, delta: float) -> tuple[float, float]:
     """Closed-form two-sided estimate of the eigenvalue for chains in the
     delta region:  coupling*21*sqrt2*delta^2*s/(55(1+alpha s^2)) - gamma
@@ -391,8 +365,10 @@ def solve_sigmas(chains) -> np.ndarray:
     hi = np.maximum([sigma_bounds(c, c.t / c.s)[1] for c in chains], lo + gamma)
     stuck = _expand(above, hi, lambda sigma, i: 2.0 * sigma + gamma[i])  # keeps hi > -gamma
     if stuck.size:
-        c, top = chains[stuck[0]], float(hi[stuck[0]])
-        samples = [(x, f_sigma(c, x), continued_fraction_g(c, x)) for x in (0.0, top)]
+        top = float(hi[stuck[0]])
+        i, sigma = stuck[[0, 0]], np.array([0.0, top])
+        f, g = _f(cols[:, i], sigma), _cf(cols, i, sigma, _N_MAX, _MAX_DEPTH, scaled)
+        samples = [(x, float(y), float(z)) for x, y, z in zip((0.0, top), f, g)]
         raise BracketError(f"no sign change up to sigma={top!r}; (sigma, f, g) = {samples}")
     return _bisect(above, lo, hi, gamma)
 
@@ -448,6 +424,12 @@ def solve_lambda0s(chains) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # truncated matrix oracle
+#
+# The chain matrix M of a depth is the tridiagonal truncation of
+# (gamma + sigma) e_n = (e_{n+1} - e_{n-1}) / A_n on n in [-depth, depth]
+# (row i holds n = i - depth): zero diagonal, M[i, i+1] = 1/A_n and
+# M[i+1, i] = -1/A_{n+1}.  1/A_n is evaluated directly, so a row with
+# |k_n| = s, where A_n diverges, decouples with zero entries.
 
 
 def _inv_ladders(cols: np.ndarray, depth: int) -> np.ndarray:
@@ -460,23 +442,8 @@ def _inv_ladders(cols: np.ndarray, depth: int) -> np.ndarray:
     return coupling * t * (k_sq - s * s) / (k_sq + alpha * k_sq * k_sq)
 
 
-def chain_matrix(chain: Chain, depth: int) -> np.ndarray:
-    """Tridiagonal truncation of (gamma+sigma) e_n = (e_{n+1}-e_{n-1})/A_n
-    on n in [-depth, depth]: zero diagonal, off-diagonals +-1/A_n.
-
-    1/A_n is evaluated directly, so rows with |k_n| = s (where the
-    recurrence coefficient diverges) decouple gracefully with zero entries.
-    """
-    inv_a = _inv_ladders(_columns([chain]), depth)[0]
-    m = np.zeros((inv_a.size, inv_a.size))
-    idx = np.arange(inv_a.size - 1)
-    m[idx, idx + 1] = inv_a[:-1]
-    m[idx + 1, idx] = -inv_a[1:]
-    return m
-
-
 def _square_blocks(w: np.ndarray, first: int) -> np.ndarray:
-    """Rows and columns first, first + 2, ... (first 0 or 1) of M^2, M = chain_matrix,
+    """Rows and columns first, first + 2, ... (first 0 or 1) of M^2, M the chain matrix,
     for each row w of :func:`_inv_ladders`: shape (chain, size, size).
 
     With w = 1/A_n along M's rows, M[i, i+1] = w_i and M[i+1, i] = -w_{i+1},
@@ -494,14 +461,14 @@ def _square_blocks(w: np.ndarray, first: int) -> np.ndarray:
 
 
 def chain_matrix_eigens(chains, depth: int | None = None) -> np.ndarray:
-    """Largest real part of the spectrum of ``chain_matrix(chain, depth)``, minus gamma,
+    """Largest real part of the spectrum of the chain matrix of the depth, minus gamma,
     for each chain; each entry is bit-identical to that chain solved alone.
 
     Independent route to the chain eigenvalue (no continued fraction);
     agrees with :func:`solve_sigmas` once depth is large (coefficients grow
     like n^2, so boundary truncation decays fast).  The matrix M has a zero
     diagonal, so D M D = -M for D = diag((-1)^i): its spectrum is +-lambda,
-    and M^2 splits into its even and odd rows and columns (row i holds n = i - depth).
+    and M^2 splits into its even and odd rows and columns.
     Each block holds every mu = lambda^2 of a nonzero lambda; the even rows, one
     more, add the zero eigenvalue of the odd-sized M.  So the largest real part is
     max Re sqrt(mu) over one block instead of a (2 depth + 1)^2 problem.

@@ -7,25 +7,30 @@ pairs, row-major, with both wavenumber axes stored in the shifted order
 files: the vorticity at the given path and curl of the forcing next to it
 with the suffix ".forcing".
 
-Every file is written to a temporary file in the same directory, synced and
-renamed over the target, so a reader sees the old file or the new one,
-never a torn one.
+Every file is written by `write_atomic`: to a temporary file in the same
+directory, synced and renamed over the target, so a reader sees the old
+file or the new one, never a torn one.  The command line writes its
+--output files through it too.
 """
 from __future__ import annotations
 
 import os
 import secrets
 import struct
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import SimState
 from .spectral import ModelParams, SpectralField, make_grid
+
+if TYPE_CHECKING:
+    from .dynamics import SimState
 
 __all__ = [
     "load_state",
     "read_scalar",
     "save_state",
+    "write_atomic",
     "write_scalar",
 ]
 
@@ -34,11 +39,15 @@ _HEADER = struct.Struct("<4sIddd")
 
 
 def _naming(exc: OSError, path: str) -> OSError:
-    # an error the OS reports on the temporary file is reported on its target
-    return OSError(exc.errno, exc.strerror, path) if exc.filename is not None else exc
+    # an error the OS reports on the temporary file, or on no file (a failed
+    # write or fsync), is reported on its target
+    return OSError(exc.errno, exc.strerror, path) if exc.errno is not None else exc
 
 
-def _write_atomic(path: str, *chunks: bytes) -> None:
+def write_atomic(path: str, *chunks: bytes) -> None:
+    """Write the chunks to path whole: to a temporary file next to it, synced and
+    renamed over path.  A write that fails leaves the old file, if any, and no
+    temporary file; the error names path."""
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     try:
         fh = open(tmp, "xb")
@@ -60,7 +69,7 @@ def _write_atomic(path: str, *chunks: bytes) -> None:
 
 def write_scalar(path: str, field: SpectralField, params: ModelParams, time: float) -> None:
     header = _HEADER.pack(MAGIC, field.grid.n, params.alpha, params.gamma, time)
-    _write_atomic(path, header, np.fft.fftshift(field.coeffs).astype("<c16").tobytes())
+    write_atomic(path, header, np.fft.fftshift(field.coeffs).astype("<c16").tobytes())
 
 
 def read_scalar(path: str) -> tuple[SpectralField, ModelParams, float]:
@@ -99,6 +108,8 @@ def load_state(path: str) -> SimState:
     trace of a save that failed between its two writes: the forcing of one
     state next to the vorticity of another.  It is rejected, not loaded.
     """
+    from .dynamics import SimState
+
     omega, params, time = read_scalar(path)
     fpath = path + ".forcing"
     if not os.path.exists(fpath):

@@ -80,11 +80,6 @@ class FourierGrid:
         """Collocation spacing 2*pi/n."""
         return 2.0 * np.pi / self.n
 
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical collocation nodes x1, x2 as (n, n) arrays."""
-        x = 2.0 * np.pi * np.arange(self.n) / self.n
-        return np.meshgrid(x, x, indexing="ij")
-
 
 @lru_cache(maxsize=32)
 def make_grid(n: int) -> FourierGrid:
@@ -131,9 +126,6 @@ class SpectralField:
     grid: FourierGrid
     coeffs: np.ndarray
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
     def to_samples(self) -> np.ndarray:
         """Values on the collocation grid (real part; imag is roundoff)."""
         return np.fft.ifft2(self.coeffs).real * self.grid.n**2
@@ -149,9 +141,6 @@ class SpectralField:
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         return SpectralField(self.grid, self.coeffs - other.coeffs)
 
-    def __rmul__(self, a: float) -> "SpectralField":
-        return SpectralField(self.grid, a * self.coeffs)
-
 
 @dataclass
 class VectorField:
@@ -159,9 +148,6 @@ class VectorField:
 
     grid: FourierGrid
     coeffs: np.ndarray  # shape (2, n, n)
-
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.coeffs.copy())
 
     def component(self, i: int) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[i])
@@ -175,9 +161,6 @@ class VectorField:
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.grid, self.coeffs - other.coeffs)
-
-    def __rmul__(self, a: float) -> "VectorField":
-        return VectorField(self.grid, a * self.coeffs)
 
 
 def hermitianize(grid: FourierGrid, coeffs: np.ndarray) -> np.ndarray:

@@ -97,6 +97,12 @@ def alpha_inner(theta, xi, alpha: float) -> float:
     return float((2.0 * np.pi) ** 2 * s)
 
 
+def nodes(grid):
+    """Physical collocation nodes x1, x2 of a grid as (n, n) arrays."""
+    x = 2.0 * np.pi * np.arange(grid.n) / grid.n
+    return np.meshgrid(x, x, indexing="ij")
+
+
 def cf_two_sweeps(chain, sigma: float, n_max: int, max_depth: int) -> tuple[float, int]:
     """Reference of the continued fraction g(sigma) of a chain, one sweep per depth.
 

@@ -1,5 +1,6 @@
 """Command line interface: parsing, precedence, determinism, exit codes."""
 import ctypes
+import errno
 import glob
 import hashlib
 import itertools
@@ -519,6 +520,43 @@ class TestUsageErrors:
         assert rc == 2 and out == ""
         assert err.startswith("bardina: ") and str(tmp_path) in err
 
+    @pytest.mark.parametrize("fail_at", ["fsync", "replace"])
+    def test_failed_output_write_keeps_the_previous_file(self, tmp_path, capsys, monkeypatch,
+                                                         fail_at):
+        # --output is written whole: a write that fails after the text went out leaves
+        # the old file and no temporary file, and the error names the target
+        path = tmp_path / "bounds.json"
+        argv = ["bounds", "--gamma", "1", "--output", str(path)]
+        assert run(capsys, *argv, "--alpha", "0.001")[0] == 0
+        before = path.read_bytes()
+
+        def failing(*args):
+            names = (args[0], None, args[1]) if fail_at == "replace" else ()  # fsync names none
+            raise OSError(errno.EIO, os.strerror(errno.EIO), *names)
+
+        monkeypatch.setattr(os, fail_at, failing)
+        rc, out, err = run(capsys, *argv, "--alpha", "0.002")
+        monkeypatch.undo()
+        assert rc == 2 and out == ""
+        assert err.startswith("bardina: ") and str(path) in err and ".tmp" not in err
+        assert os.listdir(tmp_path) == ["bounds.json"] and path.read_bytes() == before
+
+    def test_unwritable_output_directory_stops_before_any_work(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the file is replaced through a temporary file next to it, so its
+        # directory must take a new file even where the file itself is writable
+        path = tmp_path / "run.csv"
+        path.write_text("keep\n")
+        access = os.access
+        monkeypatch.setattr(os, "access",
+                            lambda p, mode: access(p, mode) and os.fspath(p) != str(tmp_path))
+        ran = []
+        monkeypatch.setattr(instability, "lattice_chains", lambda *a, **k: ran.append(a))
+        rc, out, err = run(capsys, "instability", *_TINY["instability"], "--output", str(path))
+        assert rc == 2 and out == "" and ran == []
+        assert err.startswith("bardina: ") and "no write permission" in err
+        assert path.read_text() == "keep\n"
+
     def test_verify_all_into_a_file(self, tmp_path, capsys):
         path = tmp_path / "report"
         path.write_text("keep\n")
@@ -860,9 +898,13 @@ class TestConsoleScript:
     @pytest.mark.parametrize("argv", [
         ["instability", "--alpha", "0.006944", "--gamma", "1", "--s", "12"],
         ["bounds", "--alpha", "0.001", "--gamma", "1"],
-    ], ids=["instability", "bounds"])
-    def test_lower_bound_commands_load_no_flow_code(self, argv):
-        # the integrator and the checkpoint format are imported by the commands that run them
+        ["instability", "--alpha", "0.006944", "--gamma", "1", "--s", "12",
+         "--output", "{tmp}/out.csv"],
+    ], ids=["instability", "bounds", "instability-output"])
+    def test_lower_bound_commands_load_no_flow_code(self, argv, tmp_path):
+        # the integrator and the checkpoint format are imported by the commands that run
+        # them; an --output file loads io for its writer, but not the integrator
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         proc = _run_child([sys.executable, "-c",
                            "import sys; from bardina.cli import parse_and_dispatch; "
                            f"code = parse_and_dispatch({argv!r}); "
@@ -871,8 +913,12 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stderr.strip().splitlines()[-1]
         assert "'bardina.instability'" in loaded
-        assert "'bardina.dynamics'" not in loaded and "'bardina.io'" not in loaded
+        assert "'bardina.dynamics'" not in loaded
         assert "'bardina.inequalities'" not in loaded
+        to_file = "--output" in argv
+        assert ("'bardina.io'" in loaded) == to_file
+        if to_file:
+            assert (tmp_path / "out.csv").read_text().startswith("# bardina ")
 
     def test_one_parser_serves_every_call_of_a_process(self):
         # each call prints what it prints in a fresh process, an argparse exit included

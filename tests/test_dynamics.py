@@ -659,10 +659,11 @@ class TestAbsorbingRadius:
         grid = make_grid(48)
         spec = KolmogorovSpec(s=5, amplitude=2.0, gamma=1.5)
         g = kolmogorov_forcing(spec, grid)
-        assert g.l2_norm_sq() == pytest.approx(spec.force_norm_sq, rel=1e-13)
+        force_norm_sq = (spec.gamma * spec.amplitude) ** 2
+        assert g.l2_norm_sq() == pytest.approx(force_norm_sq, rel=1e-13)
         assert curl(g).l2_norm_sq() == pytest.approx(spec.curl_norm_sq, rel=1e-13)
         r0 = absorbing_radius(ModelParams(alpha=0.04, gamma=spec.gamma), g)
-        want = min(spec.force_norm_sq / 0.04, spec.curl_norm_sq) / spec.gamma**2
+        want = min(force_norm_sq / 0.04, spec.curl_norm_sq) / spec.gamma**2
         assert r0**2 == pytest.approx(want, rel=1e-13)
 
     def test_zero_forcing(self):
@@ -683,8 +684,9 @@ class TestAbsorbingRadius:
         g = kolmogorov_forcing(spec, grid)
         st = make_state(random_field(grid, rng, band=6), PARAMS, forcing=g)
         direct = absorbing_radius(PARAMS, g) ** 2
-        assert _r0_sq_from_curl(PARAMS, st.forcing_curl) == pytest.approx(direct, rel=1e-12)
-        row = st.diagnostics()
+        r0_sq = _r0_sq_from_curl(PARAMS, st.forcing_curl)
+        assert r0_sq == pytest.approx(direct, rel=1e-12)
+        row = st._diagnostics(r0_sq)
         assert row.r0_margin == pytest.approx(direct - st.energy(), rel=1e-10)
 
 
@@ -866,7 +868,7 @@ class TestTangentStepping:
         grid = make_grid(32)
         st = make_state(random_field(grid, rng, band=6), PARAMS)
         th = _random_divfree(grid, rng)
-        with_mean = th.copy()
+        with_mean = VectorField(grid, th.coeffs.copy())
         with_mean.coeffs[0, 0, 0] = 0.1
         phi = random_field(grid, rng, band=6).coeffs
         grad = VectorField(grid, np.stack((1j * grid.k1 * phi, 1j * grid.k2 * phi)))

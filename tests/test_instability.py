@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bardina import instability as inst
 from bardina.spectral import curl, make_grid
 
-from conftest import CHAIN_COUNT_ORACLE, cf_two_sweeps
+from conftest import CHAIN_COUNT_ORACLE, cf_two_sweeps, nodes
 
 ALPHA = 1.0 / 64.0
 PINNED = inst.Chain(s=8, t=4, r=1, alpha=ALPHA, gamma=1.0, coupling=0.4)
@@ -22,11 +22,23 @@ def mode_sq(chain, n):
     return chain.t**2 + kn * kn
 
 
-def g_from(chain, sigma, n_max):
-    """continued_fraction_g with first depth n_max: depths n_max and 2 n_max, no doubling."""
+def g_from(chain, sigma, n_max, max_depth=None):
+    """g(sigma) of a chain from first depth n_max, doubled up to max_depth (default
+    n_max: depths n_max and 2 n_max, no doubling)."""
     cols = inst._columns([chain])
-    return float(inst._cf(cols, np.arange(1), np.array([sigma]), n_max, n_max,
+    return float(inst._cf(cols, np.arange(1), np.array([sigma]), n_max, max_depth or n_max,
                           inst._tabulated(cols, n_max))[0])
+
+
+def g_of(chain, sigma):
+    """The solvers' g(sigma) of a chain: first depth _N_MAX, doubled up to _MAX_DEPTH."""
+    return g_from(chain, sigma, inst._N_MAX, inst._MAX_DEPTH)
+
+
+def f_of(chain, sigma):
+    """The left side f(sigma) = (gamma + sigma)(q + alpha q^2)/(coupling t (s^2 - q)),
+    q = t^2 + r^2, of the eigenvalue condition f = g."""
+    return float(inst._f(inst._columns([chain]), sigma)[0])
 
 
 def ladder_d(ch, n, sigma):
@@ -56,7 +68,7 @@ class TestForcing:
         g = make_grid(64)
         spec = inst.KolmogorovSpec(s=3, amplitude=1.7, gamma=0.5)
         f = inst.kolmogorov_forcing(spec, g)
-        assert f.l2_norm_sq() == pytest.approx(spec.force_norm_sq, rel=1e-12)
+        assert f.l2_norm_sq() == pytest.approx((spec.gamma * spec.amplitude) ** 2, rel=1e-12)
         w = curl(f)
         assert w.l2_norm_sq() == pytest.approx(spec.curl_norm_sq, rel=1e-12)
 
@@ -64,7 +76,7 @@ class TestForcing:
         g = make_grid(32)
         spec = inst.KolmogorovSpec(s=2, amplitude=1.0, gamma=1.0)
         f = inst.kolmogorov_forcing(spec, g)
-        x2 = g.nodes()[1]
+        x2 = nodes(g)[1]
         want = spec.gamma * spec.amplitude / (math.sqrt(2) * math.pi) * np.sin(2 * x2)
         assert np.allclose(f.component(0).to_samples(), want, atol=1e-13)
         assert np.allclose(f.component(1).to_samples(), 0.0, atol=1e-15)
@@ -84,7 +96,7 @@ class TestForcing:
         g = make_grid(32)
         spec = inst.KolmogorovSpec(s=2, amplitude=1.3, gamma=2.0)
         w = inst.stationary_vorticity(spec, g)
-        x2 = g.nodes()[1]
+        x2 = nodes(g)[1]
         want = -spec.amplitude * spec.s / (math.sqrt(2) * math.pi) * np.cos(2 * x2)
         assert np.allclose(w.to_samples(), want, atol=1e-13)
 
@@ -188,11 +200,11 @@ class TestRecurrence:
 
 class TestContinuedFraction:
     def test_vanishes_at_large_sigma(self):
-        assert 0 < inst.continued_fraction_g(PINNED, 1e6) < 1e-5
+        assert 0 < g_of(PINNED, 1e6) < 1e-5
 
     def test_two_term_brackets(self):
         sigma = 0.1
-        g = inst.continued_fraction_g(PINNED, sigma)
+        g = g_of(PINNED, sigma)
         d = {n: float(ladder_d(PINNED, n, sigma)) for n in (-2, -1, 1, 2)}
         upper = 1 / d[-1] + 1 / d[1]
         lower = 1 / (d[-1] + 1 / d[-2]) + 1 / (d[1] + 1 / d[2])
@@ -202,17 +214,15 @@ class TestContinuedFraction:
         a = g_from(PINNED, 0.3, 8)
         b = g_from(PINNED, 0.3, 64)
         assert abs(a - b) < 1e-13
-        assert inst.continued_fraction_g(PINNED, 0.3) == g_from(PINNED, 0.3, 32)
-
-    def test_rejects_sigma_at_minus_gamma(self):
-        with pytest.raises(ValueError):
-            inst.continued_fraction_g(PINNED, -1.0)
+        assert g_of(PINNED, 0.3) == g_from(PINNED, 0.3, inst._N_MAX)
 
     def test_nonconvergence_flagged_near_minus_gamma(self):
         with pytest.raises(inst.ContinuedFractionError):
             g_from(PINNED, -1.0 + 1e-10, 8)
-        with pytest.raises(inst.ContinuedFractionError):
-            inst.continued_fraction_g(PINNED, -1.0 + 1e-10)
+        # the solvers' g doubles on where two fixed depths stop
+        sigma = -1.0 + 1e-10
+        want, _ = cf_two_sweeps(PINNED, sigma, inst._N_MAX, inst._MAX_DEPTH)
+        assert g_of(PINNED, sigma) == want
 
 
 def _g_or_error(compute):
@@ -251,9 +261,10 @@ class TestFusedPass:
         got = _g_or_error(lambda: g_from(chain, sigma, n_max))
         want = _g_or_error(lambda: cf_two_sweeps(chain, sigma, n_max, n_max)[0])
         assert _same_bits(got[0], want[0]) and got[1] == want[1]
-        if n_max == 32:  # the public function's own depth
-            public = _g_or_error(lambda: inst.continued_fraction_g(chain, sigma))
-            assert _same_bits(public[0], want[0]) and public[1] == want[1]
+        if n_max == inst._N_MAX:  # the solvers' own g, which doubles on up to _MAX_DEPTH
+            own = _g_or_error(lambda: g_of(chain, sigma))
+            deep = _g_or_error(lambda: cf_two_sweeps(chain, sigma, n_max, inst._MAX_DEPTH)[0])
+            assert _same_bits(own[0], deep[0]) and own[1] == deep[1]
 
     @settings(max_examples=40, deadline=None)
     @given(cases=st.lists(_chain_and_sigma(), min_size=1, max_size=6),
@@ -288,7 +299,7 @@ class TestFusedPass:
         assert np.array_equal(got.view(np.int64), np.array([g for g, _ in want]).view(np.int64))
 
     def test_error_names_the_same_depth_move(self):
-        # the ContinuedFractionError path of continued_fraction_g
+        # the ContinuedFractionError path of the fused pass
         got = _g_or_error(lambda: g_from(PINNED, -1.0 + 1e-10, 8))
         want = _g_or_error(lambda: cf_two_sweeps(PINNED, -1.0 + 1e-10, 8, 8)[0])
         assert got[0] is None and got == want
@@ -296,19 +307,19 @@ class TestFusedPass:
 
 class TestFSigma:
     def test_zero_at_minus_gamma(self):
-        assert inst.f_sigma(PINNED, -PINNED.gamma) == 0.0
+        assert f_of(PINNED, -PINNED.gamma) == 0.0
 
     def test_closed_form_alpha_zero(self):
         # q = s^2/4 collapses f to (gamma+sigma)/(3*coupling*t)
         ch = inst.Chain(s=4, t=2, r=0, alpha=0.0, gamma=1.0, coupling=0.9)
         for sigma in (-0.4, 0.0, 2.0):
-            assert inst.f_sigma(ch, sigma) == pytest.approx(
+            assert f_of(ch, sigma) == pytest.approx(
                 (1.0 + sigma) / (3 * 0.9 * 2), rel=1e-14
             )
 
     def test_monotone_increasing(self):
         sig = np.linspace(-0.9, 5.0, 50)
-        vals = [inst.f_sigma(PINNED, s) for s in sig]
+        vals = [f_of(PINNED, s) for s in sig]
         assert np.all(np.diff(vals) > 0)
 
 
@@ -343,8 +354,8 @@ class TestSolveSigma:
 
     def test_f_up_g_down_on_bracket(self):
         sig = np.linspace(-0.8, 2.0, 15)
-        f = np.array([inst.f_sigma(PINNED, x) for x in sig])
-        g = np.array([inst.continued_fraction_g(PINNED, x) for x in sig])
+        f = np.array([f_of(PINNED, x) for x in sig])
+        g = np.array([g_of(PINNED, x) for x in sig])
         assert np.all(np.diff(f) > 0)
         assert np.all(np.diff(g) < 0)
 
@@ -400,6 +411,21 @@ class TestSolveSigmas:
 
     def test_empty_batch(self):
         assert inst.solve_sigmas([]).shape == (0,)
+
+    @pytest.mark.parametrize("stuck", [[0], [1, 2]])
+    def test_bracket_error_reports_the_solvers_f_and_g(self, monkeypatch, stuck):
+        # no expansion of the bracket finds a sign change: the error reports f and the
+        # solvers' own g of the first chain stuck, at sigma = 0 and at the top it reached
+        chains = self._lattice_chains(12, 0.5, (0.5, 1.0, 2.0))[:3]
+        monkeypatch.setattr(inst, "_expand", lambda holds, x, step: np.array(stuck))
+        with pytest.raises(inst.BracketError) as info:
+            inst.solve_sigmas(chains)
+        c = chains[stuck[0]]
+        lo = -c.gamma + inst.GAMMA_OFFSET * c.gamma
+        top = float(max(inst.sigma_bounds(c, c.t / c.s)[1], lo + c.gamma))
+        samples = [(x, f_of(c, x), g_of(c, x)) for x in (0.0, top)]
+        assert str(info.value) == (f"no sign change up to sigma={top!r}; "
+                                   f"(sigma, f, g) = {samples}")
 
     def test_rejects_inadmissible_chain_in_batch(self):
         bad = inst.Chain(s=8, t=1, r=1, alpha=ALPHA, gamma=1.0, coupling=0.4)
@@ -460,9 +486,27 @@ class TestLambda0:
         assert abs(0.5 * (lo + hi) - lam0) < 1e-6
 
 
+def inv_a(chain, depth):
+    """1/A_n of a chain on n in [-depth, depth], zero where |k_n| = s."""
+    k_sq = mode_sq(chain, np.arange(-depth, depth + 1))
+    return chain.coupling * chain.t * (k_sq - chain.s**2) / (k_sq + chain.alpha * k_sq * k_sq)
+
+
+def chain_matrix(chain, depth):
+    """The dense reference M: the tridiagonal truncation of (gamma + sigma) e_n =
+    (e_{n+1} - e_{n-1}) / A_n on n in [-depth, depth], zero diagonal, off-diagonals
+    +-1/A_n; a row with |k_n| = s, where A_n diverges, decouples with zero entries."""
+    w = inv_a(chain, depth)
+    m = np.zeros((w.size, w.size))
+    i = np.arange(w.size - 1)
+    m[i, i + 1] = w[:-1]
+    m[i + 1, i] = -w[1:]
+    return m
+
+
 def dense_oracle(chain, depth):
     """The full route: largest real eigenvalue part of the (2 depth + 1)^2 chain matrix."""
-    return float(np.linalg.eigvals(inst.chain_matrix(chain, depth)).real.max()) - chain.gamma
+    return float(np.linalg.eigvals(chain_matrix(chain, depth)).real.max()) - chain.gamma
 
 
 def square_block(chain, depth, first):
@@ -472,8 +516,7 @@ def square_block(chain, depth, first):
 
 def one_chain_block(chain, depth, first):
     """square_block of a chain alone, built as one dense scatter on its padded 1/A_n."""
-    k_sq = mode_sq(chain, np.arange(-depth, depth + 1))
-    w = chain.coupling * chain.t * (k_sq - chain.s**2) / (k_sq + chain.alpha * k_sq * k_sq)
+    w = inv_a(chain, depth)
     rows, inner, padded = w[first::2], w[first + 1 : -1 : 2], np.pad(w, 1)
     b = np.zeros((rows.size, rows.size))
     j = np.arange(rows.size)
@@ -577,7 +620,7 @@ class TestMatrixOracle:
            alpha=st.floats(0.0, 0.5), coupling=st.floats(0.05, 5.0), depth=st.integers(1, 12))
     def test_odd_block_holds_the_squared_spectrum(self, s, t, r, alpha, coupling, depth):
         ch = inst.Chain(s=s, t=t, r=r, alpha=alpha, gamma=1.0, coupling=coupling)
-        m = inst.chain_matrix(ch, depth)
+        m = chain_matrix(ch, depth)
         d = np.diag((-1.0) ** np.arange(m.shape[0]))
         assert np.array_equal(d @ m @ d, -m)
         # so M^2 has no even-odd entries, and its rows of the odd n are the package's block
@@ -686,7 +729,7 @@ class TestMatrixOracle:
         assert inst.chain_matrix_eigen(ch, depth=60) == pytest.approx(-1.0, abs=1e-7)
 
     def test_structure(self):
-        m = inst.chain_matrix(PINNED, depth=5)
+        m = chain_matrix(PINNED, depth=5)
         assert m.shape == (11, 11)
         assert np.all(np.diag(m) == 0)
         assert np.count_nonzero(m - np.diag(np.diag(m, 1), 1) - np.diag(np.diag(m, -1), -1)) == 0
@@ -694,7 +737,7 @@ class TestMatrixOracle:
     def test_singular_mode_row_decouples(self):
         # s=5, t=4, r=-2: |k_1|^2 = 16+9 = 25 = s^2, so its row vanishes
         ch = inst.Chain(s=5, t=4, r=-2, alpha=0.1, gamma=1.0, coupling=0.3)
-        m = inst.chain_matrix(ch, depth=3)
+        m = chain_matrix(ch, depth=3)
         row = 3 + 1  # n = +1
         assert np.all(m[row] == 0.0)
         assert np.all(np.isfinite(m))

@@ -10,7 +10,7 @@ from hypothesis import strategies as hs
 
 from bardina.dynamics import make_state, simulate, step
 from bardina.instability import KolmogorovSpec, kolmogorov_forcing
-from bardina.io import load_state, read_scalar, save_state, write_scalar
+from bardina.io import load_state, read_scalar, save_state, write_atomic, write_scalar
 from bardina.spectral import (
     ModelParams,
     SpectralField,
@@ -183,6 +183,14 @@ class TestStateCheckpoint:
         back = load_state(p)
         assert np.array_equal(back.omega.coeffs, old.omega.coeffs)
         assert back.time == old.time
+
+    def test_write_atomic_that_fails_partway_keeps_the_previous_file(self, tmp_path):
+        # the first chunk reaches the temporary file before the second one fails
+        p = tmp_path / "out.txt"
+        write_atomic(str(p), b"old\n")
+        with pytest.raises(TypeError):
+            write_atomic(str(p), b"new\n", "not bytes")
+        assert os.listdir(tmp_path) == ["out.txt"] and p.read_bytes() == b"old\n"
 
     @pytest.mark.parametrize("where", ["missing-directory", "onto-a-directory"])
     def test_failed_save_names_the_target(self, tmp_path, rng, where):

@@ -1,7 +1,12 @@
 """Each bardina module lists in __all__ exactly the public functions and
-classes it defines, so its surface cannot grow or shrink unnoticed."""
+classes it defines, so its surface cannot grow or shrink unnoticed, and
+every name it lists has a caller outside the tests: in the package, the
+demos or the benchmark harness."""
+import ast
+import glob
 import importlib
 import inspect
+import os
 import pkgutil
 
 import pytest
@@ -24,3 +29,70 @@ def _public_definitions(module):
 def test_all_lists_exactly_the_public_definitions(name):
     module = importlib.import_module(name)
     assert sorted(getattr(module, "__all__", [])) == sorted(_public_definitions(module))
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CALLERS = [os.path.join("src", "bardina"), "demos", "perfbench"]  # the tests do not count
+
+
+def _references(tree):
+    """Names read in the module as an ast.Name or as the attribute of an
+    ast.Attribute, each outside the function or class of that name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def unreferenced(root):
+    """`module.name` of every name in a bardina module's __all__ that no code
+    under CALLERS of the tree at root references outside its own definition."""
+    found = set()
+    for directory in CALLERS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, directory)):
+            dirnames[:] = [d for d in dirnames if not d.startswith(".")]
+            for name in filenames:
+                if name.endswith(".py"):
+                    with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                        found |= _references(ast.parse(f.read()))
+    out = []
+    for path in sorted(glob.glob(os.path.join(root, "src", "bardina", "*.py"))):
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                out += [f"{module}.{name}" for name in ast.literal_eval(node.value)
+                        if name not in found]
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # a name only the tests reach belongs in the tests, or in no __all__
+    assert unreferenced(ROOT) == []
+
+
+def test_scan_finds_a_name_only_its_own_definition_reads(tmp_path):
+    (tmp_path / "src" / "bardina").mkdir(parents=True)
+    (tmp_path / "src" / "bardina" / "mod.py").write_text(
+        '__all__ = ["used", "recursive", "named", "Shape", "spare"]\n'
+        "def used(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "def named(): pass\n"
+        "class Shape:\n    def copy(self): return Shape()\n"
+        "def spare(): 'calls used()'\n"
+        "x = used()\n")
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "demo.py").write_text("import mod\nmod.named()\nprint('spare')\n")
+    assert unreferenced(str(tmp_path)) == ["mod.recursive", "mod.Shape", "mod.spare"]

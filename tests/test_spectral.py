@@ -19,7 +19,7 @@ from bardina.spectral import (
     zero_field,
 )
 
-from conftest import alpha_inner
+from conftest import alpha_inner, nodes
 
 
 class TestGrid:
@@ -97,7 +97,7 @@ class TestVelocityFromVorticity:
         # omega = -(lam*s/sqrt(2pi)) cos(s x2) gives u = (lam/sqrt(2pi) sin(s x2), 0)
         g = make_grid(64)
         s, lam = 3, 1.7
-        x1, x2 = g.nodes()
+        x1, x2 = nodes(g)
         samples = -(lam * s / (math.sqrt(2.0) * math.pi)) * np.cos(s * x2)
         om = SpectralField(g, np.fft.fft2(samples) / g.n**2)
         u = velocity_from_vorticity(om, 0.0)
@@ -160,7 +160,7 @@ class TestJacobian:
         #   = (k1 s / 2)[cos(k1 x1 + (k2+s) x2) - cos(k1 x1 + (k2-s) x2)]
         g = make_grid(64)
         s, k1, k2, a1, a2, alpha = 4, 3, 2, 3.0, 2.0, 0.1
-        x1, x2 = g.nodes()
+        x1, x2 = nodes(g)
         samples = a1 * np.cos(s * x2) + a2 * np.cos(k1 * x1 + k2 * x2)
         omega = SpectralField(g, np.fft.fft2(samples) / g.n**2)
         got = SpectralField(g, _transport(omega, alpha)).to_samples()
