@@ -43,10 +43,10 @@ def upper_bound(alpha: float, gamma: float, curl_g_norm_sq: float) -> float:
     """dim <= ||curl g||^2 / (8 pi alpha gamma^4).
 
     Raises:
-        ValueError: on non-positive alpha, gamma, or forcing norm.
+        ValueError: unless alpha, gamma and the forcing norm are positive and finite.
     """
-    if alpha <= 0 or gamma <= 0 or curl_g_norm_sq <= 0:
-        raise ValueError("alpha, gamma and ||curl g||^2 must be positive")
+    if not (0 < alpha < math.inf and 0 < gamma < math.inf and 0 < curl_g_norm_sq < math.inf):
+        raise ValueError("alpha, gamma and ||curl g||^2 must be positive and finite")
     return curl_g_norm_sq / (8.0 * math.pi * alpha * gamma**4)
 
 
@@ -56,11 +56,11 @@ def trace_bound_q(n, alpha: float, gamma: float, curl_g_norm: float):
 
     Its positive root equals :func:`upper_bound` of the same forcing.
     """
-    if alpha <= 0 or gamma <= 0 or curl_g_norm < 0:
-        raise ValueError("alpha, gamma must be positive, ||curl g|| >= 0")
+    if not (0 < alpha < math.inf and 0 < gamma < math.inf and 0 <= curl_g_norm < math.inf):
+        raise ValueError("alpha, gamma must be positive, ||curl g|| >= 0, all finite")
     narr = np.asarray(n, dtype=np.float64)
-    if np.any(narr < 1):
-        raise ValueError("n must be >= 1")
+    if not np.all((narr >= 1) & (narr < math.inf)):
+        raise ValueError("n must be finite and >= 1")
     out = -gamma * narr + (B2 / math.sqrt(2.0)) * np.sqrt(narr / alpha) * curl_g_norm / gamma
     return float(out) if np.ndim(n) == 0 else out
 

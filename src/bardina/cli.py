@@ -342,10 +342,11 @@ def _initial_state(cfg: RunConfig, params: ModelParams) -> dynamics.SimState:
         if cfg.forcing != "zero":
             raise ConfigError(f"forcing = {cfg.forcing!r} cannot be set with an initial "
                               f"checkpoint; {cfg.initial} carries its forcing")
-        if state.params != params and (cfg.alpha is not None or cfg.gamma is not None):
+        if state.params != params:
             raise ConfigError(
-                f"checkpoint parameters {state.params} disagree with configured "
-                f"alpha/gamma; drop the flags or use a matching checkpoint"
+                f"alpha = {params.alpha!r}, gamma = {params.gamma!r} must match those of "
+                f"checkpoint {cfg.initial}: alpha = {state.params.alpha!r}, "
+                f"gamma = {state.params.gamma!r}"
             )
         return state
     _require(cfg, "alpha", "gamma", "grid")

@@ -94,12 +94,12 @@ def k1(x):
     better across (0, 700) (beyond which the result underflows to 0).
 
     Raises:
-        ValueError: if any argument is <= 0.
+        ValueError: unless every argument is > 0 (K1(inf) = 0).
     """
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):
         raise ValueError("k1 requires x > 0")
     out = np.empty_like(arr)
     lo = arr < _SERIES_ASYMPTOTIC_SPLIT
@@ -156,8 +156,8 @@ def lattice_F(m: float, radius: int = 400) -> LatticeSumResult:
         m: positive mass parameter.
         radius: truncation radius in mode units (>= 8).
     """
-    if m <= 0:
-        raise ValueError("m must be positive")
+    if not 0 < m < math.inf:
+        raise ValueError("m must be positive and finite")
     if radius < 8:
         raise ValueError("radius must be >= 8")
     mm = m * m
@@ -186,8 +186,8 @@ def poisson_F(m: float, k_max: int = 48) -> float:
     fhat(xi) = (xi/2) K1(xi), summed over 0 < |k| <= k_max.  The terms
     decay like exp(-2*pi*m*|k|), so modest k_max suffices for m >= 1.
     """
-    if m <= 0:
-        raise ValueError("m must be positive")
+    if not 0 < m < math.inf:
+        raise ValueError("m must be positive and finite")
     if not 1 <= k_max <= 2048:
         raise ValueError("k_max out of range")
     counts = _sq_mode_counts(k_max)
@@ -244,8 +244,8 @@ def psi_big(m):
     x1 = 3 pi m/(2 sqrt2), x2 = sqrt2 pi m.
     """
     arr = np.asarray(m, dtype=np.float64)
-    if np.any(arr <= 0):
-        raise ValueError("m must be positive")
+    if not np.all((arr > 0) & (arr < math.inf)):
+        raise ValueError("m must be positive and finite")
     x1 = 3.0 * math.pi * arr / (2.0 * math.sqrt(2.0))
     x2 = math.sqrt(2.0) * math.pi * arr
     c1 = 4.0 * math.sqrt(math.pi / math.e) * (2.0 * math.sqrt(2.0) / (3.0 * math.pi)) ** 2
@@ -323,8 +323,8 @@ def rho_l2_check(
     The counter-based Philox generator makes trial i reproducible from
     (seed, i) alone, independent of execution order.
     """
-    if n < 1 or m <= 0 or trials < 1:
-        raise ValueError("need n >= 1, m > 0, trials >= 1")
+    if not (n >= 1 and 0 < m < math.inf and trials >= 1):
+        raise ValueError("need n >= 1, finite m > 0, trials >= 1")
     modes = _band_modes(band)
     if n > len(modes):
         raise ValueError("family larger than the mode band")
@@ -384,12 +384,12 @@ def trace_k2_check(V: SpectralField, m: float, k_cut: int = 16) -> TraceCheckRes
     is tested on the safe side.
 
     Raises:
-        ValueError: if V has negative collocation values, m <= 0, or the
-            grid cannot resolve mode differences (need 4*k_cut <= n/2... i.e.
-            k_cut <= n/8 is safe; enforced as 2*k_cut <= n//2).
+        ValueError: if V has negative collocation values, m is not positive
+            and finite, or 2 k_cut > n // 2 (the grid of V cannot resolve
+            the mode differences).
     """
-    if m <= 0:
-        raise ValueError("m must be positive")
+    if not 0 < m < math.inf:
+        raise ValueError("m must be positive and finite")
     g = V.grid
     if 2 * k_cut > g.n // 2:
         raise ValueError("k_cut too large for the grid of V")

@@ -8,9 +8,13 @@ recurrences ("chains").  For chains whose base mode lies in an explicit
 admissible region the recurrence has a unique real eigenvalue, the root of
 f(sigma) = g(sigma): f is linear in sigma, and g sums continued fractions
 down both tails of the ladder, their depth doubled per chain until two
-depths agree.  `solve_sigmas` finds the roots of a batch of chains at once
-and `solve_lambda0s` the couplings where they cross zero.
-`chain_matrix_eigens` cross-checks them on the truncated tridiagonal matrix
+depths agree.  `solve_sigmas` finds the roots of a batch of chains at once.
+The coupling L enters f and g only through (gamma + sigma) / L, so the
+root is sigma(L) = L x - gamma for a constant x of the chain, and
+`solve_lambda0s` reads the coupling where it crosses zero, gamma L /
+(gamma + sigma(L)), off one such solve at the upper coupling estimate,
+where sigma >= 0.
+`chain_matrix_eigens` cross-checks the roots on the truncated tridiagonal matrix
 of the chain, by a route that uses no continued fraction: the matrix has a
 zero diagonal, so its spectrum is +-lambda and the mu = lambda^2 are the
 eigenvalues of one tridiagonal block of its square, the rows of the odd n;
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -168,9 +172,11 @@ class Chain:
             raise ValueError("need s >= 1 and t >= 1")
         # alpha 0 = unregularized limit; legal in the chain algebra even
         # though the evolution modules require alpha > 0
-        if not (self.alpha >= 0 and self.gamma > 0 and self.coupling > 0):  # NaN fails too
-            raise ValueError(f"alpha must be >= 0, gamma and coupling > 0; got alpha = "
-                             f"{self.alpha}, gamma = {self.gamma}, coupling = {self.coupling}")
+        if not (0 <= self.alpha < math.inf and 0 < self.gamma < math.inf
+                and 0 < self.coupling < math.inf):  # NaN fails too
+            raise ValueError(f"alpha must be >= 0, gamma and coupling > 0, all finite; got "
+                             f"alpha = {self.alpha}, gamma = {self.gamma}, "
+                             f"coupling = {self.coupling}")
 
     @classmethod
     def from_spec(cls, spec: KolmogorovSpec, alpha: float, t: int, r: int) -> "Chain":
@@ -228,7 +234,7 @@ def _tabulated(cols: np.ndarray, n_max: int):
 
     Every continued fraction starts with one pass at depth 2 n_max, which
     yields depth n_max from the same rows, so that A_n table is made once for
-    the whole batch, and once per solve where the couplings stay fixed across
+    the whole batch, and once per solve, whose couplings stay fixed across its
     bisection rounds.  Its d_n go into one buffer that each lookup overwrites,
     straight from the table while every chain is still in play, else from
     the chains' columns gathered there first.  Deeper passes, which only
@@ -393,33 +399,22 @@ def solve_sigma(chain: Chain) -> float:
 def solve_lambda0s(chains) -> np.ndarray:
     """Critical coupling of each chain, where its eigenvalue crosses zero.
 
-    The gap f - g at sigma = 0 is strictly decreasing in the coupling;
-    bisection starts from the closed-form two-sided estimate (at the
-    chain's maximal delta = t/s) and expands if needed.  All chains are
-    bisected in lockstep, and each entry is bit-identical to solving that
-    chain alone.
+    The coupling L enters the ladder equation only through (gamma + sigma) / L:
+    f and every d_n = (gamma + sigma) A_n have L in the denominator.  So the
+    eigenvalue is sigma(L) = L x - gamma for a constant x of the chain, and the
+    critical coupling is gamma L / (gamma + sigma(L)) at any L.  One
+    :func:`solve_sigmas` call takes L at the upper estimate of
+    :func:`coupling_bounds` (at the chain's maximal delta = t/s), where the lower
+    estimate of :func:`sigma_bounds` gives sigma >= 0, so the solve's tolerance
+    SIGMA_TOL max(gamma, |sigma|) is at most SIGMA_TOL relative on the coupling.
+    Each entry is bit-identical to solving that chain alone.
 
     Raises:
-        ValueError: if a chain violates the admissibility conditions.
-        BracketError: if the expansion finds no sign change.
+        ValueError, BracketError, ContinuedFractionError: as :func:`solve_sigmas`.
     """
-    chains = list(chains)
-    if not all(c.admissible() for c in chains):
-        raise ValueError("chain base mode outside the admissible region")
-    cols = _columns(chains)
-
-    def gap(coupling, i):
-        # the coupling moves every round, so A_n is tabulated afresh for each probe
-        return _gap_at_zero(np.vstack((cols[:5, i], coupling)))
-
-    bounds = np.array([coupling_bounds(c, c.t / c.s) for c in chains]).reshape(-1, 2)
-    lo, hi = 0.5 * bounds[:, 0], 2.0 * bounds[:, 1]
-    if _expand(lambda c, i: gap(c, i) > 0.0, lo, lambda c, i: 0.5 * c).size:
-        raise BracketError("no positive gap at small coupling")
-    if _expand(lambda c, i: gap(c, i) < 0.0, hi, lambda c, i: 2.0 * c).size:
-        raise BracketError("no negative gap at large coupling")
-    # the gap falls with the coupling, so a coupling without a positive gap is above the root
-    return _bisect(lambda c, i: ~(gap(c, i) > 0.0), lo, hi, np.zeros(len(chains)))
+    chains = [replace(c, coupling=coupling_bounds(c, c.t / c.s)[1]) for c in chains]
+    gamma, coupling = _columns(chains)[4:]
+    return gamma * coupling / (gamma + solve_sigmas(chains))
 
 
 # ---------------------------------------------------------------------------

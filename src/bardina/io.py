@@ -15,7 +15,6 @@ file or the new one, never a torn one.  The command line writes its
 from __future__ import annotations
 
 import os
-import secrets
 import struct
 from typing import TYPE_CHECKING
 
@@ -48,7 +47,7 @@ def write_atomic(path: str, *chunks: bytes) -> None:
     """Write the chunks to path whole: to a temporary file next to it, synced and
     renamed over path.  A write that fails leaves the old file, if any, and no
     temporary file; the error names path."""
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         fh = open(tmp, "xb")
     except OSError as exc:

@@ -187,8 +187,8 @@ def smooth(f: SpectralField, alpha: float) -> SpectralField:
 
     Multiplies each mode by 1/(1 + alpha*|k|^2); alpha = 0 is the identity.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
     return SpectralField(f.grid, f.coeffs / (1.0 + alpha * f.grid.k_sq))
 
 

@@ -680,6 +680,22 @@ class TestSimulate:
                        "--dt", "0.01", "--t-end", "0.2", "--initial", ck)
         assert rc == 0  # repeating the checkpoint's grid is fine
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--alpha", "0.125", "--gamma", "1"), "alpha = 0.125, gamma = 1.0"),
+        (("--alpha", "0.0625", "--gamma", "2"), "alpha = 0.0625, gamma = 2.0"),
+    ], ids=["alpha", "gamma"])
+    def test_resume_rejects_other_parameters(self, tmp_path, capsys, flags, named):
+        # alpha and gamma are required on every run, so they must repeat the checkpoint's
+        ck = str(tmp_path / "mid.ebv")
+        rc, _, _ = run(capsys, *self.ARGS, "--save", ck)
+        assert rc == 0
+        rc, out, err = run(capsys, "simulate", *flags, "--dt", "0.01", "--t-end", "0.2",
+                           "--initial", ck)
+        assert rc == 2
+        assert out == ""
+        assert err == (f"bardina: {named} must match those of checkpoint {ck}: "
+                       f"alpha = 0.0625, gamma = 1.0\n")
+
     @pytest.mark.parametrize("t_end", ["0.105", "inf", "nan"])
     def test_bad_t_end_exits_1(self, capsys, t_end):
         rc, out, err = run(capsys, "simulate", "--alpha", "0.0625", "--gamma", "1",
@@ -903,18 +919,21 @@ class TestConsoleScript:
     ], ids=["instability", "bounds", "instability-output"])
     def test_lower_bound_commands_load_no_flow_code(self, argv, tmp_path):
         # the integrator and the checkpoint format are imported by the commands that run
-        # them; an --output file loads io for its writer, but not the integrator
+        # them; an --output file loads io for its writer, but not the integrator, and
+        # the writer names its temporary file without the secrets module
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         proc = _run_child([sys.executable, "-c",
                            "import sys; from bardina.cli import parse_and_dispatch; "
                            f"code = parse_and_dispatch({argv!r}); "
-                           "print(sorted(m for m in sys.modules if m.startswith('bardina.')), "
+                           "print(sorted(m for m in sys.modules "
+                           "if m.startswith('bardina.') or m == 'secrets'), "
                            "file=sys.stderr); sys.exit(code)"])
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stderr.strip().splitlines()[-1]
         assert "'bardina.instability'" in loaded
         assert "'bardina.dynamics'" not in loaded
         assert "'bardina.inequalities'" not in loaded
+        assert "'secrets'" not in loaded
         to_file = "--output" in argv
         assert ("'bardina.io'" in loaded) == to_file
         if to_file:

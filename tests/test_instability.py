@@ -455,9 +455,39 @@ class TestLambda0:
             inst.solve_lambda0s([PINNED, bad])
 
     def test_sign_change_around_root(self):
-        (lam0,) = inst.solve_lambda0s([PINNED])
-        assert inst.solve_sigma(replace(PINNED, coupling=1.01 * lam0)) > 0
-        assert inst.solve_sigma(replace(PINNED, coupling=0.99 * lam0)) < 0
+        # sigma(L) = gamma (1 +- 1e-9) - gamma = +-1e-9 gamma at L = (1 +- 1e-9) lambda0,
+        # a thousand times the tolerance of the solve
+        for s in (8, 16, 32):
+            chains = [inst.Chain(s=s, t=t, r=r, alpha=1.0 / s**2, gamma=1.0, coupling=1.0)
+                      for t, r in inst.region_lattice(s, 0.05)]
+            lam0 = inst.solve_lambda0s(chains)
+            for factor, sign in ((1.0 + 1e-9, 1.0), (1.0 - 1e-9, -1.0)):
+                sigma = inst.solve_sigmas([replace(c, coupling=factor * l)
+                                           for c, l in zip(chains, lam0)])
+                assert np.all(np.sign(sigma) == sign), (s, factor)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kappa=st.floats(0.5, 4.0))
+    def test_rate_scales_with_the_coupling(self, data, kappa):
+        # the coupling L enters f and every d_n only through (gamma + sigma) / L, so
+        # gamma + sigma(kappa L) = kappa (gamma + sigma(L)), the identity solve_lambda0s
+        # rests on; each sigma is bisected to within SIGMA_TOL max(gamma, |sigma|)
+        chain = data.draw(_oracle_chain())
+        sigma, scaled = inst.solve_sigmas([chain, replace(chain, coupling=kappa * chain.coupling)])
+        gamma = chain.gamma
+        tol = inst.SIGMA_TOL * (max(gamma, abs(scaled)) + kappa * max(gamma, abs(sigma)))
+        assert abs(gamma + scaled - kappa * (gamma + sigma)) <= tol
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.7, 4.0])
+    @pytest.mark.parametrize("s", [8, 24])
+    def test_matrix_rate_scales_with_the_coupling(self, s, kappa):
+        # the chain matrix is linear in the coupling, so its spectrum scales with it
+        chains = _threshold_chains(s, 0.2)
+        sigma = inst.chain_matrix_eigens(chains, 64)
+        scaled = inst.chain_matrix_eigens([replace(c, coupling=kappa * c.coupling)
+                                           for c in chains], 64)
+        want = kappa * (1.0 + sigma)
+        assert np.all(np.abs(1.0 + scaled - want) <= 1e-13 * want)
 
     def test_two_sided_estimate_sweep(self):
         for s in (8, 16, 32):

@@ -1,17 +1,20 @@
 """Each bardina module lists in __all__ exactly the public functions and
 classes it defines, so its surface cannot grow or shrink unnoticed, and
 every name it lists has a caller outside the tests: in the package, the
-demos or the benchmark harness."""
+demos or the benchmark harness.  Its numeric parameters are checked at that
+surface: NaN and infinities are refused, not passed on into the arithmetic."""
 import ast
 import glob
 import importlib
 import inspect
+import math
 import os
 import pkgutil
 
 import pytest
 
 import bardina
+from bardina import bounds, inequalities, instability, spectral
 
 MODULES = ["bardina"] + [f"bardina.{m.name}" for m in pkgutil.iter_modules(bardina.__path__)]
 
@@ -96,3 +99,35 @@ def test_scan_finds_a_name_only_its_own_definition_reads(tmp_path):
     (tmp_path / "demos").mkdir()
     (tmp_path / "demos" / "demo.py").write_text("import mod\nmod.named()\nprint('spare')\n")
     assert unreferenced(str(tmp_path)) == ["mod.recursive", "mod.Shape", "mod.spare"]
+
+
+FIELD = spectral.zero_field(spectral.make_grid(32))
+BOUNDARY = {  # a public callable with one numeric parameter x, the rest valid
+    "upper_bound.alpha": lambda x: bounds.upper_bound(x, 1.0, 1.0),
+    "upper_bound.gamma": lambda x: bounds.upper_bound(1.0, x, 1.0),
+    "upper_bound.curl_g_norm_sq": lambda x: bounds.upper_bound(1.0, 1.0, x),
+    "trace_bound_q.n": lambda x: bounds.trace_bound_q(x, 1.0, 1.0, 1.0),
+    "trace_bound_q.alpha": lambda x: bounds.trace_bound_q(2.0, x, 1.0, 1.0),
+    "trace_bound_q.gamma": lambda x: bounds.trace_bound_q(2.0, 1.0, x, 1.0),
+    "trace_bound_q.curl_g_norm": lambda x: bounds.trace_bound_q(2.0, 1.0, 1.0, x),
+    "smooth.alpha": lambda x: spectral.smooth(FIELD, x),
+    "k1.x": inequalities.k1,
+    "lattice_F.m": inequalities.lattice_F,
+    "poisson_F.m": inequalities.poisson_F,
+    "psi_big.m": lambda x: inequalities.psi_big([1.0, x]),
+    "rho_l2_check.m": lambda x: inequalities.rho_l2_check(n=2, m=x, trials=2),
+    "trace_k2_check.m": lambda x: inequalities.trace_k2_check(FIELD, x, k_cut=4),
+    "Chain.alpha": lambda x: instability.Chain(s=8, t=4, r=1, alpha=x, gamma=1.0, coupling=1.0),
+    "Chain.gamma": lambda x: instability.Chain(s=8, t=4, r=1, alpha=0.0, gamma=x, coupling=1.0),
+    "Chain.coupling": lambda x: instability.Chain(s=8, t=4, r=1, alpha=0.0, gamma=1.0,
+                                                  coupling=x),
+}
+
+
+@pytest.mark.parametrize("name, bad", [
+    (name, bad) for name in BOUNDARY for bad in (math.nan, math.inf, -math.inf)
+    if (name, bad) != ("k1.x", math.inf)  # K1(inf) = 0 is a value, not an error
+])
+def test_non_finite_parameters_are_refused(name, bad):
+    with pytest.raises(ValueError):
+        BOUNDARY[name](bad)
