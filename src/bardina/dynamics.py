@@ -64,6 +64,7 @@ QR factorization of their weighted band coefficients.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
@@ -500,8 +501,9 @@ def simulate(
     The initial state is always sampled; extra observer callables receive the
     state at the same instants.  Returns the final state and the rows.
     """
-    if observe_every < 1:
-        raise ValueError("observe_every must be >= 1")
+    if (isinstance(observe_every, bool) or not isinstance(observe_every, numbers.Integral)
+            or observe_every < 1):
+        raise ValueError(f"observe_every must be an integer >= 1, got {observe_every!r}")
     _check_dt(dt)
     n_steps = _whole_count(state.time, t_end, dt,
                            f"t_end = {t_end} is not a whole number of steps from t = {state.time}")

@@ -13,6 +13,7 @@ special-function dependency.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,8 +159,8 @@ def lattice_F(m: float, radius: int = 400) -> LatticeSumResult:
     """
     if not 0 < m < math.inf:
         raise ValueError("m must be positive and finite")
-    if radius < 8:
-        raise ValueError("radius must be >= 8")
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Integral) or radius < 8:
+        raise ValueError(f"radius must be an integer >= 8, got {radius!r}")
     mm = m * m
     if radius <= 2048:
         counts = _sq_mode_counts(radius)
@@ -188,6 +189,8 @@ def poisson_F(m: float, k_max: int = 48) -> float:
     """
     if not 0 < m < math.inf:
         raise ValueError("m must be positive and finite")
+    if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral):
+        raise ValueError(f"k_max must be an integer, got {k_max!r}")
     if not 1 <= k_max <= 2048:
         raise ValueError("k_max out of range")
     counts = _sq_mode_counts(k_max)
@@ -323,6 +326,9 @@ def rho_l2_check(
     The counter-based Philox generator makes trial i reproducible from
     (seed, i) alone, independent of execution order.
     """
+    for name, value in (("n", n), ("trials", trials), ("band", band)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not (n >= 1 and 0 < m < math.inf and trials >= 1):
         raise ValueError("need n >= 1, finite m > 0, trials >= 1")
     modes = _band_modes(band)
@@ -368,10 +374,6 @@ class TraceCheckResult:
     k_cut: int
     lhs: float  # Tr K^2 on the truncated mode set
     rhs: float  # ||V||^2 / (4 pi m^2)
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else 0.0
 
 
 def trace_k2_check(V: SpectralField, m: float, k_cut: int = 16) -> TraceCheckResult:

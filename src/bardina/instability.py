@@ -6,14 +6,13 @@ it couples Fourier modes only along vertical ladders k = (t, s n + r),
 n in Z, so the eigenvalue problem splits into independent three-term
 recurrences ("chains").  For chains whose base mode lies in an explicit
 admissible region the recurrence has a unique real eigenvalue, the root of
-f(sigma) = g(sigma): f is linear in sigma, and g sums continued fractions
-down both tails of the ladder, their depth doubled per chain until two
-depths agree.  `solve_sigmas` finds the roots of a batch of chains at once.
-The coupling L enters f and g only through (gamma + sigma) / L, so the
-root is sigma(L) = L x - gamma for a constant x of the chain, and
-`solve_lambda0s` reads the coupling where it crosses zero, gamma L /
-(gamma + sigma(L)), off one such solve at the upper coupling estimate,
-where sigma >= 0.
+f = g: f is linear, and g sums continued fractions down both tails of the
+ladder, their depth doubled per chain until two depths agree.  The coupling
+L and the damping gamma enter f and g only through x = (gamma + sigma) / L,
+so each chain has one root x, which neither moves: sigma = L x - gamma, and
+the critical coupling, where sigma = 0, is gamma / x.  `solve_sigmas` and
+`solve_lambda0s` bisect x, a batch of chains at once, inside the paper's
+critical-coupling estimate (:func:`coupling_bounds`), which brackets it.
 `chain_matrix_eigens` cross-checks the roots on the truncated tridiagonal matrix
 of the chain, by a route that uses no continued fraction: the matrix has a
 zero diagonal, so its spectrum is +-lambda and the mu = lambda^2 are the
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +42,8 @@ __all__ = [
 ]
 
 SIGMA_TOL = 1e-12  # relative bisection tolerance on eigenvalues
-GAMMA_OFFSET = 1e-10  # bracket offset from -gamma, in units of gamma
 _N_MAX = 32  # first continued-fraction depth; the fractions are made at n_max and 2 n_max
-_MAX_DEPTH = 1 << 15  # g needs depth ~ (gamma+sigma)^(-1/2) near -gamma; doubled up to this
+_MAX_DEPTH = 1 << 15  # g needs depth ~ x^(-1/2) near x = 0; doubled up to this
 _ORACLE_DEPTHS = (16, 32, 64, 128, 200)  # the oracle's truncations without a depth
 _STACK_BYTES = 1 << 22  # the oracle's eigvalsh stacks hold at most this many bytes
 
@@ -71,6 +69,8 @@ class KolmogorovSpec:
     gamma: float
 
     def __post_init__(self):
+        if not _is_int(self.s):
+            raise ValueError(f"s must be an integer, got {self.s!r}")
         # amplitude 0 is allowed and gives the zero forcing
         if self.s < 1 or not 0 <= self.amplitude < math.inf or not 0 < self.gamma < math.inf:
             raise ValueError("need s >= 1, finite amplitude >= 0, finite gamma > 0")
@@ -89,8 +89,8 @@ def threshold_amplitude(s: int, delta: float, alpha: float, gamma: float) -> flo
     """
     if not 0.0 < delta < 1.0 / math.sqrt(3.0):
         raise ValueError("delta must lie in (0, 1/sqrt(3))")
-    if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
+    if not _is_int(s) or s < 1:
+        raise ValueError(f"s must be an integer >= 1, got {s!r}")
     ModelParams(alpha=alpha, gamma=gamma)  # raises unless both are positive and finite
     return (110.0 * math.pi / 21.0) * gamma * (1.0 + alpha * s * s) ** 2 / (delta * delta * s)
 
@@ -128,6 +128,11 @@ def stationary_vorticity(spec: KolmogorovSpec, grid: FourierGrid) -> SpectralFie
 # chains and the admissible lattice region
 
 
+def _is_int(value) -> bool:
+    """Whether value is an integer (numpy integers too), and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _admissible(s: int, t: int, r: int) -> bool:
     return (3 * (t * t + r * r) < s * s and t * t + (r - s) ** 2 > s * s
             and t * t + (r + s) ** 2 > s * s and -s < 6 * r < s)
@@ -140,9 +145,9 @@ def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
     cut, which the range of t makes, are exact integer comparisons.
 
     Empty at s = 1; at s = 2 and 3 it holds (t, r) = (1, 0) when delta*s <= 1.
-    Raises ValueError naming s unless it is an integer >= 1.
+    Raises ValueError naming s unless it is an integer >= 1 (not a bool).
     """
-    if not isinstance(s, numbers.Integral) or s < 1:
+    if not _is_int(s) or s < 1:
         raise ValueError(f"s must be an integer >= 1, got {s!r}")
     if not 0.0 < delta < 1.0 / math.sqrt(3.0):
         raise ValueError("delta must lie in (0, 1/sqrt(3))")
@@ -168,6 +173,9 @@ class Chain:
     coupling: float
 
     def __post_init__(self):
+        for name in ("s", "t", "r"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.s < 1 or self.t < 1:
             raise ValueError("need s >= 1 and t >= 1")
         # alpha 0 = unregularized limit; legal in the chain algebra even
@@ -200,14 +208,15 @@ def lattice_chains(s: int, delta: float, alpha: float, gamma: float,
     return [Chain.from_spec(spec, alpha, t, r) for t, r in lattice]
 
 
-def _ladder_a(s, t, r, alpha, coupling, n):
-    """A_n = (K + alpha K^2) / (coupling t (K - s^2)), K = t^2 + (s n + r)^2; broadcasts.
+def _ladder_a(s, t, r, alpha, n):
+    """A_n = (K + alpha K^2) / (t (K - s^2)), K = t^2 + (s n + r)^2; broadcasts.
 
-    The chain recurrence is d_n e_n + e_{n-1} - e_{n+1} = 0, d_n = (gamma + sigma) A_n.
+    The chain recurrence is d_n e_n + e_{n-1} - e_{n+1} = 0, d_n = x A_n with
+    x = (gamma + sigma) / coupling.
     """
     kn = s * n + r
     k_sq = t * t + kn * kn
-    return (k_sq + alpha * k_sq * k_sq) / (coupling * t * (k_sq - s * s))
+    return (k_sq + alpha * k_sq * k_sq) / (t * (k_sq - s * s))
 
 
 def _columns(chains) -> np.ndarray:
@@ -216,53 +225,51 @@ def _columns(chains) -> np.ndarray:
                     dtype=np.float64).reshape(-1, 6).T
 
 
-def _f(cols: np.ndarray, sigma) -> np.ndarray:
-    s, t, r, alpha, gamma, coupling = cols
+def _f(cols: np.ndarray, x) -> np.ndarray:
+    s, t, r, alpha = cols[:4]
     q = t * t + r * r
-    return (gamma + sigma) * (q + alpha * q * q) / (coupling * t * (s * s - q))
+    return x * (q + alpha * q * q) / (t * (s * s - q))
 
 
 def _ladder_table(cols: np.ndarray, depth: int) -> np.ndarray:
     """A_n of each chain on both tails, n = 1..depth and -1..-depth: shape (depth, tail, chain)."""
     n = np.arange(1.0, depth + 1.0)[:, None, None] * np.array([[1.0], [-1.0]])
-    return _ladder_a(*cols[:4], cols[5], n)
+    return _ladder_a(*cols[:4], n)
 
 
 def _tabulated(cols: np.ndarray, n_max: int):
-    """Lookup scaled(depth, i, c) -> d_n = c A_n of the chains i of a batch, c = gamma + sigma,
+    """Lookup scaled(depth, i, x) -> d_n = x A_n of the chains i of a batch,
     n = 1..depth on both tails: shape (depth, tail, chain).
 
     Every continued fraction starts with one pass at depth 2 n_max, which
-    yields depth n_max from the same rows, so that A_n table is made once for
-    the whole batch, and once per solve, whose couplings stay fixed across its
-    bisection rounds.  Its d_n go into one buffer that each lookup overwrites,
-    straight from the table while every chain is still in play, else from
-    the chains' columns gathered there first.  Deeper passes, which only
-    chains probed near sigma = -gamma need, get tables made for the chains
-    asking.
+    yields depth n_max from the same rows, so that A_n table, which holds no
+    gamma or coupling, is made once for the whole batch and every x probed.
+    Its d_n go into one buffer that each lookup overwrites, straight from the
+    table while every chain is still in play, else from the chains' columns
+    gathered there first.  Deeper passes, which only chains probed near x = 0
+    need, get tables made for the chains asking.
     """
     first, every = _ladder_table(cols, 2 * n_max), np.arange(cols.shape[1])
     buffer = np.empty(first.size)
 
-    def scaled(depth, i, c):
+    def scaled(depth, i, x):
         if depth > 2 * n_max:
             a = _ladder_table(cols[:, i], depth)
-            return np.multiply(c, a, out=a)
+            return np.multiply(x, a, out=a)
         d = buffer[: 4 * n_max * i.size].reshape(2 * n_max, 2, i.size)
         if np.array_equal(i, every):
-            return np.multiply(c, first, out=d)
-        return np.multiply(c, np.take(first, i, axis=2, out=d), out=d)
+            return np.multiply(x, first, out=d)
+        return np.multiply(x, np.take(first, i, axis=2, out=d), out=d)
 
     return scaled
 
 
-def _cf(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int, max_depth: int,
-        scaled) -> np.ndarray:
-    """g of the chains cols[:, i] at depth 2n once depths n and 2n agree to 1e-10;
-    n doubles per chain from n_max.  scaled(depth, i, gamma + sigma) hands over their d_n.
+def _cf(i: np.ndarray, x: np.ndarray, n_max: int, max_depth: int, scaled) -> np.ndarray:
+    """g of the chains i of a batch at depth 2n once depths n and 2n agree to 1e-10;
+    n doubles per chain from n_max.  scaled(depth, i, x) hands over their d_n.
 
-    Both tails are 1/(d_1 + 1/(d_2 + ... + 1/d_depth)), d_n = (gamma + sigma) A_n,
-    summed from the deepest row up.  The first pass makes depths n_max and
+    Both tails are 1/(d_1 + 1/(d_2 + ... + 1/d_depth)), d_n = x A_n, summed
+    from the deepest row up.  The first pass makes depths n_max and
     2 n_max at once: the deeper fraction runs alone down to row n_max, where
     the shallower one starts, and from there both run stacked.  Each fraction
     meets the same operations in the same order as in a pass of its own, so
@@ -270,7 +277,7 @@ def _cf(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int, max_dept
     """
     def descend(j, depth, split=0):
         # fractions of depth `depth` and, with split > 0, of depth `split`: shape (2, chain)
-        d = scaled(depth, i[j], cols[4, i[j]] + sigma[j])
+        d = scaled(depth, i[j], x[j])
         acc = d[-1]
         for d_n in d[max(split - 1, 0):-1][::-1]:
             np.divide(1.0, acc, out=acc)
@@ -282,7 +289,7 @@ def _cf(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int, max_dept
                 np.add(d_n, acc, out=acc)
         return 1.0 / acc[..., 0, :] + 1.0 / acc[..., 1, :]
 
-    depth, todo = n_max, np.arange(sigma.size)
+    depth, todo = n_max, np.arange(x.size)
     deeper, g = descend(todo, 2 * depth, depth)
     while True:
         moved = np.abs(g[todo] - deeper)
@@ -293,37 +300,25 @@ def _cf(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, n_max: int, max_dept
             return g
         if depth > max_depth:
             raise ContinuedFractionError(f"depth doubling moved g by {moved[bad][0]:.3e} "
-                                         f"at sigma={float(sigma[todo[0]])!r}")
+                                         f"at x={float(x[todo[0]])!r}")
         deeper = descend(todo, 2 * depth)
 
 
-def _gap(cols: np.ndarray, i: np.ndarray, sigma: np.ndarray, scaled) -> np.ndarray:
-    return _f(cols[:, i], sigma) - _cf(cols, i, sigma, _N_MAX, _MAX_DEPTH, scaled)
+def _gap(cols: np.ndarray, i: np.ndarray, x: np.ndarray, scaled) -> np.ndarray:
+    return _f(cols[:, i], x) - _cf(i, x, _N_MAX, _MAX_DEPTH, scaled)
 
 
 def _gap_at_zero(cols: np.ndarray) -> np.ndarray:
-    """The gap f - g of each chain at sigma = 0: negative exactly when its eigenvalue is
-    positive, since the gap has one sign change, from - to +, at the eigenvalue."""
-    zero = np.zeros(cols.shape[1])
-    return _gap(cols, np.arange(zero.size), zero, _tabulated(cols, _N_MAX))
+    """The gap f - g of each chain at sigma = 0, x = gamma / coupling: negative exactly
+    when its eigenvalue is positive, as the gap changes sign once, from - to +, at the root."""
+    return _gap(cols, np.arange(cols.shape[1]), cols[4] / cols[5], _tabulated(cols, _N_MAX))
 
 
-def _expand(holds, x: np.ndarray, step) -> np.ndarray:
-    """Step x[i] in place until holds(x[i], i), 80 tries; returns the i never there."""
-    todo = np.arange(x.size)
-    for _ in range(80):
-        todo = todo[~holds(x[todo], todo)]
-        if not todo.size:
-            break
-        x[todo] = step(x[todo], todo)
-    return todo
-
-
-def _bisect(above, lo: np.ndarray, hi: np.ndarray, floor: np.ndarray) -> np.ndarray:
-    """Halve each [lo, hi] to SIGMA_TOL max(floor, |hi|); above(x, i): x[i] past root i."""
+def _bisect(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Halve each [lo, hi], 0 < lo, to (SIGMA_TOL / 2) hi; above(x, i): x[i] past root i."""
     todo = np.arange(lo.size)
     while True:
-        todo = todo[hi[todo] - lo[todo] > SIGMA_TOL * np.maximum(floor[todo], np.abs(hi[todo]))]
+        todo = todo[hi[todo] - lo[todo] > 0.5 * SIGMA_TOL * hi[todo]]
         if not todo.size:
             return 0.5 * (lo + hi)
         mid = 0.5 * (lo[todo] + hi[todo])
@@ -353,68 +348,71 @@ def coupling_bounds(chain: Chain, delta: float) -> tuple[float, float]:
     return base * delta, base * 55.0 / (21.0 * delta * delta)
 
 
-def solve_sigmas(chains) -> np.ndarray:
-    """Array of :func:`solve_sigma` over the chains, found in one lockstep bisection;
-    each entry is bit-identical to solving that chain alone, and it raises
-    as :func:`solve_sigma` does for the first chain that fails."""
+def _roots(chains) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the chains and the root x = (gamma + sigma) / coupling of each.
+
+    The critical coupling is gamma / x, so :func:`coupling_bounds` at delta = t/s
+    brackets x: gamma / hi < x < gamma / lo.  Unless the gap f - g is < 0 at the
+    lower end and > 0 at the upper one, BracketError names the first chain where
+    it is not, with f and g at that end; else each [lo, hi] is halved in lockstep.
+    """
     chains = list(chains)
     if not all(c.admissible() for c in chains):
         raise ValueError("chain base mode outside the admissible region")
     cols = _columns(chains)
-    gamma, scaled = cols[4], _tabulated(cols, _N_MAX)
+    every, scaled = np.arange(cols.shape[1]), _tabulated(cols, _N_MAX)
+    hi, lo = cols[4] / np.array([coupling_bounds(c, c.t / c.s) for c in chains]).reshape(-1, 2).T
+    (f_lo, g_lo), (f_hi, g_hi) = ((_f(cols, x), _cf(every, x, _N_MAX, _MAX_DEPTH, scaled))
+                                  for x in (lo, hi))
+    low, high = ~(f_lo - g_lo < 0.0), ~(f_hi - g_hi > 0.0)  # NaN counts as wrong
+    wrong = np.flatnonzero(low | high)
+    if wrong.size:
+        k = wrong[0]
+        end, x, f, g = ("lower", lo, f_lo, g_lo) if low[k] else ("upper", hi, f_hi, g_hi)
+        raise BracketError(f"chain (t={chains[k].t}, r={chains[k].r}): no sign change of f - g "
+                           f"on the critical-coupling bracket; at its {end} end "
+                           f"x={float(x[k])!r}, f={float(f[k])!r}, g={float(g[k])!r}")
+    return cols, _bisect(lambda x, i: _gap(cols, i, x, scaled) > 0.0, lo, hi)
 
-    def above(sigma, i):
-        return _gap(cols, i, sigma, scaled) > 0.0
 
-    lo = -gamma + GAMMA_OFFSET * gamma
-    # the gap is negative at lo (f ~ 0+, g > 0), where g converges too slowly to probe
-    hi = np.maximum([sigma_bounds(c, c.t / c.s)[1] for c in chains], lo + gamma)
-    stuck = _expand(above, hi, lambda sigma, i: 2.0 * sigma + gamma[i])  # keeps hi > -gamma
-    if stuck.size:
-        top = float(hi[stuck[0]])
-        i, sigma = stuck[[0, 0]], np.array([0.0, top])
-        f, g = _f(cols[:, i], sigma), _cf(cols, i, sigma, _N_MAX, _MAX_DEPTH, scaled)
-        samples = [(x, float(y), float(z)) for x, y, z in zip((0.0, top), f, g)]
-        raise BracketError(f"no sign change up to sigma={top!r}; (sigma, f, g) = {samples}")
-    return _bisect(above, lo, hi, gamma)
+def solve_sigmas(chains) -> np.ndarray:
+    """Array of :func:`solve_sigma` over the chains, found in one lockstep bisection;
+    each entry is bit-identical to solving that chain alone, and it raises
+    as :func:`solve_sigma` does for the first chain that fails."""
+    cols, x = _roots(chains)
+    return cols[5] * x - cols[4]
 
 
 def solve_sigma(chain: Chain) -> float:
-    """Unique real eigenvalue of the chain: the root of f(sigma) = g(sigma).
+    """Unique real eigenvalue of the chain: coupling x - gamma at the root x of f = g.
 
-    f grows linearly from f(-gamma) = 0 while g is positive and strictly
-    decreasing, so the gap f - g has exactly one sign change on
-    (-gamma, inf); bisection brackets it starting from the closed-form
-    upper estimate (taken at the chain's own maximal delta = t/s), to
-    SIGMA_TOL relative to max(gamma, |sigma|).
+    In x = (gamma + sigma) / coupling, f grows linearly from f(0) = 0 while g
+    is positive and strictly decreasing, so the gap f - g changes sign once on
+    x > 0.  Bisection brackets it by :func:`coupling_bounds` at the chain's own
+    maximal delta = t/s and halves x to (SIGMA_TOL / 2) x, so sigma is within
+    SIGMA_TOL max(gamma, |sigma|), as gamma + sigma <= 2 max(gamma, |sigma|).
 
     Raises:
         ValueError: if the chain violates the admissibility conditions
             (the sign structure of the recurrence is then lost).
-        BracketError: if no sign change is found (diagnostic payload).
+        BracketError: if the gap does not change sign across the bracket
+            (names the chain and gives f and g at the failing end).
     """
     return float(solve_sigmas([chain])[0])
 
 
 def solve_lambda0s(chains) -> np.ndarray:
-    """Critical coupling of each chain, where its eigenvalue crosses zero.
-
-    The coupling L enters the ladder equation only through (gamma + sigma) / L:
-    f and every d_n = (gamma + sigma) A_n have L in the denominator.  So the
-    eigenvalue is sigma(L) = L x - gamma for a constant x of the chain, and the
-    critical coupling is gamma L / (gamma + sigma(L)) at any L.  One
-    :func:`solve_sigmas` call takes L at the upper estimate of
-    :func:`coupling_bounds` (at the chain's maximal delta = t/s), where the lower
-    estimate of :func:`sigma_bounds` gives sigma >= 0, so the solve's tolerance
-    SIGMA_TOL max(gamma, |sigma|) is at most SIGMA_TOL relative on the coupling.
-    Each entry is bit-identical to solving that chain alone.
+    """Critical coupling of each chain, where its eigenvalue crosses zero: gamma / x
+    for the chain's root x = (gamma + sigma) / coupling, the one bisection of
+    :func:`solve_sigmas`, which no coupling moves.  x is bisected to SIGMA_TOL / 2
+    relative, so the coupling is too.  Each entry is bit-identical to solving that
+    chain alone.
 
     Raises:
         ValueError, BracketError, ContinuedFractionError: as :func:`solve_sigmas`.
     """
-    chains = [replace(c, coupling=coupling_bounds(c, c.t / c.s)[1]) for c in chains]
-    gamma, coupling = _columns(chains)[4:]
-    return gamma * coupling / (gamma + solve_sigmas(chains))
+    cols, x = _roots(chains)
+    return cols[4] / x
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ without a full symmetrization per transform.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -135,12 +136,6 @@ class SpectralField:
         c = self.coeffs
         return float((2.0 * np.pi) ** 2 * np.vdot(c, c).real)
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
 
 @dataclass
 class VectorField:
@@ -155,12 +150,6 @@ class VectorField:
     def l2_norm_sq(self) -> float:
         c = self.coeffs
         return float((2.0 * np.pi) ** 2 * np.vdot(c, c).real)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.grid, self.coeffs - other.coeffs)
 
 
 def hermitianize(grid: FourierGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -353,6 +342,8 @@ def random_field(
     Coefficients are unit complex Gaussians scaled by amplitude/(1+|k|^2),
     hermitianized so the field is real.
     """
+    if band is not None and (isinstance(band, bool) or not isinstance(band, numbers.Integral)):
+        raise ValueError(f"band must be an integer, got {band!r}")
     n = grid.n
     c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     c *= amplitude / (1.0 + grid.k_sq)

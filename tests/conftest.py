@@ -5,6 +5,7 @@ The constants below were computed with independent high-precision routes
 integral representation, exact rational enumeration for mode counts) and
 frozen here; the tests compare library output against them.
 """
+import ast
 import math
 
 import numpy as np
@@ -103,23 +104,23 @@ def nodes(grid):
     return np.meshgrid(x, x, indexing="ij")
 
 
-def cf_two_sweeps(chain, sigma: float, n_max: int, max_depth: int) -> tuple[float, int]:
-    """Reference of the continued fraction g(sigma) of a chain, one sweep per depth.
+def cf_two_sweeps(chain, x: float, n_max: int, max_depth: int) -> tuple[float, int]:
+    """Reference of the continued fraction g(x) of a chain, x = (gamma + sigma) /
+    coupling, one sweep per depth.
 
     Sweeps depth n_max, then 2 n_max, and doubles while two successive depths
     differ by more than 1e-10; returns g at the last depth and that depth, or
     raises ContinuedFractionError once the depth would pass max_depth.  Each
     sweep runs both tails 1/(d_1 + 1/(d_2 + ... + 1/d_depth)) from the deepest
-    row up, d_n = (gamma + sigma) A_n, on plain floats with the operation order
-    of the library's A_n, so its bits are those the batched solver must give.
+    row up, d_n = x A_n, on plain floats with the operation order of the
+    library's A_n, so its bits are those the batched solver must give.
     """
-    s, t, r = float(chain.s), float(chain.t), float(chain.r)
-    alpha, coupling, c = chain.alpha, chain.coupling, chain.gamma + sigma
+    s, t, r, alpha = float(chain.s), float(chain.t), float(chain.r), chain.alpha
 
     def d(n):
         kn = s * n + r
         k_sq = t * t + kn * kn
-        return c * ((k_sq + alpha * k_sq * k_sq) / (coupling * t * (k_sq - s * s)))
+        return x * ((k_sq + alpha * k_sq * k_sq) / (t * (k_sq - s * s)))
 
     def sweep(depth):
         tails = []
@@ -138,7 +139,28 @@ def cf_two_sweeps(chain, sigma: float, n_max: int, max_depth: int) -> tuple[floa
             return g, depth
         if depth > max_depth:
             raise ContinuedFractionError(f"depth doubling moved g by {moved:.3e} "
-                                         f"at sigma={sigma!r}")
+                                         f"at x={x!r}")
+
+
+def name_reads(tree):
+    """Names a module reads, as an ast.Name load or as the attribute of an
+    ast.Attribute, each outside the function or class of that name: the lints'
+    notion of a caller."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and node.id not in inside):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
 
 
 @pytest.fixture(scope="session")

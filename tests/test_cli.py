@@ -981,29 +981,29 @@ class TestConsoleScript:
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN = {
     "instability --s 8 --alpha 0.015625 --gamma 0.25 --delta 0.35":
-        "729eafbe8e8dda0544730753bc0cdf4a11c2ed0af5a4baf87ed40d71f03201cc",
+        "c28d34c5f4a07063cc60d116dd910037f892e18fd928033b8dd0cc9daa6f928a",
     "instability --s 8 --alpha 0.015625 --gamma 0.5 --delta 0.35":
-        "ed12fd21e2f81a29d7ce6ed27418dece3020afd8a42fc848f869ae3491797ae5",
+        "d786cceb5d4c35f877e7470a93450327ef934ec8ec54b5ae7b1d4ddf74a81cce",
     "instability --s 8 --alpha 0.015625 --gamma 1.0 --delta 0.35":
-        "f6cb98550f203bd87ddf9495b87f76041d45e33023b48a17da5ca3acbdfac9de",
+        "2e8c73d89eafd30f0ac197cb52481358667921e95f3bf2c30e21f1bfd3771668",
     "instability --s 8 --alpha 0.015625 --gamma 2.0 --delta 0.35":
-        "26a13856caa9c162b831f49a04db3877b16a991ad2ef29908e42ccdc255797d8",
+        "3ebb4fb413d7b8098b2bd211ffbed0333d5ab7c2de36c89a63c655acc89a636b",
     "instability --s 12 --alpha 0.006944444444444444 --gamma 0.25 --delta 0.35":
-        "5a300660341f67e04de617f1fc29572e1b773156e062fad26d06b5444ed26fb4",
+        "1b7769e775101749833ea58da89edc04bfea1432ee0c38da2f35ebc946221380",
     "instability --s 12 --alpha 0.006944444444444444 --gamma 0.5 --delta 0.35":
-        "d6265e06f8645f9237a467b03254de5268eb2380c753e088beff70a16b1608c5",
+        "9745478f04a523018a043639a7ffd7f0caa5ca0ab69db486b5870d420d7745ee",
     "instability --s 12 --alpha 0.006944444444444444 --gamma 1.0 --delta 0.35":
-        "bd16e17d9a5d136be408b29efca9c71096b7ef1537842cd639dbdf6758fa5ace",
+        "5bc6da3909158228b828c812f8fb14a7770f21033c34238bec82c963f567be59",
     "instability --s 12 --alpha 0.006944444444444444 --gamma 2.0 --delta 0.35":
-        "531abd4c559a9c6d907246e158fbfb586cf40b2f02ede2d02aaf30312e69e5a8",
+        "a078d64afdd20d17834d331b157b060fe6b5943ab82fb2cc26eb4c4cb5f9fe9d",
     "instability --s 24 --alpha 0.001736111111111111 --gamma 0.25 --delta 0.35":
-        "d725e2ac6c1540a0689b34f61401478b830b92b7aaf723c7be4717e4c4629641",
+        "c2f906233a410a08bc87ce536a6bf7d3aa16f54ed7e5ebbc2ae0fc3e1ed10127",
     "instability --s 24 --alpha 0.001736111111111111 --gamma 0.5 --delta 0.35":
-        "a77756c037bd19bcb5487da0d55fa797df2255604a1f14123cd35580620b6efa",
+        "7b9f78edbc1d6168562974ee3d22e567e363ce7eb38386407aa7f9cde49b622a",
     "instability --s 24 --alpha 0.001736111111111111 --gamma 1.0 --delta 0.35":
-        "9534ba7342eaf614af769505f0ece12ed34c31c3cb9350ea13497d3b9337a696",
+        "e20979e1f74404d6215937a73855df7b4b32be1dd37d6c5f037d58a639784c7e",
     "instability --s 24 --alpha 0.001736111111111111 --gamma 2.0 --delta 0.35":
-        "8ed774f888c63f38d8c8951d886d10f945e0640e18b33a0aa0691a808c1a1248",
+        "aeb3298b1f86aed1442cf74fc86a5add946ba2f03f7a37eb6f5e25f36c883a6a",
     "bounds --alpha 0.015625 --gamma 1":
         "b1a5671ccfded750d51bb6753000c7e8fe5d0e9ff68c1c12aff2ddc835f6288e",
     "bounds --alpha 0.0078125 --gamma 1":
@@ -1019,7 +1019,7 @@ GOLDEN = {
     "bounds --alpha 0.000244140625 --gamma 1":
         "ff8ab50697fbdae9ed9d0d4a6ce5627797796126fe94fcf9bad62ecec86005cb",
     "verify --suite sigma-bounds":
-        "53233bf4a02c684bf76d9ca1911a66981c63f685165ab9cfb01bc41bbcabdace",
+        "606f1f0c58a506727b7464f0a3001d0487258b0e6a8e12283b082cb346c47f3f",
 }
 
 

@@ -274,7 +274,7 @@ class TestTraceCheck:
         r = ineq.trace_k2_check(V, m=1.0, k_cut=16)
         # truncated lhs sits below F(1)/pi by at most the lattice tail
         full = F_ORACLE[1.0] / math.pi
-        assert full - 0.005 < r.ratio < full
+        assert full - 0.005 < r.lhs / r.rhs < full
         assert r.lhs < r.rhs
 
     def test_random_nonneg_potential(self, rng):
@@ -294,7 +294,7 @@ class TestTraceCheck:
     def test_zero_potential(self):
         g = make_grid(32)
         r = ineq.trace_k2_check(zero_field(g), m=1.0, k_cut=8)
-        assert r.lhs == 0.0 and r.rhs == 0.0 and r.ratio == 0.0
+        assert r.lhs == 0.0 and r.rhs == 0.0
 
     def test_rejects_invalid(self, rng):
         g = make_grid(32)

@@ -22,29 +22,33 @@ def mode_sq(chain, n):
     return chain.t**2 + kn * kn
 
 
-def g_from(chain, sigma, n_max, max_depth=None):
-    """g(sigma) of a chain from first depth n_max, doubled up to max_depth (default
+def x_of(chain, sigma):
+    """The solvers' unknown x = (gamma + sigma) / coupling of a chain at growth rate sigma."""
+    return (chain.gamma + sigma) / chain.coupling
+
+
+def g_from(chain, x, n_max, max_depth=None):
+    """g(x) of a chain from first depth n_max, doubled up to max_depth (default
     n_max: depths n_max and 2 n_max, no doubling)."""
     cols = inst._columns([chain])
-    return float(inst._cf(cols, np.arange(1), np.array([sigma]), n_max, max_depth or n_max,
+    return float(inst._cf(np.arange(1), np.array([x]), n_max, max_depth or n_max,
                           inst._tabulated(cols, n_max))[0])
 
 
-def g_of(chain, sigma):
-    """The solvers' g(sigma) of a chain: first depth _N_MAX, doubled up to _MAX_DEPTH."""
-    return g_from(chain, sigma, inst._N_MAX, inst._MAX_DEPTH)
+def g_of(chain, x):
+    """The solvers' g(x) of a chain: first depth _N_MAX, doubled up to _MAX_DEPTH."""
+    return g_from(chain, x, inst._N_MAX, inst._MAX_DEPTH)
 
 
-def f_of(chain, sigma):
-    """The left side f(sigma) = (gamma + sigma)(q + alpha q^2)/(coupling t (s^2 - q)),
-    q = t^2 + r^2, of the eigenvalue condition f = g."""
-    return float(inst._f(inst._columns([chain]), sigma)[0])
+def f_of(chain, x):
+    """The left side f(x) = x (q + alpha q^2)/(t (s^2 - q)), q = t^2 + r^2, of the
+    eigenvalue condition f = g."""
+    return float(inst._f(inst._columns([chain]), x)[0])
 
 
-def ladder_d(ch, n, sigma):
-    """Recurrence coefficients d_n = (gamma + sigma) A_n of a chain."""
-    a = inst._ladder_a(ch.s, ch.t, ch.r, ch.alpha, ch.coupling, np.asarray(n, dtype=np.float64))
-    return (ch.gamma + sigma) * a
+def ladder_d(ch, n, x):
+    """Recurrence coefficients d_n = x A_n of a chain."""
+    return x * inst._ladder_a(ch.s, ch.t, ch.r, ch.alpha, np.asarray(n, dtype=np.float64))
 
 
 def brute_force_region(s, delta):
@@ -180,49 +184,49 @@ class TestRegion:
 class TestRecurrence:
     def test_coefficient_value(self):
         K1 = 4**2 + (8 + 1) ** 2  # 97
-        want = (K1 + ALPHA * K1**2) / (0.4 * 4 * (K1 - 64))
-        assert float(inst._ladder_a(8, 4, 1, ALPHA, 0.4, 1.0)) == pytest.approx(want, rel=1e-14)
-        assert float(ladder_d(PINNED, 1, 0.25)) == pytest.approx(1.25 * want, rel=1e-14)
+        want = (K1 + ALPHA * K1**2) / (4 * (K1 - 64))
+        assert float(inst._ladder_a(8, 4, 1, ALPHA, 1.0)) == pytest.approx(want, rel=1e-14)
+        d = float(ladder_d(PINNED, 1, x_of(PINNED, 0.25)))
+        assert d == pytest.approx(1.25 / 0.4 * want, rel=1e-14)
 
     def test_sign_pattern_across_region(self):
         for s, delta in [(8, 0.35), (24, 0.35), (16, 0.5)]:
             for t, r in inst.region_lattice(s, delta):
                 ch = inst.Chain(s=s, t=t, r=r, alpha=0.01, gamma=1.0, coupling=0.7)
                 for sigma in (-0.999, -0.5, 0.0, 1.0, 10.0):
-                    d = ladder_d(ch, np.arange(-6, 7), sigma)
+                    d = ladder_d(ch, np.arange(-6, 7), x_of(ch, sigma))
                     assert d[6] < 0  # center
                     assert np.all(np.delete(d, 6) > 0)
 
     def test_coefficients_grow(self):
-        d = np.abs(ladder_d(PINNED, np.arange(2, 40), 0.0))
+        d = np.abs(ladder_d(PINNED, np.arange(2, 40), x_of(PINNED, 0.0)))
         assert np.all(np.diff(d) > 0)
 
 
 class TestContinuedFraction:
     def test_vanishes_at_large_sigma(self):
-        assert 0 < g_of(PINNED, 1e6) < 1e-5
+        assert 0 < g_of(PINNED, x_of(PINNED, 1e6)) < 1e-5
 
     def test_two_term_brackets(self):
-        sigma = 0.1
-        g = g_of(PINNED, sigma)
-        d = {n: float(ladder_d(PINNED, n, sigma)) for n in (-2, -1, 1, 2)}
+        x = x_of(PINNED, 0.1)
+        g = g_of(PINNED, x)
+        d = {n: float(ladder_d(PINNED, n, x)) for n in (-2, -1, 1, 2)}
         upper = 1 / d[-1] + 1 / d[1]
         lower = 1 / (d[-1] + 1 / d[-2]) + 1 / (d[1] + 1 / d[2])
         assert lower < g < upper
 
     def test_depth_insensitive(self):
-        a = g_from(PINNED, 0.3, 8)
-        b = g_from(PINNED, 0.3, 64)
-        assert abs(a - b) < 1e-13
-        assert g_of(PINNED, 0.3) == g_from(PINNED, 0.3, inst._N_MAX)
+        x = x_of(PINNED, 0.3)
+        assert abs(g_from(PINNED, x, 8) - g_from(PINNED, x, 64)) < 1e-13
+        assert g_of(PINNED, x) == g_from(PINNED, x, inst._N_MAX)
 
     def test_nonconvergence_flagged_near_minus_gamma(self):
-        with pytest.raises(inst.ContinuedFractionError):
-            g_from(PINNED, -1.0 + 1e-10, 8)
+        x = x_of(PINNED, -1.0 + 1e-10)
+        with pytest.raises(inst.ContinuedFractionError, match=rf"at x={x!r}$"):
+            g_from(PINNED, x, 8)
         # the solvers' g doubles on where two fixed depths stop
-        sigma = -1.0 + 1e-10
-        want, _ = cf_two_sweeps(PINNED, sigma, inst._N_MAX, inst._MAX_DEPTH)
-        assert g_of(PINNED, sigma) == want
+        want, _ = cf_two_sweeps(PINNED, x, inst._N_MAX, inst._MAX_DEPTH)
+        assert g_of(PINNED, x) == want
 
 
 def _g_or_error(compute):
@@ -238,16 +242,17 @@ def _same_bits(a, b):
 
 
 @st.composite
-def _chain_and_sigma(draw):
-    """An admissible chain and a sigma in (-gamma, its upper estimate], drawn
-    log-uniformly above -gamma so that some need depth doublings."""
+def _chain_and_x(draw):
+    """An admissible chain and an x = (gamma + sigma) / coupling in (0, the x of its
+    upper sigma estimate], drawn log-uniformly above 0 so that some need depth
+    doublings."""
     s = draw(st.integers(4, 96))
     t, r = draw(st.sampled_from(inst.region_lattice(s, 0.05)))
     chain = inst.Chain(s=s, t=t, r=r, alpha=draw(st.sampled_from([0.0, 1.0 / s**2, 0.5])),
                        gamma=draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0])),
                        coupling=draw(st.floats(0.05, 50.0)))
     hi = inst.sigma_bounds(chain, t / s)[1]
-    return chain, -chain.gamma + 10.0 ** -draw(st.floats(0.0, 9.0)) * (hi + chain.gamma)
+    return chain, 10.0 ** -draw(st.floats(0.0, 9.0)) * x_of(chain, hi)
 
 
 class TestFusedPass:
@@ -255,29 +260,28 @@ class TestFusedPass:
     separate sweeps (conftest.cf_two_sweeps), per chain, in any batch."""
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_chain_and_sigma(), n_max=st.sampled_from([2, 4, 8, 32]))
+    @given(case=_chain_and_x(), n_max=st.sampled_from([2, 4, 8, 32]))
     def test_continued_fraction_g_matches_two_sweeps(self, case, n_max):
-        chain, sigma = case
-        got = _g_or_error(lambda: g_from(chain, sigma, n_max))
-        want = _g_or_error(lambda: cf_two_sweeps(chain, sigma, n_max, n_max)[0])
+        chain, x = case
+        got = _g_or_error(lambda: g_from(chain, x, n_max))
+        want = _g_or_error(lambda: cf_two_sweeps(chain, x, n_max, n_max)[0])
         assert _same_bits(got[0], want[0]) and got[1] == want[1]
         if n_max == inst._N_MAX:  # the solvers' own g, which doubles on up to _MAX_DEPTH
-            own = _g_or_error(lambda: g_of(chain, sigma))
-            deep = _g_or_error(lambda: cf_two_sweeps(chain, sigma, n_max, inst._MAX_DEPTH)[0])
+            own = _g_or_error(lambda: g_of(chain, x))
+            deep = _g_or_error(lambda: cf_two_sweeps(chain, x, n_max, inst._MAX_DEPTH)[0])
             assert _same_bits(own[0], deep[0]) and own[1] == deep[1]
 
     @settings(max_examples=40, deadline=None)
-    @given(cases=st.lists(_chain_and_sigma(), min_size=1, max_size=6),
+    @given(cases=st.lists(_chain_and_x(), min_size=1, max_size=6),
            n_max=st.sampled_from([2, 4, 8, 32]), data=st.data())
     def test_batch_matches_two_sweeps_per_chain(self, cases, n_max, data):
         # the solvers' own depth limit; a subset of the batch reads a gathered table
-        chains, sigmas = zip(*cases)
+        chains, xs = zip(*cases)
         cols = inst._columns(chains)
         i = np.array(sorted(data.draw(st.sets(st.integers(0, len(chains) - 1), min_size=1))))
-        sigma = np.array(sigmas)[i]
-        got = _g_or_error(lambda: inst._cf(cols, i, sigma, n_max, inst._MAX_DEPTH,
+        got = _g_or_error(lambda: inst._cf(i, np.array(xs)[i], n_max, inst._MAX_DEPTH,
                                            inst._tabulated(cols, n_max)))
-        want = [_g_or_error(lambda k=k: cf_two_sweeps(chains[k], sigmas[k], n_max,
+        want = [_g_or_error(lambda k=k: cf_two_sweeps(chains[k], xs[k], n_max,
                                                       inst._MAX_DEPTH)[0]) for k in i]
         errors = [msg for _, msg in want if msg is not None]
         if errors:
@@ -289,37 +293,35 @@ class TestFusedPass:
     def test_chains_that_need_depth_doublings(self):
         # near sigma = -gamma the fraction converges slowly: at n_max = 4 these
         # chains stop at different depths past 2 n_max
-        sigmas = np.array([-1.0 + 1e-6, -1.0 + 1e-4, -0.99, 0.5])
-        chains = [PINNED] * sigmas.size
-        want = [cf_two_sweeps(PINNED, float(x), 4, inst._MAX_DEPTH) for x in sigmas]
+        xs = x_of(PINNED, np.array([-1.0 + 1e-6, -1.0 + 1e-4, -0.99, 0.5]))
+        want = [cf_two_sweeps(PINNED, float(x), 4, inst._MAX_DEPTH) for x in xs]
         assert len({depth for _, depth in want}) > 2 and max(d for _, d in want) > 8
-        cols = inst._columns(chains)
-        got = inst._cf(cols, np.arange(sigmas.size), sigmas, 4, inst._MAX_DEPTH,
-                       inst._tabulated(cols, 4))
+        cols = inst._columns([PINNED] * xs.size)
+        got = inst._cf(np.arange(xs.size), xs, 4, inst._MAX_DEPTH, inst._tabulated(cols, 4))
         assert np.array_equal(got.view(np.int64), np.array([g for g, _ in want]).view(np.int64))
 
     def test_error_names_the_same_depth_move(self):
         # the ContinuedFractionError path of the fused pass
-        got = _g_or_error(lambda: g_from(PINNED, -1.0 + 1e-10, 8))
-        want = _g_or_error(lambda: cf_two_sweeps(PINNED, -1.0 + 1e-10, 8, 8)[0])
+        x = x_of(PINNED, -1.0 + 1e-10)
+        got = _g_or_error(lambda: g_from(PINNED, x, 8))
+        want = _g_or_error(lambda: cf_two_sweeps(PINNED, x, 8, 8)[0])
         assert got[0] is None and got == want
 
 
 class TestFSigma:
     def test_zero_at_minus_gamma(self):
-        assert f_of(PINNED, -PINNED.gamma) == 0.0
+        assert f_of(PINNED, x_of(PINNED, -PINNED.gamma)) == 0.0
 
     def test_closed_form_alpha_zero(self):
-        # q = s^2/4 collapses f to (gamma+sigma)/(3*coupling*t)
+        # q = s^2/4 collapses f to x/(3t) = (gamma+sigma)/(3*coupling*t)
         ch = inst.Chain(s=4, t=2, r=0, alpha=0.0, gamma=1.0, coupling=0.9)
         for sigma in (-0.4, 0.0, 2.0):
-            assert f_of(ch, sigma) == pytest.approx(
+            assert f_of(ch, x_of(ch, sigma)) == pytest.approx(
                 (1.0 + sigma) / (3 * 0.9 * 2), rel=1e-14
             )
 
     def test_monotone_increasing(self):
-        sig = np.linspace(-0.9, 5.0, 50)
-        vals = [f_of(PINNED, s) for s in sig]
+        vals = [f_of(PINNED, x) for x in np.linspace(0.1, 15.0, 50)]
         assert np.all(np.diff(vals) > 0)
 
 
@@ -353,9 +355,9 @@ class TestSolveSigma:
             inst.solve_sigma(bad)
 
     def test_f_up_g_down_on_bracket(self):
-        sig = np.linspace(-0.8, 2.0, 15)
-        f = np.array([f_of(PINNED, x) for x in sig])
-        g = np.array([g_of(PINNED, x) for x in sig])
+        xs = x_of(PINNED, np.linspace(-0.8, 2.0, 15))
+        f = np.array([f_of(PINNED, x) for x in xs])
+        g = np.array([g_of(PINNED, x) for x in xs])
         assert np.all(np.diff(f) > 0)
         assert np.all(np.diff(g) < 0)
 
@@ -414,18 +416,23 @@ class TestSolveSigmas:
 
     @pytest.mark.parametrize("stuck", [[0], [1, 2]])
     def test_bracket_error_reports_the_solvers_f_and_g(self, monkeypatch, stuck):
-        # no expansion of the bracket finds a sign change: the error reports f and the
-        # solvers' own g of the first chain stuck, at sigma = 0 and at the top it reached
+        # a critical-coupling bracket [scale, 2 scale] lambda0 that excludes the root,
+        # above it (the x bracket is below the root, so the upper end fails) or below
+        # it (the lower end fails): the error names the first chain stuck and reports
+        # f and the solvers' own g at the failing end of its x bracket
         chains = self._lattice_chains(12, 0.5, (0.5, 1.0, 2.0))[:3]
-        monkeypatch.setattr(inst, "_expand", lambda holds, x, step: np.array(stuck))
-        with pytest.raises(inst.BracketError) as info:
-            inst.solve_sigmas(chains)
-        c = chains[stuck[0]]
-        lo = -c.gamma + inst.GAMMA_OFFSET * c.gamma
-        top = float(max(inst.sigma_bounds(c, c.t / c.s)[1], lo + c.gamma))
-        samples = [(x, f_of(c, x), g_of(c, x)) for x in (0.0, top)]
-        assert str(info.value) == (f"no sign change up to sigma={top!r}; "
-                                   f"(sigma, f, g) = {samples}")
+        lam0 = dict(zip(chains, inst.solve_lambda0s(chains).tolist()))
+        bounds, moved = inst.coupling_bounds, [chains[k] for k in stuck]
+        for end, scale in (("upper", 2.0), ("lower", 0.25)):
+            monkeypatch.setattr(inst, "coupling_bounds", lambda c, delta, scale=scale: (
+                (scale * lam0[c], 2.0 * scale * lam0[c]) if c in moved else bounds(c, delta)))
+            with pytest.raises(inst.BracketError) as info:
+                inst.solve_sigmas(chains)
+            c = moved[0]
+            x = c.gamma / (2.0 * scale * lam0[c] if end == "lower" else scale * lam0[c])
+            assert str(info.value) == (
+                f"chain (t={c.t}, r={c.r}): no sign change of f - g on the critical-coupling "
+                f"bracket; at its {end} end x={x!r}, f={f_of(c, x)!r}, g={g_of(c, x)!r}")
 
     def test_rejects_inadmissible_chain_in_batch(self):
         bad = inst.Chain(s=8, t=1, r=1, alpha=ALPHA, gamma=1.0, coupling=0.4)
@@ -488,6 +495,22 @@ class TestLambda0:
                                            for c in chains], 64)
         want = kappa * (1.0 + sigma)
         assert np.all(np.abs(1.0 + scaled - want) <= 1e-13 * want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), s=st.integers(4, 128), gamma=st.sampled_from([0.25, 1.0, 2.0]),
+           log_factor=st.floats(-3.0, 3.0))
+    def test_critical_coupling_bracket_holds_the_root(self, data, s, gamma, log_factor):
+        # the bracket the solvers bisect x in: coupling_bounds at delta = t/s strictly
+        # holds lambda0 = gamma / x, and the gap f - g is < 0 at x = gamma / hi and
+        # > 0 at x = gamma / lo, at couplings 1e-3 to 1e3 times the threshold
+        alpha = data.draw(st.sampled_from([1.0 / s**2, 1e-3]))
+        chain = data.draw(st.sampled_from(inst.lattice_chains(s, 0.05, alpha, gamma)))
+        chain = replace(chain, coupling=10.0**log_factor * chain.coupling)
+        lo, hi = inst.coupling_bounds(chain, chain.t / chain.s)
+        (lam0,) = inst.solve_lambda0s([chain])
+        assert lo < lam0 < hi
+        x_lo, x_hi = gamma / hi, gamma / lo
+        assert f_of(chain, x_lo) - g_of(chain, x_lo) < 0.0 < f_of(chain, x_hi) - g_of(chain, x_hi)
 
     def test_two_sided_estimate_sweep(self):
         for s in (8, 16, 32):
@@ -697,7 +720,7 @@ class TestMatrixOracle:
         assert inst.chain_matrix_eigen(chains[0], depth) == want[0]
 
     @settings(max_examples=20, deadline=None)
-    @given(case=_chain_and_sigma(), depth=st.integers(1, 40), first=st.sampled_from([0, 1]))
+    @given(case=_chain_and_x(), depth=st.integers(1, 40), first=st.sampled_from([0, 1]))
     def test_block_matches_the_dense_scatter(self, case, depth, first):
         chain, _ = case
         got, want = square_block(chain, depth, first), one_chain_block(chain, depth, first)

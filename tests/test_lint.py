@@ -15,6 +15,8 @@ import os
 
 import pytest
 
+from conftest import name_reads
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIRECTORIES = ["src", "tests", "demos", "perfbench"]
 
@@ -138,3 +140,47 @@ def test_scan_finds_a_private_name_of_another_module(tmp_path):
     assert [hit.rpartition(": ")[2] for hit in private_reads(str(path))] == [
         "dynamics._check_tangent", "bounds._region_empty",
         "instability._region_points", "io._HEADER"]
+
+
+def _module_level_private(tree):
+    """Every `_`-prefixed function, class or assigned name at the top level of the module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names = [t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from filter(_private, names)
+
+
+def unread_private(package_dir):
+    """`module.name` of every `_`-prefixed module-level name of a package module that
+    no module of the package reads outside its own definition."""
+    trees = {}
+    for name in sorted(os.listdir(package_dir)):
+        if name.endswith(".py"):
+            with open(os.path.join(package_dir, name), encoding="utf-8") as f:
+                trees[name[:-3]] = ast.parse(f.read(), filename=name)
+    read = set().union(*map(name_reads, trees.values()))
+    return [f"{module}.{name}" for module, tree in trees.items()
+            for name in _module_level_private(tree) if name not in read]
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # a private name that nothing in the package reads is dead code, whatever the tests call
+    assert unread_private(os.path.join(ROOT, "src", PACKAGE)) == []
+
+
+def test_scan_finds_a_private_name_only_its_own_definition_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_USED = 1\n_SPARE = 2\n__version__ = '1'\n"
+        "def _recursive(n): return _recursive(n - 1)\n"
+        "def _helper(): return _USED\n"
+        "class _Shape:\n    def copy(self): return _Shape()\n"
+        "def public(): 'reads _SPARE'\n")
+    (tmp_path / "b.py").write_text("from . import a\nx = a._helper()\n_written: int = 3\n"
+                                   "_written = 4\n")
+    assert unread_private(str(tmp_path)) == [
+        "a._SPARE", "a._recursive", "a._Shape", "b._written", "b._written"]

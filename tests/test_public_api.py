@@ -2,7 +2,8 @@
 classes it defines, so its surface cannot grow or shrink unnoticed, and
 every name it lists has a caller outside the tests: in the package, the
 demos or the benchmark harness.  Its numeric parameters are checked at that
-surface: NaN and infinities are refused, not passed on into the arithmetic."""
+surface: NaN and infinities are refused, not passed on into the arithmetic,
+and an integer parameter refuses a fraction or a bool by name."""
 import ast
 import glob
 import importlib
@@ -11,10 +12,13 @@ import math
 import os
 import pkgutil
 
+import numpy as np
 import pytest
 
 import bardina
-from bardina import bounds, inequalities, instability, spectral
+from bardina import bounds, dynamics, inequalities, instability, spectral
+
+from conftest import name_reads
 
 MODULES = ["bardina"] + [f"bardina.{m.name}" for m in pkgutil.iter_modules(bardina.__path__)]
 
@@ -38,25 +42,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CALLERS = [os.path.join("src", "bardina"), "demos", "perfbench"]  # the tests do not count
 
 
-def _references(tree):
-    """Names read in the module as an ast.Name or as the attribute of an
-    ast.Attribute, each outside the function or class of that name."""
-    found = set()
-
-    def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            inside = inside | {node.name}
-        elif isinstance(node, ast.Name) and node.id not in inside:
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr not in inside:
-            found.add(node.attr)
-        for child in ast.iter_child_nodes(node):
-            visit(child, inside)
-
-    visit(tree, frozenset())
-    return found
-
-
 def unreferenced(root):
     """`module.name` of every name in a bardina module's __all__ that no code
     under CALLERS of the tree at root references outside its own definition."""
@@ -67,7 +52,7 @@ def unreferenced(root):
             for name in filenames:
                 if name.endswith(".py"):
                     with open(os.path.join(dirpath, name), encoding="utf-8") as f:
-                        found |= _references(ast.parse(f.read()))
+                        found |= name_reads(ast.parse(f.read()))
     out = []
     for path in sorted(glob.glob(os.path.join(root, "src", "bardina", "*.py"))):
         with open(path, encoding="utf-8") as f:
@@ -131,3 +116,39 @@ BOUNDARY = {  # a public callable with one numeric parameter x, the rest valid
 def test_non_finite_parameters_are_refused(name, bad):
     with pytest.raises(ValueError):
         BOUNDARY[name](bad)
+
+
+STATE = dynamics.make_state(FIELD, spectral.ModelParams(alpha=0.01, gamma=1.0))
+INTEGERS = {  # a public callable with one integer parameter x, the rest valid; a valid x
+    "Chain.s": (lambda x: instability.Chain(s=x, t=1, r=0, alpha=0.0, gamma=1.0,
+                                            coupling=1.0), 4),
+    "Chain.t": (lambda x: instability.Chain(s=8, t=x, r=1, alpha=0.0, gamma=1.0,
+                                            coupling=1.0), 4),
+    "Chain.r": (lambda x: instability.Chain(s=8, t=4, r=x, alpha=0.0, gamma=1.0,
+                                            coupling=1.0), 1),
+    "KolmogorovSpec.s": (lambda x: instability.KolmogorovSpec(s=x, amplitude=1.0, gamma=1.0), 2),
+    "unstable_count.s": (lambda x: instability.unstable_count(x, 0.35, 0.01, 1.0), 8),
+    "threshold_amplitude.s": (lambda x: instability.threshold_amplitude(x, 0.35, 0.01, 1.0), 8),
+    "simulate.observe_every": (lambda x: dynamics.simulate(STATE, 0.02, 0.01, observe_every=x),
+                               1),
+    "random_field.band": (lambda x: spectral.random_field(FIELD.grid, np.random.default_rng(0),
+                                                          band=x), 4),
+    "rho_l2_check.n": (lambda x: inequalities.rho_l2_check(n=x, m=1.0, trials=1), 2),
+    "rho_l2_check.trials": (lambda x: inequalities.rho_l2_check(n=2, m=1.0, trials=x), 1),
+    "rho_l2_check.band": (lambda x: inequalities.rho_l2_check(n=2, m=1.0, trials=1, band=x), 10),
+    "lattice_F.radius": (lambda x: inequalities.lattice_F(1.0, radius=x), 8),
+    "poisson_F.k_max": (lambda x: inequalities.poisson_F(1.0, k_max=x), 8),
+}
+
+
+@pytest.mark.parametrize("name, bad", [(name, bad) for name in INTEGERS for bad in (2.5, True)])
+def test_non_integer_parameters_are_refused(name, bad):
+    parameter = name.rpartition(".")[2]
+    with pytest.raises(ValueError, match=f"^{parameter} must be an integer"):
+        INTEGERS[name][0](bad)
+
+
+@pytest.mark.parametrize("name", INTEGERS)
+def test_numpy_integers_are_accepted(name):
+    call, good = INTEGERS[name]
+    call(np.int64(good))
