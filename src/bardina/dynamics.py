@@ -270,11 +270,13 @@ class _Work:
     zero in the tangent rows.  stage, rate and acc are the RK4 stage, one
     rate and the accumulated rate sum.  _rates and its transforms own the
     rest: pad and rows, the scratch of _samples; base and pert, the
-    samples; prod, the 1+2m products; prod_rows, their row transforms; and
-    prod_spec, their band spectra, whose first 1+m rows are rate.  w and
-    side_w receive omega - curl g / gamma on and off the band after each
-    step.  _rates and _if_rk4 write only into these, so a step allocates
-    nothing of the grid's size.
+    samples; prod, the products of one row (the base's one, or a tangent's
+    two); prod_rows, their row transforms; and spec, the band spectra of a
+    tangent's two products (None when m = 0).  Only the band stacks grow
+    with m: the grid-sized scratch is the same for every tangent count.  w
+    and side_w receive omega - curl g / gamma on and off the band after
+    each step.  _rates and _if_rk4 write only into these, so a step
+    allocates nothing of the grid's size.
     """
 
     def __init__(self, state: SimState, half: np.ndarray) -> None:
@@ -294,14 +296,15 @@ class _Work:
         self.side_shift = np.where(self.side[0] == 0, shift[self.side[1:]], 0.0)
         self.side_w = np.empty_like(self.side_y)
         self.stage, self.acc = np.empty_like(self.y), np.empty_like(self.y)
-        self.prod_spec = np.empty((1 + 2 * m,) + self.y.shape[1:], dtype=complex)
-        self.rate = self.prod_spec[: 1 + m]
+        self.rate = np.empty_like(self.y)
+        self.spec = np.empty((2,) + self.y.shape[1:], dtype=complex) if m else None
         self.w = np.empty_like(self.y[0])
         self.pad, self.rows = _sample_scratch(grid, 4)
         self.base = np.empty((4, n, n))
         self.pert = np.empty((2, n, n)) if m else None
-        self.prod = np.empty((1 + 2 * m, n, n))
-        self.prod_rows = np.empty((1 + 2 * m, n, n // 2 + 1), dtype=complex)
+        products = 2 if m else 1
+        self.prod = np.empty((products, n, n))
+        self.prod_rows = np.empty((products, n, n // 2 + 1), dtype=complex)
         self.tmp = np.empty((2, n, n))
 
     @cached_property
@@ -337,13 +340,14 @@ def _rates(work: _Work, y: np.ndarray) -> tuple[np.ndarray, float]:
     exactly on the 2/3-truncated fields, so every retained mode is the same
     convolution sum as in the Jacobian form.  The base row keeps the
     Jacobian form, in which steady shears and single modes stay fixed to
-    the bit (see the module docstring).  One inverse transform per row
-    keeps the peak memory low; one batched forward transform of the 1+2m
-    products.  No damping term.  max|ubar| is the square root of the
-    largest |ubar|^2: sqrt is monotone and correctly rounded, so that is
-    the largest speed to the bit.
+    the bit (see the module docstring).  Each row makes one inverse
+    transform of its samples and one forward transform of its products as
+    soon as they are formed, so the grid-sized scratch holds one row's
+    products whatever m is.  No damping term.  max|ubar| is the square root
+    of the largest |ubar|^2: sqrt is monotone and correctly rounded, so
+    that is the largest speed to the bit.
     """
-    grid, ops, prod = work.grid, work.ops, work.prod
+    grid, ops, prod, rate = work.grid, work.ops, work.prod, work.rate
     sq, tmp = work.tmp
     m = len(y) - 1
     d1psi, d2psi, d1ob, d2ob = _samples(grid, ops, y[0], out=work.base, scratch=(work.pad, work.rows))
@@ -352,21 +356,21 @@ def _rates(work: _Work, y: np.ndarray) -> tuple[np.ndarray, float]:
     speed = math.sqrt(float(sq.max()))
     np.multiply(d2psi, d1ob, out=prod[0])
     prod[0] -= np.multiply(d1psi, d2ob, out=tmp)
+    _spectrum(grid, prod[:1], out=rate[:1], scratch=work.prod_rows[:1])
     grad_psi, scratch = ops[:2], (work.pad[:2], work.rows[:2])
+    mult_a, mult_b = work.mults
     for j in range(1, m + 1):
         d1p, d2p = _samples(grid, grad_psi, y[j], out=work.pert, scratch=scratch)
-        a, b = prod[j], prod[m + j]
+        a, b = prod
         np.multiply(d1psi, d1p, out=a)
         a -= np.multiply(d2psi, d2p, out=tmp)
         np.multiply(d1psi, d2p, out=b)
         b += np.multiply(d1p, d2psi, out=tmp)
-    _spectrum(grid, prod, out=work.prod_spec, scratch=work.prod_rows)
-    rate, b_spec = work.rate[1:], work.prod_spec[1 + m :]
-    mult_a, mult_b = work.mults
-    rate *= mult_a
-    b_spec *= mult_b
-    rate += b_spec
-    return work.rate, speed
+        a_spec, b_spec = _spectrum(grid, prod, out=work.spec, scratch=work.prod_rows)
+        np.multiply(a_spec, mult_a, out=rate[j])
+        b_spec *= mult_b
+        rate[j] += b_spec
+    return rate, speed
 
 
 def vorticity_rhs(state: SimState) -> SpectralField:
@@ -478,6 +482,13 @@ def step(state: SimState, dt: float) -> SimState:
     return _published(work, state.time + dt)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError naming name unless value is an integer >= least (numpy
+    integers too, bools not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _whole_count(start: float, end: float, unit: float, message: str) -> int:
     """(end - start) / unit if that is a whole number >= 0, to 1e-9 relative to
     max(1, |end|); otherwise (a non-finite end too) ValueError(message)."""
@@ -501,9 +512,7 @@ def simulate(
     The initial state is always sampled; extra observer callables receive the
     state at the same instants.  Returns the final state and the rows.
     """
-    if (isinstance(observe_every, bool) or not isinstance(observe_every, numbers.Integral)
-            or observe_every < 1):
-        raise ValueError(f"observe_every must be an integer >= 1, got {observe_every!r}")
+    _check_count("observe_every", observe_every, 1)
     _check_dt(dt)
     n_steps = _whole_count(state.time, t_end, dt,
                            f"t_end = {t_end} is not a whole number of steps from t = {state.time}")
@@ -675,6 +684,7 @@ def make_tangents(
     grid: FourierGrid, n: int, alpha: float, rng: np.random.Generator
 ) -> list[VectorField]:
     """n random alpha-orthonormal divergence-free tangent fields."""
+    _check_count("n", n, 1)
     zetas = _full(grid, _unband(grid, _seed_tangents(grid, n, alpha, rng)))
     return [stream_velocity(SpectralField(grid, z)) for z in zetas]
 
@@ -727,12 +737,9 @@ def lyapunov_spectrum(
     affected renormalization interval is excluded from the averages; the
     report counts these renormalizations in `collapses`.
     """
-    if n < 1:
-        raise ValueError("need at least one tangent vector")
-    if renorm_every < 1:
-        raise ValueError("renorm_every must be >= 1")
-    if blocks < 2:
-        raise ValueError(f"blocks must be >= 2 for a standard error, got {blocks}")
+    _check_count("n", n, 1)
+    _check_count("renorm_every", renorm_every, 1)
+    _check_count("blocks", blocks, 2)  # a standard error needs two
     _check_dt(dt)
     span, gamma = renorm_every * dt, initial.params.gamma
     if t_transient is None:

@@ -499,6 +499,30 @@ class TestRunWorkspace:
         assert work.y.tobytes() == fresh.y.tobytes()
         assert work.w.tobytes() == fresh.w.tobytes()
 
+    def test_scratch_does_not_grow_with_tangents(self, rng):
+        # each row is transformed as soon as its products are formed, so only
+        # the band stacks y, stage, acc and rate hold a row per tangent
+        grid = make_grid(64)
+        n, cut = grid.n, grid.cut
+        st = _forced_state(grid, rng)
+        zetas = [curl(v).coeffs for v in make_tangents(grid, 8, PARAMS.alpha, rng)]
+        stack = np.stack([st.omega.coeffs, *zetas])[..., : n // 2 + 1]
+
+        def nbytes(m):
+            grid_sized = other = 0
+            for value in vars(dyn._Work(st, stack[: 1 + m])).values():
+                if isinstance(value, np.ndarray):
+                    if value.shape[-2:] in ((n, n), (n, n // 2 + 1)):
+                        grid_sized += value.nbytes
+                    else:
+                        other += value.nbytes
+            return grid_sized, other
+
+        (grid_one, other_one), (grid_eight, other_eight) = nbytes(1), nbytes(8)
+        band_row = (2 * cut + 1) * (cut + 1) * np.dtype(complex).itemsize
+        assert grid_eight == grid_one
+        assert other_eight - other_one == 7 * 4 * band_row
+
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
     def test_steps_do_not_fault_in_fresh_memory(self, rng):
         # an allocating step maps about 4 MB of fresh memory at 128^2 and
@@ -856,7 +880,8 @@ class TestTangentStepping:
     @pytest.mark.parametrize("n", [30, 32, 64])
     @pytest.mark.parametrize("m", [1, 4])
     def test_stacking_never_couples_rows(self, rng, n, m):
-        # the base row of a stacked step is the plain step, bit for bit
+        # the base row of a stacked step is the plain step, and each tangent
+        # row that tangent stepped alone on the same base, bit for bit
         grid = make_grid(n)
         spec = KolmogorovSpec(s=4, amplitude=2.0, gamma=PARAMS.gamma)
         st = make_state(random_field(grid, rng, band=6), PARAMS,
@@ -864,6 +889,9 @@ class TestTangentStepping:
         vecs = make_tangents(grid, m, PARAMS.alpha, rng)
         moved = step_with_tangents(TangentBundle(st, vecs), 0.01)
         assert np.array_equal(moved.base.omega.coeffs, step(st, 0.01).omega.coeffs)
+        for v, stacked in zip(vecs, moved.vectors, strict=True):
+            (alone,) = step_with_tangents(TangentBundle(st, [v]), 0.01).vectors
+            assert np.array_equal(stacked.coeffs, alone.coeffs)
 
     def test_rejects_tangent_outside_tangent_space(self, rng):
         # a mean or a gradient part would vanish in the curl without notice

@@ -131,6 +131,14 @@ INTEGERS = {  # a public callable with one integer parameter x, the rest valid; 
     "threshold_amplitude.s": (lambda x: instability.threshold_amplitude(x, 0.35, 0.01, 1.0), 8),
     "simulate.observe_every": (lambda x: dynamics.simulate(STATE, 0.02, 0.01, observe_every=x),
                                1),
+    "lyapunov_spectrum.n": (lambda x: dynamics.lyapunov_spectrum(
+        STATE, n=x, dt=0.01, renorm_every=1, t_transient=0.0, t_average=0.02, blocks=2), 1),
+    "lyapunov_spectrum.renorm_every": (lambda x: dynamics.lyapunov_spectrum(
+        STATE, n=1, dt=0.01, renorm_every=x, t_transient=0.0, t_average=0.02, blocks=2), 1),
+    "lyapunov_spectrum.blocks": (lambda x: dynamics.lyapunov_spectrum(
+        STATE, n=1, dt=0.01, renorm_every=1, t_transient=0.0, t_average=0.02, blocks=x), 2),
+    "make_tangents.n": (lambda x: dynamics.make_tangents(FIELD.grid, x, 0.01,
+                                                         np.random.default_rng(0)), 2),
     "random_field.band": (lambda x: spectral.random_field(FIELD.grid, np.random.default_rng(0),
                                                           band=x), 4),
     "rho_l2_check.n": (lambda x: inequalities.rho_l2_check(n=x, m=1.0, trials=1), 2),
