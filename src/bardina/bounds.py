@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import instability
-from .spectral import ModelParams
+from .spectral import _check_real
 
 __all__ = [
     "upper_bound",
@@ -43,10 +43,12 @@ def upper_bound(alpha: float, gamma: float, curl_g_norm_sq: float) -> float:
     """dim <= ||curl g||^2 / (8 pi alpha gamma^4).
 
     Raises:
-        ValueError: unless alpha, gamma and the forcing norm are positive and finite.
+        ValueError: naming alpha, gamma or the forcing norm if it is not
+            positive and finite.
     """
-    if not (0 < alpha < math.inf and 0 < gamma < math.inf and 0 < curl_g_norm_sq < math.inf):
-        raise ValueError("alpha, gamma and ||curl g||^2 must be positive and finite")
+    _check_real("alpha", alpha)
+    _check_real("gamma", gamma)
+    _check_real("curl_g_norm_sq", curl_g_norm_sq)
     return curl_g_norm_sq / (8.0 * math.pi * alpha * gamma**4)
 
 
@@ -56,8 +58,9 @@ def trace_bound_q(n, alpha: float, gamma: float, curl_g_norm: float):
 
     Its positive root equals :func:`upper_bound` of the same forcing.
     """
-    if not (0 < alpha < math.inf and 0 < gamma < math.inf and 0 <= curl_g_norm < math.inf):
-        raise ValueError("alpha, gamma must be positive, ||curl g|| >= 0, all finite")
+    _check_real("alpha", alpha)
+    _check_real("gamma", gamma)
+    _check_real("curl_g_norm", curl_g_norm, zero_ok=True)
     narr = np.asarray(n, dtype=np.float64)
     if not np.all((narr >= 1) & (narr < math.inf)):
         raise ValueError("n must be finite and >= 1")
@@ -146,7 +149,8 @@ def dimension_report(alpha: float, gamma: float) -> DimensionReport:
             or if the admissible region holds no lattice points at
             s = ceil(1/sqrt(alpha)).
     """
-    ModelParams(alpha=alpha, gamma=gamma)  # raises unless both are positive and finite
+    _check_real("alpha", alpha)
+    _check_real("gamma", gamma)
     s = math.ceil(1.0 / math.sqrt(alpha))
     c1, delta_star = lower_bound_constant()
     if s < 4 or _region_empty(s, delta_star):

@@ -64,7 +64,6 @@ QR factorization of their weighted band coefficients.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
@@ -79,6 +78,8 @@ from .spectral import (
     _band,
     _band_grad,
     _band_index,
+    _check_int,
+    _check_real,
     _full,
     _half,
     _inverse_laplacian,
@@ -120,6 +121,9 @@ class BlowUpError(RuntimeError):
 
 
 def _check_real_coeffs(grid: FourierGrid, coeffs: np.ndarray, what: str) -> None:
+    if coeffs.shape != (grid.n, grid.n):
+        raise ValueError(f"{what} coefficients must have shape {(grid.n, grid.n)}, "
+                         f"got {coeffs.shape}")
     scale = float(np.abs(coeffs).max())
     if not math.isfinite(scale):
         raise ValueError(f"{what} coefficients are not finite")
@@ -382,11 +386,6 @@ def vorticity_rhs(state: SimState) -> SpectralField:
     return SpectralField(grid, out + state.forcing_curl.coeffs)
 
 
-def _check_dt(dt: float) -> None:
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-
-
 def _if_rk4(work: _Work, dt: float) -> None:
     """One integrating-factor RK4 step of the run's stack work.y, in place:
     omega in row 0 and tangent vorticities zeta below, on the flow (grid,
@@ -409,7 +408,7 @@ def _if_rk4(work: _Work, dt: float) -> None:
     accumulates in work.acc as soon as the next stage is formed, and the
     rate buffer serves as scratch in between.
     """
-    _check_dt(dt)
+    _check_real("dt", dt)
     grid, y, s, acc, shift = work.grid, work.y, work.stage, work.acc, work.shift
     e1 = math.exp(-work.params.gamma * dt / 2.0)
     e2 = e1 * e1
@@ -482,13 +481,6 @@ def step(state: SimState, dt: float) -> SimState:
     return _published(work, state.time + dt)
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """ValueError naming name unless value is an integer >= least (numpy
-    integers too, bools not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _whole_count(start: float, end: float, unit: float, message: str) -> int:
     """(end - start) / unit if that is a whole number >= 0, to 1e-9 relative to
     max(1, |end|); otherwise (a non-finite end too) ValueError(message)."""
@@ -512,8 +504,8 @@ def simulate(
     The initial state is always sampled; extra observer callables receive the
     state at the same instants.  Returns the final state and the rows.
     """
-    _check_count("observe_every", observe_every, 1)
-    _check_dt(dt)
+    _check_int("observe_every", observe_every, 1)
+    _check_real("dt", dt)
     n_steps = _whole_count(state.time, t_end, dt,
                            f"t_end = {t_end} is not a whole number of steps from t = {state.time}")
     r0_sq = _r0_sq_from_curl(state.params, state.forcing_curl)
@@ -542,6 +534,9 @@ def _check_tangent(grid: FourierGrid, theta: VectorField) -> None:
     if theta.grid.n != grid.n:
         raise ValueError("tangent and state live on different grids")
     c = theta.coeffs
+    if c.shape != (2, grid.n, grid.n):
+        raise ValueError(f"tangent coefficients must have shape {(2, grid.n, grid.n)}, "
+                         f"got {c.shape}")
     tol = 1e-12 * max(float(np.abs(c).max()), 1e-300)
     if np.abs(c[:, 0, 0]).max() > tol:
         raise ValueError("tangent must have zero mean")
@@ -684,7 +679,7 @@ def make_tangents(
     grid: FourierGrid, n: int, alpha: float, rng: np.random.Generator
 ) -> list[VectorField]:
     """n random alpha-orthonormal divergence-free tangent fields."""
-    _check_count("n", n, 1)
+    _check_int("n", n, 1)
     zetas = _full(grid, _unband(grid, _seed_tangents(grid, n, alpha, rng)))
     return [stream_velocity(SpectralField(grid, z)) for z in zetas]
 
@@ -737,19 +732,17 @@ def lyapunov_spectrum(
     affected renormalization interval is excluded from the averages; the
     report counts these renormalizations in `collapses`.
     """
-    _check_count("n", n, 1)
-    _check_count("renorm_every", renorm_every, 1)
-    _check_count("blocks", blocks, 2)  # a standard error needs two
-    _check_dt(dt)
+    _check_int("n", n, 1)
+    _check_int("renorm_every", renorm_every, 1)
+    _check_int("blocks", blocks, 2)  # a standard error needs two
+    _check_real("dt", dt)
     span, gamma = renorm_every * dt, initial.params.gamma
     if t_transient is None:
         t_transient = round(50.0 / gamma / span) * span
     if t_average is None:
         t_average = round(500.0 / gamma / span) * span
-    if not 0.0 <= t_transient < math.inf:
-        raise ValueError(f"t_transient must be finite and >= 0, got {t_transient!r}")
-    if not 0.0 < t_average < math.inf:
-        raise ValueError(f"t_average must be finite and > 0, got {t_average!r}")
+    _check_real("t_transient", t_transient, zero_ok=True)
+    _check_real("t_average", t_average)
     n_trans, n_avg = (_whole_count(0.0, window, span, f"{name} = {window!r} is not a whole "
                                    f"number of renorm_every * dt = {span!r} intervals")
                       for name, window in (("t_transient", t_transient), ("t_average", t_average)))

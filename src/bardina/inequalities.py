@@ -13,14 +13,13 @@ special-function dependency.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .bounds import B2
-from .spectral import SpectralField
+from .spectral import SpectralField, _check_int, _check_real
 
 __all__ = [
     "k1",
@@ -101,7 +100,7 @@ def k1(x):
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if not np.all(arr > 0.0):
-        raise ValueError("k1 requires x > 0")
+        raise ValueError("x must be > 0")
     out = np.empty_like(arr)
     lo = arr < _SERIES_ASYMPTOTIC_SPLIT
     if np.any(lo):
@@ -157,10 +156,8 @@ def lattice_F(m: float, radius: int = 400) -> LatticeSumResult:
         m: positive mass parameter.
         radius: truncation radius in mode units (>= 8).
     """
-    if not 0 < m < math.inf:
-        raise ValueError("m must be positive and finite")
-    if isinstance(radius, bool) or not isinstance(radius, numbers.Integral) or radius < 8:
-        raise ValueError(f"radius must be an integer >= 8, got {radius!r}")
+    _check_real("m", m)
+    _check_int("radius", radius, 8)
     mm = m * m
     if radius <= 2048:
         counts = _sq_mode_counts(radius)
@@ -187,11 +184,9 @@ def poisson_F(m: float, k_max: int = 48) -> float:
     fhat(xi) = (xi/2) K1(xi), summed over 0 < |k| <= k_max.  The terms
     decay like exp(-2*pi*m*|k|), so modest k_max suffices for m >= 1.
     """
-    if not 0 < m < math.inf:
-        raise ValueError("m must be positive and finite")
-    if isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral):
-        raise ValueError(f"k_max must be an integer, got {k_max!r}")
-    if not 1 <= k_max <= 2048:
+    _check_real("m", m)
+    _check_int("k_max", k_max, 1)
+    if k_max > 2048:
         raise ValueError("k_max out of range")
     counts = _sq_mode_counts(k_max)
     j = np.nonzero(counts)[0]
@@ -326,11 +321,11 @@ def rho_l2_check(
     The counter-based Philox generator makes trial i reproducible from
     (seed, i) alone, independent of execution order.
     """
-    for name, value in (("n", n), ("trials", trials), ("band", band)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not (n >= 1 and 0 < m < math.inf and trials >= 1):
-        raise ValueError("need n >= 1, finite m > 0, trials >= 1")
+    _check_int("n", n, 1)
+    _check_real("m", m)
+    _check_int("trials", trials, 1)
+    _check_int("band", band)
+    _check_int("eval_grid", eval_grid)
     modes = _band_modes(band)
     if n > len(modes):
         raise ValueError("family larger than the mode band")
@@ -387,11 +382,11 @@ def trace_k2_check(V: SpectralField, m: float, k_cut: int = 16) -> TraceCheckRes
 
     Raises:
         ValueError: if V has negative collocation values, m is not positive
-            and finite, or 2 k_cut > n // 2 (the grid of V cannot resolve
-            the mode differences).
+            and finite, k_cut is not an integer >= 1, or 2 k_cut > n // 2 (the
+            grid of V cannot resolve the mode differences).
     """
-    if not 0 < m < math.inf:
-        raise ValueError("m must be positive and finite")
+    _check_real("m", m)
+    _check_int("k_cut", k_cut, 1)
     g = V.grid
     if 2 * k_cut > g.n // 2:
         raise ValueError("k_cut too large for the grid of V")

@@ -26,13 +26,12 @@ lower bound of :mod:`bardina.bounds`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (FourierGrid, ModelParams, SpectralField, VectorField, zero_field,
-                       zero_vector_field)
+from .spectral import (FourierGrid, SpectralField, VectorField, _check_int, _check_real,
+                       zero_field, zero_vector_field)
 
 __all__ = [
     "KolmogorovSpec", "Chain", "ContinuedFractionError", "BracketError",
@@ -69,11 +68,9 @@ class KolmogorovSpec:
     gamma: float
 
     def __post_init__(self):
-        if not _is_int(self.s):
-            raise ValueError(f"s must be an integer, got {self.s!r}")
-        # amplitude 0 is allowed and gives the zero forcing
-        if self.s < 1 or not 0 <= self.amplitude < math.inf or not 0 < self.gamma < math.inf:
-            raise ValueError("need s >= 1, finite amplitude >= 0, finite gamma > 0")
+        _check_int("s", self.s, 1)
+        _check_real("amplitude", self.amplitude, zero_ok=True)  # 0 gives the zero forcing
+        _check_real("gamma", self.gamma)
 
     @property
     def curl_norm_sq(self) -> float:
@@ -89,9 +86,9 @@ def threshold_amplitude(s: int, delta: float, alpha: float, gamma: float) -> flo
     """
     if not 0.0 < delta < 1.0 / math.sqrt(3.0):
         raise ValueError("delta must lie in (0, 1/sqrt(3))")
-    if not _is_int(s) or s < 1:
-        raise ValueError(f"s must be an integer >= 1, got {s!r}")
-    ModelParams(alpha=alpha, gamma=gamma)  # raises unless both are positive and finite
+    _check_int("s", s, 1)
+    _check_real("alpha", alpha)
+    _check_real("gamma", gamma)
     return (110.0 * math.pi / 21.0) * gamma * (1.0 + alpha * s * s) ** 2 / (delta * delta * s)
 
 
@@ -128,11 +125,6 @@ def stationary_vorticity(spec: KolmogorovSpec, grid: FourierGrid) -> SpectralFie
 # chains and the admissible lattice region
 
 
-def _is_int(value) -> bool:
-    """Whether value is an integer (numpy integers too), and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _admissible(s: int, t: int, r: int) -> bool:
     return (3 * (t * t + r * r) < s * s and t * t + (r - s) ** 2 > s * s
             and t * t + (r + s) ** 2 > s * s and -s < 6 * r < s)
@@ -147,8 +139,7 @@ def region_lattice(s: int, delta: float) -> list[tuple[int, int]]:
     Empty at s = 1; at s = 2 and 3 it holds (t, r) = (1, 0) when delta*s <= 1.
     Raises ValueError naming s unless it is an integer >= 1 (not a bool).
     """
-    if not _is_int(s) or s < 1:
-        raise ValueError(f"s must be an integer >= 1, got {s!r}")
+    _check_int("s", s, 1)
     if not 0.0 < delta < 1.0 / math.sqrt(3.0):
         raise ValueError("delta must lie in (0, 1/sqrt(3))")
     t_max = int(math.floor(s / math.sqrt(3.0)))
@@ -173,18 +164,14 @@ class Chain:
     coupling: float
 
     def __post_init__(self):
-        for name in ("s", "t", "r"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.s < 1 or self.t < 1:
-            raise ValueError("need s >= 1 and t >= 1")
+        _check_int("s", self.s, 1)
+        _check_int("t", self.t, 1)
+        _check_int("r", self.r)
         # alpha 0 = unregularized limit; legal in the chain algebra even
         # though the evolution modules require alpha > 0
-        if not (0 <= self.alpha < math.inf and 0 < self.gamma < math.inf
-                and 0 < self.coupling < math.inf):  # NaN fails too
-            raise ValueError(f"alpha must be >= 0, gamma and coupling > 0, all finite; got "
-                             f"alpha = {self.alpha}, gamma = {self.gamma}, "
-                             f"coupling = {self.coupling}")
+        _check_real("alpha", self.alpha, zero_ok=True)
+        _check_real("gamma", self.gamma)
+        _check_real("coupling", self.coupling)
 
     @classmethod
     def from_spec(cls, spec: KolmogorovSpec, alpha: float, t: int, r: int) -> "Chain":
@@ -427,8 +414,6 @@ def solve_lambda0s(chains) -> np.ndarray:
 
 def _inv_ladders(cols: np.ndarray, depth: int) -> np.ndarray:
     """1/A_n of each chain on n in [-depth, depth], zero where |k_n| = s: shape (chain, n)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     s, t, r, alpha, _, coupling = cols[:, :, None]
     kn = s * np.arange(-depth, depth + 1.0) + r
     k_sq = t * t + kn * kn
@@ -482,6 +467,8 @@ def chain_matrix_eigens(chains, depth: int | None = None) -> np.ndarray:
     then gets its value at depth 200.  A chain off the symmetric route is
     solved at depth 200.
     """
+    if depth is not None:
+        _check_int("depth", depth, 1)
     cols = _columns(list(chains))
     sigma, on = np.full(cols.shape[1], np.nan), np.ones(cols.shape[1], dtype=bool)
     todo = np.arange(cols.shape[1])

@@ -27,6 +27,9 @@ only, and copies the band rows out.  No mask multiply is left.  Only the
 k2 = 0 column of a band can be inexactly Hermitian and is symmetrized; the
 expansion to the full layout is exact, so results are exactly real
 without a full symmetrization per transform.
+
+The package's integer and real parameters go through two checks,
+_check_int and _check_real, whose ValueError names the parameter and its value.
 """
 from __future__ import annotations
 
@@ -82,15 +85,33 @@ class FourierGrid:
         return 2.0 * np.pi / self.n
 
 
-@lru_cache(maxsize=32)
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """ValueError naming name unless value is an integer (numpy integers too,
+    bools not), and >= least if least is given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_real(name: str, value: float, zero_ok: bool = False) -> None:
+    """ValueError naming name unless value is positive and finite, or finite
+    and >= 0 if zero_ok; NaN fails."""
+    if not (0 <= value < math.inf if zero_ok else 0 < value < math.inf):
+        rule = "finite and >= 0" if zero_ok else "positive and finite"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+@lru_cache(maxsize=32, typed=True)  # typed: 64.0 == 64 must not find the grid of 64
 def make_grid(n: int) -> FourierGrid:
     """Build (and cache) the grid for n modes per axis.
 
     Raises:
-        ValueError: if n is odd or smaller than 4.
+        ValueError: unless n is an even integer >= 4.
     """
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"grid size must be even and >= 4, got {n}")
+    _check_int("n", n, 4)
+    if n % 2 != 0:
+        raise ValueError(f"grid size must be even, got {n}")
     k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
     k1, k2 = np.meshgrid(k, k, indexing="ij")
     k_sq = (k1 * k1 + k2 * k2).astype(np.float64)
@@ -114,10 +135,8 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        _check_real("alpha", self.alpha)
+        _check_real("gamma", self.gamma)
 
 
 @dataclass
@@ -176,8 +195,7 @@ def smooth(f: SpectralField, alpha: float) -> SpectralField:
 
     Multiplies each mode by 1/(1 + alpha*|k|^2); alpha = 0 is the identity.
     """
-    if not 0 <= alpha < math.inf:
-        raise ValueError("alpha must be finite and >= 0")
+    _check_real("alpha", alpha, zero_ok=True)
     return SpectralField(f.grid, f.coeffs / (1.0 + alpha * f.grid.k_sq))
 
 
@@ -342,8 +360,8 @@ def random_field(
     Coefficients are unit complex Gaussians scaled by amplitude/(1+|k|^2),
     hermitianized so the field is real.
     """
-    if band is not None and (isinstance(band, bool) or not isinstance(band, numbers.Integral)):
-        raise ValueError(f"band must be an integer, got {band!r}")
+    if band is not None:
+        _check_int("band", band)
     n = grid.n
     c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     c *= amplitude / (1.0 + grid.k_sq)

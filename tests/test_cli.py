@@ -976,8 +976,9 @@ class TestConsoleScript:
 
 
 # sha256 of stdout, made with numpy 2.4.6: instability at s = 8, 12, 24, alpha = 1/s^2,
-# gamma 1/4..2; bounds at alpha = 2^-k, k = 6..12; the sigma-bounds suite.  The header
-# holds the package version, so a version change moves every digest.
+# gamma 1/4..2; bounds at alpha = 2^-k, k = 6..12; a short simulate and lyapunov run on
+# 32^2 and the verify suites that run in under a second.  The header holds the package
+# version, so a version change moves every digest.
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN = {
     "instability --s 8 --alpha 0.015625 --gamma 0.25 --delta 0.35":
@@ -1020,13 +1021,41 @@ GOLDEN = {
         "ff8ab50697fbdae9ed9d0d4a6ce5627797796126fe94fcf9bad62ecec86005cb",
     "verify --suite sigma-bounds":
         "606f1f0c58a506727b7464f0a3001d0487258b0e6a8e12283b082cb346c47f3f",
+    "verify --suite lattice-F":
+        "21be9ed5dfc76c87525cd5f75475453d7e2301f3ceafdf3962c80cc4fbf11602",
+    "verify --suite rho-l2":
+        "175fbe117f2483625e2e0e79d6b8ce438307c13a254f004b1247dca4fa4a753f",
+    "verify --suite trace-k2":
+        "fdeea9330c93d5276714acdfa90f2710005a3e71ca009b8c1def5f225507a7c7",
+    "verify --suite psi-negative":
+        "7164b63d236407d501ff3cb508a83700ed999e18c48e928103c53b72d856434a",
+    "simulate --alpha 0.015625 --gamma 1.0 --grid 32 --dt 0.01 --t-end 0.2 "
+    "--forcing 'kolmogorov 4 5.0' --save out.ckpt":
+        "0786bb808f05186629bb967c0779dd252ff541d247565dd1cf62aa0a33f59bfe",
+    "lyapunov --alpha 0.015625 --gamma 1.0 --grid 32 --dt 0.02 --exponents 2 "
+    "--renorm-every 5 --t-transient 0.2 --t-average 0.8 --forcing 'kolmogorov 4 5.0'":
+        "b55fb11636c2a03edeb2ef559efb2b2d62d685a11b12aff315a3287a9921fa30",
+}
+GOLDEN_FILES = {  # sha256 of each file a GOLDEN command writes into its working directory
+    "simulate --alpha 0.015625 --gamma 1.0 --grid 32 --dt 0.01 --t-end 0.2 "
+    "--forcing 'kolmogorov 4 5.0' --save out.ckpt": {
+        "out.ckpt": "7b165d3955b79caa76d3f44987fb7b03ba12679327b7734f79df3919b5270085",
+        "out.ckpt.forcing": "62e510767e3fd8ed10d763193a740f891dc8a638c2c0a67ad0550e11033f5cbb",
+    },
 }
 
 
 @pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
                     reason=f"digests made with numpy {GOLDEN_NUMPY}, running {np.__version__}")
 @pytest.mark.parametrize("argv", list(GOLDEN))
-def test_golden_output_bytes(capsys, argv):
-    rc, out, err = run(capsys, *argv.split())
+def test_golden_output_bytes(capsys, monkeypatch, tmp_path, argv):
+    # a fresh CLI process starts its BLAS pool at one thread, and trace-k2's sums of
+    # squares move in the last bits with the pool size
+    monkeypatch.chdir(tmp_path)
+    with cli._blas_pool(1):
+        rc, out, err = run(capsys, *shlex.split(argv))
     assert rc == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == GOLDEN_FILES.get(argv, {})

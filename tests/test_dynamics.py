@@ -120,6 +120,15 @@ class TestSimState:
         with pytest.raises(ValueError, match="grids"):
             SimState(zero_field(make_grid(16)), 0.0, PARAMS, zero_field(make_grid(32)))
 
+    @pytest.mark.parametrize("shape", [(8, 8), (32, 32), (16, 9)])
+    def test_rejects_coefficients_of_another_shape(self, shape):
+        grid = make_grid(16)
+        bad = SpectralField(grid, np.zeros(shape, dtype=complex))
+        with pytest.raises(ValueError, match=r"^omega coefficients must have shape \(16, 16\)"):
+            SimState(bad, 0.0, PARAMS, zero_field(grid))
+        with pytest.raises(ValueError, match=r"^forcing_curl coefficients must have shape"):
+            SimState(zero_field(grid), 0.0, PARAMS, bad)
+
     def test_make_state_rejects_grid_mismatch(self):
         # the grids are compared before either field is hermitianized
         with pytest.raises(ValueError, match="omega and forcing_curl live on different grids"):
@@ -892,6 +901,15 @@ class TestTangentStepping:
         for v, stacked in zip(vecs, moved.vectors, strict=True):
             (alone,) = step_with_tangents(TangentBundle(st, [v]), 0.01).vectors
             assert np.array_equal(stacked.coeffs, alone.coeffs)
+
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (16, 16), (2, 8, 8)])
+    def test_rejects_tangent_of_another_shape(self, shape):
+        # a third component would drop out of the curl without notice
+        st = make_state(zero_field(make_grid(16)), PARAMS)
+        bad = VectorField(st.grid, np.zeros(shape, dtype=complex))
+        with pytest.raises(ValueError,
+                           match=r"^tangent coefficients must have shape \(2, 16, 16\)"):
+            TangentBundle(st, [bad])
 
     def test_rejects_tangent_outside_tangent_space(self, rng):
         # a mean or a gradient part would vanish in the curl without notice

@@ -125,7 +125,7 @@ class TestForcing:
 
     def test_chain_rejects_nan_alpha(self):
         spec = inst.KolmogorovSpec(s=8, amplitude=40.0, gamma=1.0)
-        with pytest.raises(ValueError, match="alpha = nan"):
+        with pytest.raises(ValueError, match="^alpha must be finite and >= 0, got nan"):
             inst.Chain.from_spec(spec, math.nan, 4, 0)
 
 

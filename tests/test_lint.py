@@ -6,9 +6,15 @@ or is listed in `__all__`.  `__future__` imports and star imports are not
 checked.
 
 No module of the package imports or reads a `_`-prefixed name of another
-package module, save the band kernel of `spectral` (its private transforms
-and band layout, which the integrators run on).  Dunder names such as
-`__version__` are not private.
+package module, save the band kernel and the argument checks of `spectral`
+(its private transforms and band layout, which the integrators run on, and
+`_check_int` and `_check_real`).  Dunder names such as `__version__` are not
+private.
+
+The package tests an argument for being an integer (`numbers.Integral`) only
+in `spectral._check_int`, and for being finite by a chained comparison ending
+in `math.inf` only in `spectral._check_real`.  Array checks combine their
+comparisons with `&` and are not chained.
 """
 import ast
 import os
@@ -83,7 +89,7 @@ def test_scan_finds_an_unused_import(tmp_path):
 
 
 PACKAGE = "bardina"
-SHARED_PRIVATE = {"spectral"}  # the band kernel
+SHARED_PRIVATE = {"spectral"}  # the band kernel and the argument checks
 
 
 def _private(name):
@@ -184,3 +190,60 @@ def test_scan_finds_a_private_name_only_its_own_definition_reads(tmp_path):
                                    "_written = 4\n")
     assert unread_private(str(tmp_path)) == [
         "a._SPARE", "a._recursive", "a._Shape", "b._written", "b._written"]
+
+
+ARGUMENT_CHECKS = {"numbers.Integral": ("spectral", "_check_int"),
+                   "math.inf": ("spectral", "_check_real")}  # idiom -> its one place
+
+
+def _dotted(node):
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return f"{node.value.id}.{node.attr}"
+    return None
+
+
+def argument_checks(package_dir):
+    """`module.function:line: idiom` of every read of numbers.Integral and every
+    chained comparison ending in math.inf in the package, outside the helper
+    that owns the idiom."""
+    hits = []
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=name)
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            idiom = _dotted(node)
+            if isinstance(node, ast.Compare) and len(node.ops) > 1:
+                idiom = _dotted(node.comparators[-1])
+            elif idiom == "math.inf":  # a plain read or a single comparison is no check
+                idiom = None
+            if idiom in ARGUMENT_CHECKS and ARGUMENT_CHECKS[idiom] != (name[:-3], function):
+                hits.append(f"{name[:-3]}.{function}:{node.lineno}: {idiom}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(tree, None)
+    return hits
+
+
+def test_every_argument_check_is_one_of_the_two_helpers():
+    # one rule, one message shape: integers by spectral._check_int, reals by _check_real
+    assert argument_checks(os.path.join(ROOT, "src", PACKAGE)) == []
+
+
+def test_scan_finds_an_argument_check_outside_its_helper(tmp_path):
+    (tmp_path / "spectral.py").write_text(
+        "import math, numbers\n"
+        "def _check_int(name, value):\n    return isinstance(value, numbers.Integral)\n"
+        "def _check_real(name, value):\n    return 0 < value < math.inf\n"
+        "def smooth(alpha):\n    return 0 <= alpha < math.inf\n")
+    (tmp_path / "other.py").write_text(
+        "import math, numbers\n"
+        "def count(n):\n    return isinstance(n, numbers.Integral)\n"
+        "def grid(x):\n    return (x > 0) & (x < math.inf), 0 < x < 1, x < math.inf\n")
+    assert argument_checks(str(tmp_path)) == [
+        "other.count:3: numbers.Integral", "spectral.smooth:7: math.inf"]

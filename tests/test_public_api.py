@@ -2,8 +2,8 @@
 classes it defines, so its surface cannot grow or shrink unnoticed, and
 every name it lists has a caller outside the tests: in the package, the
 demos or the benchmark harness.  Its numeric parameters are checked at that
-surface: NaN and infinities are refused, not passed on into the arithmetic,
-and an integer parameter refuses a fraction or a bool by name."""
+surface: NaN and infinities are refused by name, not passed on into the
+arithmetic, and an integer parameter refuses a fraction or a bool by name."""
 import ast
 import glob
 import importlib
@@ -87,7 +87,24 @@ def test_scan_finds_a_name_only_its_own_definition_reads(tmp_path):
 
 
 FIELD = spectral.zero_field(spectral.make_grid(32))
-BOUNDARY = {  # a public callable with one numeric parameter x, the rest valid
+STATE = dynamics.make_state(FIELD, spectral.ModelParams(alpha=0.01, gamma=1.0))
+LYAPUNOV = dict(n=1, dt=0.01, renorm_every=1, t_transient=0.0, t_average=0.02, blocks=2)
+BOUNDARY = {  # a public callable with one real parameter x, the rest valid
+    "ModelParams.alpha": lambda x: spectral.ModelParams(alpha=x, gamma=1.0),
+    "ModelParams.gamma": lambda x: spectral.ModelParams(alpha=0.01, gamma=x),
+    "KolmogorovSpec.amplitude": lambda x: instability.KolmogorovSpec(s=2, amplitude=x, gamma=1.0),
+    "KolmogorovSpec.gamma": lambda x: instability.KolmogorovSpec(s=2, amplitude=1.0, gamma=x),
+    "threshold_amplitude.alpha": lambda x: instability.threshold_amplitude(8, 0.35, x, 1.0),
+    "threshold_amplitude.gamma": lambda x: instability.threshold_amplitude(8, 0.35, 0.01, x),
+    "dimension_report.alpha": lambda x: bounds.dimension_report(x, 1.0),
+    "dimension_report.gamma": lambda x: bounds.dimension_report(0.001, x),
+    "step.dt": lambda x: dynamics.step(STATE, x),
+    "simulate.dt": lambda x: dynamics.simulate(STATE, 0.02, x),
+    "lyapunov_spectrum.dt": lambda x: dynamics.lyapunov_spectrum(STATE, **{**LYAPUNOV, "dt": x}),
+    "lyapunov_spectrum.t_transient": lambda x: dynamics.lyapunov_spectrum(
+        STATE, **{**LYAPUNOV, "t_transient": x}),
+    "lyapunov_spectrum.t_average": lambda x: dynamics.lyapunov_spectrum(
+        STATE, **{**LYAPUNOV, "t_average": x}),
     "upper_bound.alpha": lambda x: bounds.upper_bound(x, 1.0, 1.0),
     "upper_bound.gamma": lambda x: bounds.upper_bound(1.0, x, 1.0),
     "upper_bound.curl_g_norm_sq": lambda x: bounds.upper_bound(1.0, 1.0, x),
@@ -114,11 +131,11 @@ BOUNDARY = {  # a public callable with one numeric parameter x, the rest valid
     if (name, bad) != ("k1.x", math.inf)  # K1(inf) = 0 is a value, not an error
 ])
 def test_non_finite_parameters_are_refused(name, bad):
-    with pytest.raises(ValueError):
+    parameter = name.rpartition(".")[2]
+    with pytest.raises(ValueError, match=f"^{parameter} must be"):
         BOUNDARY[name](bad)
 
 
-STATE = dynamics.make_state(FIELD, spectral.ModelParams(alpha=0.01, gamma=1.0))
 INTEGERS = {  # a public callable with one integer parameter x, the rest valid; a valid x
     "Chain.s": (lambda x: instability.Chain(s=x, t=1, r=0, alpha=0.0, gamma=1.0,
                                             coupling=1.0), 4),
@@ -132,18 +149,24 @@ INTEGERS = {  # a public callable with one integer parameter x, the rest valid; 
     "simulate.observe_every": (lambda x: dynamics.simulate(STATE, 0.02, 0.01, observe_every=x),
                                1),
     "lyapunov_spectrum.n": (lambda x: dynamics.lyapunov_spectrum(
-        STATE, n=x, dt=0.01, renorm_every=1, t_transient=0.0, t_average=0.02, blocks=2), 1),
+        STATE, **{**LYAPUNOV, "n": x}), 1),
     "lyapunov_spectrum.renorm_every": (lambda x: dynamics.lyapunov_spectrum(
-        STATE, n=1, dt=0.01, renorm_every=x, t_transient=0.0, t_average=0.02, blocks=2), 1),
+        STATE, **{**LYAPUNOV, "renorm_every": x}), 1),
     "lyapunov_spectrum.blocks": (lambda x: dynamics.lyapunov_spectrum(
-        STATE, n=1, dt=0.01, renorm_every=1, t_transient=0.0, t_average=0.02, blocks=x), 2),
+        STATE, **{**LYAPUNOV, "blocks": x}), 2),
     "make_tangents.n": (lambda x: dynamics.make_tangents(FIELD.grid, x, 0.01,
                                                          np.random.default_rng(0)), 2),
+    "make_grid.n": (spectral.make_grid, 8),
+    "chain_matrix_eigens.depth": (lambda x: instability.chain_matrix_eigens(
+        [instability.Chain(s=8, t=4, r=1, alpha=0.0, gamma=1.0, coupling=1.0)], x), 16),
     "random_field.band": (lambda x: spectral.random_field(FIELD.grid, np.random.default_rng(0),
                                                           band=x), 4),
     "rho_l2_check.n": (lambda x: inequalities.rho_l2_check(n=x, m=1.0, trials=1), 2),
     "rho_l2_check.trials": (lambda x: inequalities.rho_l2_check(n=2, m=1.0, trials=x), 1),
     "rho_l2_check.band": (lambda x: inequalities.rho_l2_check(n=2, m=1.0, trials=1, band=x), 10),
+    "rho_l2_check.eval_grid": (lambda x: inequalities.rho_l2_check(n=2, m=1.0, trials=1,
+                                                                  eval_grid=x), 64),
+    "trace_k2_check.k_cut": (lambda x: inequalities.trace_k2_check(FIELD, 1.0, k_cut=x), 4),
     "lattice_F.radius": (lambda x: inequalities.lattice_F(1.0, radius=x), 8),
     "poisson_F.k_max": (lambda x: inequalities.poisson_F(1.0, k_max=x), 8),
 }

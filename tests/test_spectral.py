@@ -28,6 +28,14 @@ class TestGrid:
             with pytest.raises(ValueError):
                 make_grid(n)
 
+    def test_refuses_a_float_n_even_with_the_grid_cached(self):
+        # 64.0 == 64 and both hash alike, so the cache must tell the types apart
+        make_grid(64)
+        with pytest.raises(ValueError, match="^n must be an integer >= 4, got 64.0$"):
+            make_grid(64.0)
+        with pytest.raises(ValueError, match="^grid size must be even, got 7$"):
+            make_grid(7)
+
     def test_mask_symmetric_under_negation(self):
         g = make_grid(24)
         neg = g._neg
