@@ -273,12 +273,14 @@ class _Work:
     in half, side_y holds their values and side_shift the shift of each,
     zero in the tangent rows.  stage, rate and acc are the RK4 stage, one
     rate and the accumulated rate sum.  _rates and its transforms own the
-    rest: pad and rows, the scratch of _samples; base and pert, the
-    samples; prod, the products of one row (the base's one, or a tangent's
-    two); prod_rows, their row transforms; and spec, the band spectra of a
-    tangent's two products (None when m = 0).  Only the band stacks grow
-    with m: the grid-sized scratch is the same for every tangent count.  w
-    and side_w receive omega - curl g / gamma on and off the band after
+    rest: pad and rows, the scratch of _samples for one pair of fields;
+    base, the samples of grad psibar, and pert, those of grad omegabar and
+    then of each tangent's a', b'; prod, the products of one row (the
+    base's one, or a tangent's two); prod_rows, their row transforms; tmp,
+    one field of scratch; and spec, the band spectra of a tangent's two
+    products (None when m = 0).  Only the band stacks grow with m: the
+    grid-sized scratch is sized for two fields whatever the tangent count.
+    w and side_w receive omega - curl g / gamma on and off the band after
     each step.  _rates and _if_rk4 write only into these, so a step
     allocates nothing of the grid's size.
     """
@@ -303,13 +305,12 @@ class _Work:
         self.rate = np.empty_like(self.y)
         self.spec = np.empty((2,) + self.y.shape[1:], dtype=complex) if m else None
         self.w = np.empty_like(self.y[0])
-        self.pad, self.rows = _sample_scratch(grid, 4)
-        self.base = np.empty((4, n, n))
-        self.pert = np.empty((2, n, n)) if m else None
+        self.pad, self.rows = _sample_scratch(grid, 2)
+        self.base, self.pert = np.empty((2, n, n)), np.empty((2, n, n))
         products = 2 if m else 1
         self.prod = np.empty((products, n, n))
         self.prod_rows = np.empty((products, n, n // 2 + 1), dtype=complex)
-        self.tmp = np.empty((2, n, n))
+        self.tmp = np.empty((n, n))
 
     @cached_property
     def full_shift(self) -> np.ndarray:
@@ -344,24 +345,27 @@ def _rates(work: _Work, y: np.ndarray) -> tuple[np.ndarray, float]:
     exactly on the 2/3-truncated fields, so every retained mode is the same
     convolution sum as in the Jacobian form.  The base row keeps the
     Jacobian form, in which steady shears and single modes stay fixed to
-    the bit (see the module docstring).  Each row makes one inverse
-    transform of its samples and one forward transform of its products as
-    soon as they are formed, so the grid-sized scratch holds one row's
-    products whatever m is.  No damping term.  max|ubar| is the square root
-    of the largest |ubar|^2: sqrt is monotone and correctly rounded, so
+    the bit (see the module docstring).  Every inverse transform takes one
+    pair of fields: the base row makes two, grad psibar into work.base and
+    grad omegabar into work.pert, and each tangent row one, of a', b' into
+    work.pert.  Each row makes one forward transform of its products as
+    soon as they are formed, so the grid-sized scratch holds two fields
+    and one row's products whatever m is.  No damping term.  max|ubar| is
+    the square root of the largest |ubar|^2, formed in the product buffer
+    before the base product: sqrt is monotone and correctly rounded, so
     that is the largest speed to the bit.
     """
-    grid, ops, prod, rate = work.grid, work.ops, work.prod, work.rate
-    sq, tmp = work.tmp
+    grid, ops, prod, rate, tmp = work.grid, work.ops, work.prod, work.rate, work.tmp
     m = len(y) - 1
-    d1psi, d2psi, d1ob, d2ob = _samples(grid, ops, y[0], out=work.base, scratch=(work.pad, work.rows))
-    np.multiply(d1psi, d1psi, out=sq)
+    grad_psi, scratch = ops[:2], (work.pad, work.rows)
+    d1psi, d2psi = _samples(grid, grad_psi, y[0], out=work.base, scratch=scratch)
+    d1ob, d2ob = _samples(grid, ops[2:], y[0], out=work.pert, scratch=scratch)
+    sq = np.multiply(d1psi, d1psi, out=prod[0])
     sq += np.multiply(d2psi, d2psi, out=tmp)
     speed = math.sqrt(float(sq.max()))
     np.multiply(d2psi, d1ob, out=prod[0])
     prod[0] -= np.multiply(d1psi, d2ob, out=tmp)
     _spectrum(grid, prod[:1], out=rate[:1], scratch=work.prod_rows[:1])
-    grad_psi, scratch = ops[:2], (work.pad[:2], work.rows[:2])
     mult_a, mult_b = work.mults
     for j in range(1, m + 1):
         d1p, d2p = _samples(grid, grad_psi, y[j], out=work.pert, scratch=scratch)
@@ -582,16 +586,24 @@ def step_with_tangents(bundle: TangentBundle, dt: float) -> TangentBundle:
 
     Tangents are propagated as vorticity perturbations zeta = curl theta by
     the exact Jacobian of the discrete base map (see _if_rk4) and converted
-    back to velocity at the end.  The bundle is not checked again: the
-    velocities of zero-mean vorticities are zero-mean and divergence-free.
+    back to velocity at the end.  The input stack is filled one curl at a
+    time and released once the workspace holds its band, and the tangents
+    go back to velocity one at a time, so the call holds one tangent's
+    full-layout fields beside its workspace and its output.  The bundle is
+    not checked again: the velocities of zero-mean vorticities are
+    zero-mean and divergence-free.
     """
     state = bundle.base
     grid = state.grid
-    zetas = [_half(curl(v).coeffs) for v in bundle.vectors]
-    work = _Work(state, np.stack([_half(state.omega.coeffs), *zetas]))
+    half = np.empty((1 + len(bundle.vectors), grid.n, grid.n // 2 + 1), dtype=complex)
+    half[0] = _half(state.omega.coeffs)
+    for j, v in enumerate(bundle.vectors, 1):
+        half[j] = _half(curl(v).coeffs)
+    work = _Work(state, half)
+    del half
     _if_rk4(work, dt)
-    vectors = [stream_velocity(SpectralField(grid, z))
-               for z in work.full(1, work.y[1:], work.side_y)]
+    vectors = [stream_velocity(SpectralField(grid, work.full(j, work.y[j : j + 1], work.side_y)[0]))
+               for j in range(1, len(work.y))]
     return _unchecked(TangentBundle, _published(work, state.time + dt), vectors)
 
 

@@ -358,10 +358,12 @@ def random_field(
     """Random real zero-mean field supported on the de-aliased band.
 
     Coefficients are unit complex Gaussians scaled by amplitude/(1+|k|^2),
-    hermitianized so the field is real.
+    hermitianized so the field is real; band, if given, keeps |k| <= band.
+    amplitude must be finite and >= 0, band an integer >= 1.
     """
+    _check_real("amplitude", amplitude, zero_ok=True)
     if band is not None:
-        _check_int("band", band)
+        _check_int("band", band, 1)
     n = grid.n
     c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     c *= amplitude / (1.0 + grid.k_sq)

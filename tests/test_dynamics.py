@@ -1,6 +1,7 @@
 """Integrator, diagnostics, variational flow, Lyapunov machinery."""
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -508,29 +509,72 @@ class TestRunWorkspace:
         assert work.y.tobytes() == fresh.y.tobytes()
         assert work.w.tobytes() == fresh.w.tobytes()
 
+    @staticmethod
+    def _workspace_bytes(grid, rng, m):
+        """(grid-sized, other) bytes of the arrays a _Work with m tangents at
+        grid allocates, the shared read-only operator tables left out:
+        grid-sized are those whose trailing shape is (n, n), (n, n//2+1) or
+        (n, K+1)."""
+        n = grid.n
+        st = _forced_state(grid, rng)
+        zetas = [curl(v).coeffs for v in make_tangents(grid, m, PARAMS.alpha, rng)] if m else []
+        stack = np.stack([st.omega.coeffs, *zetas])[..., : n // 2 + 1]
+        grid_sized = other = 0
+        for value in vars(dyn._Work(st, stack)).values():
+            if isinstance(value, np.ndarray) and value.flags.writeable:
+                if value.shape[-2:] in ((n, n), (n, n // 2 + 1), (n, grid.cut + 1)):
+                    grid_sized += value.nbytes
+                else:
+                    other += value.nbytes
+        return grid_sized, other
+
     def test_scratch_does_not_grow_with_tangents(self, rng):
         # each row is transformed as soon as its products are formed, so only
         # the band stacks y, stage, acc and rate hold a row per tangent
         grid = make_grid(64)
-        n, cut = grid.n, grid.cut
-        st = _forced_state(grid, rng)
-        zetas = [curl(v).coeffs for v in make_tangents(grid, 8, PARAMS.alpha, rng)]
-        stack = np.stack([st.omega.coeffs, *zetas])[..., : n // 2 + 1]
-
-        def nbytes(m):
-            grid_sized = other = 0
-            for value in vars(dyn._Work(st, stack[: 1 + m])).values():
-                if isinstance(value, np.ndarray):
-                    if value.shape[-2:] in ((n, n), (n, n // 2 + 1)):
-                        grid_sized += value.nbytes
-                    else:
-                        other += value.nbytes
-            return grid_sized, other
-
-        (grid_one, other_one), (grid_eight, other_eight) = nbytes(1), nbytes(8)
+        cut = grid.cut
+        (grid_one, other_one), (grid_eight, other_eight) = (
+            self._workspace_bytes(grid, rng, m) for m in (1, 8))
         band_row = (2 * cut + 1) * (cut + 1) * np.dtype(complex).itemsize
         assert grid_eight == grid_one
         assert other_eight - other_one == 7 * 4 * band_row
+
+    @pytest.mark.parametrize("m", [0, 1, 8])
+    def test_grid_scratch_holds_two_fields(self, rng, m):
+        # every inverse transform takes one pair of fields (grad psibar, then
+        # grad omegabar, then each tangent's a', b'): the column input pad and
+        # the row input rows hold two fields, and so do the samples base and
+        # pert; prod and prod_rows hold one row's products, tmp one field
+        grid = make_grid(64)
+        n, cut = grid.n, grid.cut
+        real, cplx = np.dtype(float).itemsize, np.dtype(complex).itemsize
+        products = 2 if m else 1
+        pad = 2 * n * (cut + 1) * cplx
+        rows = (2 + products) * n * (n // 2 + 1) * cplx
+        samples = (2 + 2 + products + 1) * n * n * real
+        assert self._workspace_bytes(grid, rng, m)[0] == pad + rows + samples
+
+    def test_step_with_tangents_converts_one_tangent_at_a_time(self, rng):
+        # the stack is filled one curl at a time and each tangent goes back to
+        # velocity on its own, so beside its workspace and what it returns the
+        # call holds the few fields of one conversion: the tangent's full
+        # layout, its stream function and its two velocity components with
+        # one factor in flight, five n x n complex fields
+        grid, m = make_grid(64), 8
+        bundle = TangentBundle(_forced_state(grid, rng), make_tangents(grid, m, PARAMS.alpha, rng))
+        step_with_tangents(bundle, 1e-3)  # fills the per-grid caches
+        workspace = sum(self._workspace_bytes(grid, rng, m))
+        field = grid.n**2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = step_with_tangents(bundle, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        kept = out.base.omega.coeffs.nbytes + sum(v.coeffs.nbytes for v in out.vectors)
+        assert peak - kept < workspace + 5 * field
 
     @pytest.mark.skipif(resource is None, reason="needs the resource module")
     def test_steps_do_not_fault_in_fresh_memory(self, rng):

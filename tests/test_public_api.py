@@ -113,6 +113,8 @@ BOUNDARY = {  # a public callable with one real parameter x, the rest valid
     "trace_bound_q.gamma": lambda x: bounds.trace_bound_q(2.0, 1.0, x, 1.0),
     "trace_bound_q.curl_g_norm": lambda x: bounds.trace_bound_q(2.0, 1.0, 1.0, x),
     "smooth.alpha": lambda x: spectral.smooth(FIELD, x),
+    "random_field.amplitude": lambda x: spectral.random_field(FIELD.grid,
+                                                              np.random.default_rng(0), x),
     "k1.x": inequalities.k1,
     "lattice_F.m": inequalities.lattice_F,
     "poisson_F.m": inequalities.poisson_F,
@@ -183,3 +185,20 @@ def test_non_integer_parameters_are_refused(name, bad):
 def test_numpy_integers_are_accepted(name):
     call, good = INTEGERS[name]
     call(np.int64(good))
+
+
+BELOW_LEAST = {  # an integer parameter of INTEGERS with a least value; an integer below it
+    "random_field.band": -3,
+    "make_grid.n": 2,
+    "lyapunov_spectrum.n": 0,
+    "lyapunov_spectrum.blocks": 1,
+    "simulate.observe_every": 0,
+    "make_tangents.n": 0,
+}
+
+
+@pytest.mark.parametrize("name", BELOW_LEAST)
+def test_integers_below_their_least_are_refused(name):
+    parameter = name.rpartition(".")[2]
+    with pytest.raises(ValueError, match=f"^{parameter} must be an integer >= "):
+        INTEGERS[name][0](BELOW_LEAST[name])
