@@ -273,16 +273,16 @@ class _Work:
     in half, side_y holds their values and side_shift the shift of each,
     zero in the tangent rows.  stage, rate and acc are the RK4 stage, one
     rate and the accumulated rate sum.  _rates and its transforms own the
-    rest: pad and rows, the scratch of _samples for one pair of fields;
-    base, the samples of grad psibar, and pert, those of grad omegabar and
-    then of each tangent's a', b'; prod, the products of one row (the
-    base's one, or a tangent's two); prod_rows, their row transforms; tmp,
-    one field of scratch; and spec, the band spectra of a tangent's two
-    products (None when m = 0).  Only the band stacks grow with m: the
-    grid-sized scratch is sized for two fields whatever the tangent count.
-    w and side_w receive omega - curl g / gamma on and off the band after
-    each step.  _rates and _if_rk4 write only into these, so a step
-    allocates nothing of the grid's size.
+    rest: scratch, the one pair of half spectra that every inverse and
+    forward transform of the run goes through; base, the samples of grad
+    psibar, and pert, those of grad omegabar, in which the base product is
+    formed, and then of each tangent's a', b'; and, when m > 0, prod, a
+    tangent's two products, and spec, their band spectra.  Only the band
+    stacks grow with m: the grid-sized buffers are the same for every
+    m >= 1, and two fields fewer when m = 0.  w and side_w receive
+    omega - curl g / gamma on and off the band after each step.  _rates
+    and _if_rk4 write only into these, so a step allocates nothing of the
+    grid's size.
     """
 
     def __init__(self, state: SimState, half: np.ndarray) -> None:
@@ -305,12 +305,9 @@ class _Work:
         self.rate = np.empty_like(self.y)
         self.spec = np.empty((2,) + self.y.shape[1:], dtype=complex) if m else None
         self.w = np.empty_like(self.y[0])
-        self.pad, self.rows = _sample_scratch(grid, 2)
+        self.scratch = _sample_scratch(grid, 2)
         self.base, self.pert = np.empty((2, n, n)), np.empty((2, n, n))
-        products = 2 if m else 1
-        self.prod = np.empty((products, n, n))
-        self.prod_rows = np.empty((products, n, n // 2 + 1), dtype=complex)
-        self.tmp = np.empty((n, n))
+        self.prod = np.empty((2, n, n)) if m else None
 
     @cached_property
     def full_shift(self) -> np.ndarray:
@@ -349,32 +346,37 @@ def _rates(work: _Work, y: np.ndarray) -> tuple[np.ndarray, float]:
     pair of fields: the base row makes two, grad psibar into work.base and
     grad omegabar into work.pert, and each tangent row one, of a', b' into
     work.pert.  Each row makes one forward transform of its products as
-    soon as they are formed, so the grid-sized scratch holds two fields
-    and one row's products whatever m is.  No damping term.  max|ubar| is
-    the square root of the largest |ubar|^2, formed in the product buffer
-    before the base product: sqrt is monotone and correctly rounded, so
-    that is the largest speed to the bit.
+    soon as they are formed: the base row's in work.pert, a tangent's in
+    work.prod.  All of them go through the one scratch work.scratch, so
+    the grid-sized scratch holds two fields and one row's products
+    whatever m is.  No damping term.  max|ubar| is the square root of the
+    largest |ubar|^2, formed in work.pert before grad omegabar is sampled
+    there: sqrt is monotone and correctly rounded, so that is the largest
+    speed to the bit.  Each product keeps its operands and each difference
+    and sum its order (IEEE products commute exactly).
     """
-    grid, ops, prod, rate, tmp = work.grid, work.ops, work.prod, work.rate, work.tmp
+    grid, ops, rate, scratch, pert = work.grid, work.ops, work.rate, work.scratch, work.pert
     m = len(y) - 1
-    grad_psi, scratch = ops[:2], (work.pad, work.rows)
+    grad_psi = ops[:2]
     d1psi, d2psi = _samples(grid, grad_psi, y[0], out=work.base, scratch=scratch)
-    d1ob, d2ob = _samples(grid, ops[2:], y[0], out=work.pert, scratch=scratch)
-    sq = np.multiply(d1psi, d1psi, out=prod[0])
-    sq += np.multiply(d2psi, d2psi, out=tmp)
+    sq = np.multiply(d1psi, d1psi, out=pert[0])
+    sq += np.multiply(d2psi, d2psi, out=pert[1])
     speed = math.sqrt(float(sq.max()))
-    np.multiply(d2psi, d1ob, out=prod[0])
-    prod[0] -= np.multiply(d1psi, d2ob, out=tmp)
-    _spectrum(grid, prod[:1], out=rate[:1], scratch=work.prod_rows[:1])
+    d1ob, d2ob = _samples(grid, ops[2:], y[0], out=pert, scratch=scratch)
+    d1ob *= d2psi
+    d2ob *= d1psi
+    d1ob -= d2ob
+    _spectrum(grid, pert[:1], out=rate[:1], scratch=scratch)
     mult_a, mult_b = work.mults
     for j in range(1, m + 1):
-        d1p, d2p = _samples(grid, grad_psi, y[j], out=work.pert, scratch=scratch)
-        a, b = prod
+        d1p, d2p = _samples(grid, grad_psi, y[j], out=pert, scratch=scratch)
+        a, b = work.prod
         np.multiply(d1psi, d1p, out=a)
-        a -= np.multiply(d2psi, d2p, out=tmp)
+        a -= np.multiply(d2psi, d2p, out=b)
         np.multiply(d1psi, d2p, out=b)
-        b += np.multiply(d1p, d2psi, out=tmp)
-        a_spec, b_spec = _spectrum(grid, prod, out=work.spec, scratch=work.prod_rows)
+        d1p *= d2psi
+        b += d1p
+        a_spec, b_spec = _spectrum(grid, work.prod, out=work.spec, scratch=scratch)
         np.multiply(a_spec, mult_a, out=rate[j])
         b_spec *= mult_b
         rate[j] += b_spec

@@ -401,6 +401,7 @@ def trace_k2_check(V: SpectralField, m: float, k_cut: int = 16) -> TraceCheckRes
     d1 = (modes[:, 0][:, None] - modes[:, 0][None, :]) % g.n
     d2 = (modes[:, 1][:, None] - modes[:, 1][None, :]) % g.n
     kmat = V.coeffs[d1, d2] * (w[:, None] * w[None, :])
-    lhs = float(np.vdot(kmat, kmat).real)
+    # a numpy reduction, not vdot: BLAS sums move in the last bits with its pool size
+    lhs = float(np.sum(kmat.real**2 + kmat.imag**2))
     rhs = V.l2_norm_sq() / (4.0 * math.pi * m * m)
     return TraceCheckResult(m=float(m), k_cut=k_cut, lhs=lhs, rhs=rhs)

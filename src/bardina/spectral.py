@@ -18,12 +18,14 @@ The product kernel works on the 2/3 band of rfft2 half spectra: with
 K = (n-1)//3 the mask keeps |k1|, |k2| <= K, so a real field's de-aliased
 coefficients are its (2K+1, K+1) band entries, rows k1 = 0 .. K, -K .. -1
 and columns k2 = 0 .. K.  Derivatives are read off cached, read-only band
-multiplier tables with the k = 0 mode dropped.  An inverse transform
-writes the band straight into the two row blocks of a zero-padded column
-input, runs the column ifft into the columns k2 <= K of a half spectrum
-whose other columns stay zero, and the row irfft from there; a forward
-transform runs the row rfft and the column fft on the columns k2 <= K
-only, and copies the band rows out.  No mask multiply is left.  Only the
+multiplier tables with the k = 0 mode dropped.  Both directions share one
+half-spectrum scratch per run, whose columns k2 > K are zero between
+calls.  An inverse transform writes the band straight into the two row
+blocks of the columns k2 <= K, zeroes their other rows, runs the column
+ifft in place there and the row irfft from the whole array; a forward
+transform runs the row rfft into the scratch and the column fft in place
+on the columns k2 <= K only, copies the band rows out and zeroes the
+columns k2 > K again.  No mask multiply is left.  Only the
 k2 = 0 column of a band can be inexactly Hermitian and is symmetrized; the
 expansion to the full layout is exact, so results are exactly real
 without a full symmetrization per transform.
@@ -281,12 +283,12 @@ def _unband(grid: FourierGrid, band: np.ndarray) -> np.ndarray:
     return half
 
 
-def _sample_scratch(grid: FourierGrid, f: int) -> tuple[np.ndarray, np.ndarray]:
-    """The zeroed (f, n, K+1) column input and (f, n, n//2+1) row input of
-    _samples for f fields.  _samples never writes their rows K < |k1| and
-    columns k2 > K, so they stay zero from call to call."""
+def _sample_scratch(grid: FourierGrid, f: int) -> np.ndarray:
+    """The zeroed (f, n, n//2+1) half spectra that _samples and _spectrum
+    share for up to f fields.  Both leave its columns k2 > K zero, so a
+    call of either finds them zero."""
     n = grid.n
-    return np.zeros((f, n, grid.cut + 1), dtype=complex), np.zeros((f, n, n // 2 + 1), dtype=complex)
+    return np.zeros((f, n, n // 2 + 1), dtype=complex)
 
 
 def _samples(
@@ -294,24 +296,26 @@ def _samples(
     ops: np.ndarray,
     band: np.ndarray,
     out: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray],
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """Collocation samples (f, n, n) of the real fields with band
     coefficients ops * band, into out: ops is (f, 2K+1, K+1), band one band
     or f.
 
     The two transforms irfft2 makes, on the band only: the products go
-    straight into the two row blocks of the column input, the ifft over
-    axis -2 runs out of place into the columns k2 <= K of the row input,
-    and the irfft over axis -1 makes the samples.  scratch is the pair of
-    _sample_scratch for as many fields.  The inputs are never written.
+    straight into the two row blocks of the columns k2 <= K of scratch[:f],
+    whose rows K < |k1| are zeroed, the ifft over axis -2 runs in place on
+    those columns, and the irfft over axis -1 makes the samples from the
+    whole half spectra.  scratch is a _sample_scratch for at least f
+    fields.  The inputs are never written.
     """
     n, cut = grid.n, grid.cut
-    pad, rows = scratch
-    np.multiply(ops[..., : cut + 1, :], band[..., : cut + 1, :], out=pad[:, : cut + 1])
-    np.multiply(ops[..., cut + 1 :, :], band[..., cut + 1 :, :], out=pad[:, n - cut :])
-    np.fft.ifft(pad, n, axis=-2, norm="forward", out=rows[..., : cut + 1])
-    return np.fft.irfft(rows, n, axis=-1, norm="forward", out=out)
+    cols = scratch[: len(ops), :, : cut + 1]
+    np.multiply(ops[..., : cut + 1, :], band[..., : cut + 1, :], out=cols[:, : cut + 1])
+    np.multiply(ops[..., cut + 1 :, :], band[..., cut + 1 :, :], out=cols[:, n - cut :])
+    cols[:, cut + 1 : n - cut] = 0.0
+    np.fft.ifft(cols, n, axis=-2, norm="forward", out=cols)
+    return np.fft.irfft(scratch[: len(ops)], n, axis=-1, norm="forward", out=out)
 
 
 def _spectrum(
@@ -324,17 +328,19 @@ def _spectrum(
     entry is zero and its k2 = 0 column, the only one rfft2 leaves inexactly
     Hermitian, is made exactly Hermitian.
 
-    The two transforms rfft2 makes: rfft over axis -1, into scratch
-    (..., n, n//2+1), then fft over -2 in place on the columns k2 <= K
-    only, whose band rows are then copied out.  Band values are rfft2's to
-    the bit.
+    The two transforms rfft2 makes: rfft over axis -1 into scratch[:f],
+    a _sample_scratch for at least f fields, then fft over -2 in place on
+    the columns k2 <= K only, whose band rows are then copied out; the
+    columns k2 > K are zeroed again for _samples.  Band values are rfft2's
+    to the bit.
     """
     n, cut = grid.n, grid.cut
-    c = np.fft.rfft(samples, n, axis=-1, norm="forward", out=scratch)
+    c = np.fft.rfft(samples, n, axis=-1, norm="forward", out=scratch[: len(samples)])
     cols = c[..., : cut + 1]
     np.fft.fft(cols, n, axis=-2, norm="forward", out=cols)
     out[..., : cut + 1, :] = cols[..., : cut + 1, :]
     out[..., cut + 1 :, :] = cols[..., n - cut :, :]
+    c[..., cut + 1 :] = 0.0
     out[..., 0, 0] = 0.0
     out[..., 0] = 0.5 * (out[..., 0] + np.conj(out[..., _band_index(cut)[2], 0]))
     return out

@@ -510,22 +510,26 @@ class TestRunWorkspace:
         assert work.w.tobytes() == fresh.w.tobytes()
 
     @staticmethod
-    def _workspace_bytes(grid, rng, m):
-        """(grid-sized, other) bytes of the arrays a _Work with m tangents at
-        grid allocates, the shared read-only operator tables left out:
-        grid-sized are those whose trailing shape is (n, n), (n, n//2+1) or
-        (n, K+1)."""
-        n = grid.n
+    def _workspace_arrays(grid, rng, m):
+        """The arrays a _Work with m tangents at grid allocates, the shared
+        read-only operator tables left out."""
         st = _forced_state(grid, rng)
         zetas = [curl(v).coeffs for v in make_tangents(grid, m, PARAMS.alpha, rng)] if m else []
-        stack = np.stack([st.omega.coeffs, *zetas])[..., : n // 2 + 1]
+        stack = np.stack([st.omega.coeffs, *zetas])[..., : grid.n // 2 + 1]
+        return [value for value in vars(dyn._Work(st, stack)).values()
+                if isinstance(value, np.ndarray) and value.flags.writeable]
+
+    @classmethod
+    def _workspace_bytes(cls, grid, rng, m):
+        """(grid-sized, other) bytes of _workspace_arrays: grid-sized are those
+        whose trailing shape is (n, n), (n, n//2+1) or (n, K+1)."""
+        n = grid.n
         grid_sized = other = 0
-        for value in vars(dyn._Work(st, stack)).values():
-            if isinstance(value, np.ndarray) and value.flags.writeable:
-                if value.shape[-2:] in ((n, n), (n, n // 2 + 1), (n, grid.cut + 1)):
-                    grid_sized += value.nbytes
-                else:
-                    other += value.nbytes
+        for value in cls._workspace_arrays(grid, rng, m):
+            if value.shape[-2:] in ((n, n), (n, n // 2 + 1), (n, grid.cut + 1)):
+                grid_sized += value.nbytes
+            else:
+                other += value.nbytes
         return grid_sized, other
 
     def test_scratch_does_not_grow_with_tangents(self, rng):
@@ -540,19 +544,22 @@ class TestRunWorkspace:
         assert other_eight - other_one == 7 * 4 * band_row
 
     @pytest.mark.parametrize("m", [0, 1, 8])
-    def test_grid_scratch_holds_two_fields(self, rng, m):
-        # every inverse transform takes one pair of fields (grad psibar, then
-        # grad omegabar, then each tangent's a', b'): the column input pad and
-        # the row input rows hold two fields, and so do the samples base and
-        # pert; prod and prod_rows hold one row's products, tmp one field
+    def test_one_transform_scratch_and_two_sample_pairs(self, rng, m):
+        # every inverse and forward transform of the run goes through one
+        # pair of half spectra, so no column input of shape (n, K+1) is
+        # left; the samples base and pert hold two fields each, the base
+        # product is formed in pert, and prod, a tangent's two products,
+        # exists only with tangents
         grid = make_grid(64)
         n, cut = grid.n, grid.cut
         real, cplx = np.dtype(float).itemsize, np.dtype(complex).itemsize
-        products = 2 if m else 1
-        pad = 2 * n * (cut + 1) * cplx
-        rows = (2 + products) * n * (n // 2 + 1) * cplx
-        samples = (2 + 2 + products + 1) * n * n * real
-        assert self._workspace_bytes(grid, rng, m)[0] == pad + rows + samples
+        scratch = 2 * n * (n // 2 + 1) * cplx
+        samples = (2 + 2 + (2 if m else 0)) * n * n * real
+        assert scratch + samples == (264_192 if m else 198_656)
+        assert self._workspace_bytes(grid, rng, m)[0] == scratch + samples
+        shapes = [a.shape[-2:] for a in self._workspace_arrays(grid, rng, m)]
+        assert (n, cut + 1) not in shapes
+        assert shapes.count((n, n // 2 + 1)) == 1
 
     def test_step_with_tangents_converts_one_tangent_at_a_time(self, rng):
         # the stack is filled one curl at a time and each tangent goes back to

@@ -291,6 +291,21 @@ class TestTraceCheck:
         vals = [ineq.trace_k2_check(V, m=1.0, k_cut=c).lhs for c in (6, 10, 14)]
         assert vals[0] < vals[1] < vals[2]
 
+    def test_lhs_does_not_depend_on_the_blas_pool(self, rng):
+        # the sum of squares makes no BLAS call, so a process whose pool has
+        # two threads prints what a one-thread CLI process prints
+        from bardina import cli
+
+        pool = cli._openblas_pool()
+        if pool is None or pool[0]() < 2:
+            pytest.skip("needs an OpenBLAS pool of two threads or more")
+        g = make_grid(64)
+        V = _squared(random_field(g, rng, amplitude=1.0, band=8))
+        pooled = ineq.trace_k2_check(V, m=1.0).lhs
+        with cli._blas_pool(1):
+            single = ineq.trace_k2_check(V, m=1.0).lhs
+        assert pooled.hex() == single.hex()
+
     def test_zero_potential(self):
         g = make_grid(32)
         r = ineq.trace_k2_check(zero_field(g), m=1.0, k_cut=8)
