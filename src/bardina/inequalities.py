@@ -354,7 +354,7 @@ def rho_l2_check(
         rho = (u.real**2 + u.imag**2).sum(axis=(0, 1))
         # ||rho||_L2 = 2 pi sqrt(mean rho^2): rho is a trigonometric
         # polynomial the grid resolves, so its samples carry its L2 norm
-        norm = 2.0 * math.pi * math.sqrt(float(np.vdot(rho, rho))) / eval_grid
+        norm = 2.0 * math.pi * math.sqrt(float(np.sum(rho * rho))) / eval_grid
         ratios[t] = norm / bound
     return RhoCheckResult(n=n, m=float(m), trials=trials, bound=bound, ratios=ratios, vector=vector)
 

@@ -7,12 +7,13 @@ n in Z, so the eigenvalue problem splits into independent three-term
 recurrences ("chains").  For chains whose base mode lies in an explicit
 admissible region the recurrence has a unique real eigenvalue, the root of
 f = g: f is linear, and g sums continued fractions down both tails of the
-ladder, their depth doubled per chain until two depths agree.  The coupling
-L and the damping gamma enter f and g only through x = (gamma + sigma) / L,
-so each chain has one root x, which neither moves: sigma = L x - gamma, and
-the critical coupling, where sigma = 0, is gamma / x.  `solve_sigmas` and
-`solve_lambda0s` bisect x, a batch of chains at once, inside the paper's
-critical-coupling estimate (:func:`coupling_bounds`), which brackets it.
+ladder, which depths N and N + 1 enclose; N doubles per chain until the two
+agree to their rounding bound.  The coupling L and the damping gamma enter
+f and g only through x = (gamma + sigma) / L, so each chain has one root x,
+which neither moves: sigma = L x - gamma, and the critical coupling, where
+sigma = 0, is gamma / x.  `solve_sigmas` and `solve_lambda0s` bisect x, a
+batch of chains at once, inside the paper's critical-coupling estimate
+(:func:`coupling_bounds`), which brackets it.
 `chain_matrix_eigens` cross-checks the roots on the truncated tridiagonal matrix
 of the chain, by a route that uses no continued fraction: the matrix has a
 zero diagonal, so its spectrum is +-lambda and the mu = lambda^2 are the
@@ -41,14 +42,16 @@ __all__ = [
 ]
 
 SIGMA_TOL = 1e-12  # relative bisection tolerance on eigenvalues
-_N_MAX = 32  # first continued-fraction depth; the fractions are made at n_max and 2 n_max
-_MAX_DEPTH = 1 << 15  # g needs depth ~ x^(-1/2) near x = 0; doubled up to this
+_FIRST_DEPTH = 8  # continued-fraction depth N that most chains stop at near their root
+_MAX_DEPTH = 1 << 15  # g needs depth ~ x^(-1/2) near x = 0; N doubles up to this
+_U = 0.5 * np.finfo(np.float64).eps  # unit roundoff of the continued-fraction bound
 _ORACLE_DEPTHS = (16, 32, 64, 128, 200)  # the oracle's truncations without a depth
 _STACK_BYTES = 1 << 22  # the oracle's eigvalsh stacks hold at most this many bytes
 
 
 class ContinuedFractionError(RuntimeError):
-    """Depth doubling moved the continued-fraction value by > 1e-10."""
+    """The continued fractions of depths N and N + 1 still differ by more than their
+    rounding bound at N = _MAX_DEPTH (only near x = 0, sigma = -gamma)."""
 
 
 class BracketError(RuntimeError):
@@ -224,81 +227,54 @@ def _ladder_table(cols: np.ndarray, depth: int) -> np.ndarray:
     return _ladder_a(*cols[:4], n)
 
 
-def _tabulated(cols: np.ndarray, n_max: int):
-    """Lookup scaled(depth, i, x) -> d_n = x A_n of the chains i of a batch,
-    n = 1..depth on both tails: shape (depth, tail, chain).
+def _cf(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g(x) of each chain of a batch: the sum of its two tails 1/(d_1 + 1/(d_2 + ...)),
+    n = 1, 2, ... and n = -1, -2, ..., d_n = x A_n.
 
-    Every continued fraction starts with one pass at depth 2 n_max, which
-    yields depth n_max from the same rows, so that A_n table, which holds no
-    gamma or coupling, is made once for the whole batch and every x probed.
-    Its d_n go into one buffer that each lookup overwrites, straight from the
-    table while every chain is still in play, else from the chains' columns
-    gathered there first.  Deeper passes, which only chains probed near x = 0
-    need, get tables made for the chains asking.
+    One pass per chain makes the fractions of depths N and N + 1 from the deepest
+    row up: the deeper one runs its last row alone, then both run stacked, each
+    with the operations of a pass of its own.  On an admissible chain at x > 0
+    every d_n is positive, so the convergents of each tail alternate about it
+    (Khinchin, Continued Fractions, ch. I) and, both tails having the same depth,
+    depths N and N + 1 enclose g.  Each step acc <- d_n + 1/acc costs two
+    roundings, and a sum of positive terms keeps the larger relative error of
+    its parts, so the error an acc inherits is not magnified: with the last
+    1/acc and the sum of the tails, the fraction of depth M is within 2 M u of
+    the exact one of the same d_n (u the unit roundoff).  A chain stops once its
+    two depths agree to the sum of both bounds, 4 (N + 1) u g, and returns depth
+    N + 1, which lies within three times that of the exact g, the rounding of
+    d_n (5 u) included.  N starts at _FIRST_DEPTH and doubles per chain up to
+    _MAX_DEPTH; past that ContinuedFractionError names the first chain's x.
     """
-    first, every = _ladder_table(cols, 2 * n_max), np.arange(cols.shape[1])
-    buffer = np.empty(first.size)
-
-    def scaled(depth, i, x):
-        if depth > 2 * n_max:
-            a = _ladder_table(cols[:, i], depth)
-            return np.multiply(x, a, out=a)
-        d = buffer[: 4 * n_max * i.size].reshape(2 * n_max, 2, i.size)
-        if np.array_equal(i, every):
-            return np.multiply(x, first, out=d)
-        return np.multiply(x, np.take(first, i, axis=2, out=d), out=d)
-
-    return scaled
-
-
-def _cf(i: np.ndarray, x: np.ndarray, n_max: int, max_depth: int, scaled) -> np.ndarray:
-    """g of the chains i of a batch at depth 2n once depths n and 2n agree to 1e-10;
-    n doubles per chain from n_max.  scaled(depth, i, x) hands over their d_n.
-
-    Both tails are 1/(d_1 + 1/(d_2 + ... + 1/d_depth)), d_n = x A_n, summed
-    from the deepest row up.  The first pass makes depths n_max and
-    2 n_max at once: the deeper fraction runs alone down to row n_max, where
-    the shallower one starts, and from there both run stacked.  Each fraction
-    meets the same operations in the same order as in a pass of its own, so
-    its bits do not depend on the sharing; later doublings take one pass each.
-    """
-    def descend(j, depth, split=0):
-        # fractions of depth `depth` and, with split > 0, of depth `split`: shape (2, chain)
-        d = scaled(depth, i[j], x[j])
-        acc = d[-1]
-        for d_n in d[max(split - 1, 0):-1][::-1]:
+    g, todo, depth = np.empty(x.size), np.arange(x.size), _FIRST_DEPTH
+    while True:
+        d = _ladder_table(cols[:, todo], depth + 1)
+        np.multiply(x[todo], d, out=d)
+        acc = np.stack((d[depth - 1] + 1.0 / d[depth], d[depth - 1]))  # depths N + 1, N
+        for d_n in d[depth - 2 :: -1]:
             np.divide(1.0, acc, out=acc)
             np.add(d_n, acc, out=acc)
-        if split:
-            acc = np.stack((acc, d[split - 1]))
-            for d_n in d[: split - 1][::-1]:
-                np.divide(1.0, acc, out=acc)
-                np.add(d_n, acc, out=acc)
-        return 1.0 / acc[..., 0, :] + 1.0 / acc[..., 1, :]
-
-    depth, todo = n_max, np.arange(x.size)
-    deeper, g = descend(todo, 2 * depth, depth)
-    while True:
-        moved = np.abs(g[todo] - deeper)
-        g[todo] = deeper
-        bad = moved > 1e-10
-        todo, depth = todo[bad], 2 * depth
-        if not todo.size:
+        deep, shallow = 1.0 / acc[..., 0, :] + 1.0 / acc[..., 1, :]
+        g[todo] = deep
+        apart = np.abs(deep - shallow) > 4.0 * (depth + 1) * _U * deep
+        if not apart.any():
             return g
-        if depth > max_depth:
-            raise ContinuedFractionError(f"depth doubling moved g by {moved[bad][0]:.3e} "
-                                         f"at x={float(x[todo[0]])!r}")
-        deeper = descend(todo, 2 * depth)
+        if 2 * depth > _MAX_DEPTH:
+            k = np.flatnonzero(apart)[0]
+            raise ContinuedFractionError(
+                f"depths {depth} and {depth + 1} of g differ by "
+                f"{abs(deep[k] - shallow[k]) / deep[k]:.3e} relative at x={float(x[todo[k]])!r}")
+        todo, depth = todo[apart], 2 * depth
 
 
-def _gap(cols: np.ndarray, i: np.ndarray, x: np.ndarray, scaled) -> np.ndarray:
-    return _f(cols[:, i], x) - _cf(i, x, _N_MAX, _MAX_DEPTH, scaled)
+def _gap(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return _f(cols, x) - _cf(cols, x)
 
 
 def _gap_at_zero(cols: np.ndarray) -> np.ndarray:
     """The gap f - g of each chain at sigma = 0, x = gamma / coupling: negative exactly
     when its eigenvalue is positive, as the gap changes sign once, from - to +, at the root."""
-    return _gap(cols, np.arange(cols.shape[1]), cols[4] / cols[5], _tabulated(cols, _N_MAX))
+    return _gap(cols, cols[4] / cols[5])
 
 
 def _bisect(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -347,10 +323,8 @@ def _roots(chains) -> tuple[np.ndarray, np.ndarray]:
     if not all(c.admissible() for c in chains):
         raise ValueError("chain base mode outside the admissible region")
     cols = _columns(chains)
-    every, scaled = np.arange(cols.shape[1]), _tabulated(cols, _N_MAX)
     hi, lo = cols[4] / np.array([coupling_bounds(c, c.t / c.s) for c in chains]).reshape(-1, 2).T
-    (f_lo, g_lo), (f_hi, g_hi) = ((_f(cols, x), _cf(every, x, _N_MAX, _MAX_DEPTH, scaled))
-                                  for x in (lo, hi))
+    (f_lo, g_lo), (f_hi, g_hi) = ((_f(cols, x), _cf(cols, x)) for x in (lo, hi))
     low, high = ~(f_lo - g_lo < 0.0), ~(f_hi - g_hi > 0.0)  # NaN counts as wrong
     wrong = np.flatnonzero(low | high)
     if wrong.size:
@@ -359,7 +333,7 @@ def _roots(chains) -> tuple[np.ndarray, np.ndarray]:
         raise BracketError(f"chain (t={chains[k].t}, r={chains[k].r}): no sign change of f - g "
                            f"on the critical-coupling bracket; at its {end} end "
                            f"x={float(x[k])!r}, f={float(f[k])!r}, g={float(g[k])!r}")
-    return cols, _bisect(lambda x, i: _gap(cols, i, x, scaled) > 0.0, lo, hi)
+    return cols, _bisect(lambda x, i: _gap(cols[:, i], x) > 0.0, lo, hi)
 
 
 def solve_sigmas(chains) -> np.ndarray:

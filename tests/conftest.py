@@ -7,6 +7,7 @@ frozen here; the tests compare library output against them.
 """
 import ast
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,16 +105,22 @@ def nodes(grid):
     return np.meshgrid(x, x, indexing="ij")
 
 
-def cf_two_sweeps(chain, x: float, n_max: int, max_depth: int) -> tuple[float, int]:
+CF_FIRST_DEPTH, CF_MAX_DEPTH = 8, 1 << 15  # the solvers' continued-fraction depths N
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def cf_two_sweeps(chain, x: float, first_depth: int = CF_FIRST_DEPTH,
+                  max_depth: int = CF_MAX_DEPTH) -> tuple[float, int]:
     """Reference of the continued fraction g(x) of a chain, x = (gamma + sigma) /
     coupling, one sweep per depth.
 
-    Sweeps depth n_max, then 2 n_max, and doubles while two successive depths
-    differ by more than 1e-10; returns g at the last depth and that depth, or
-    raises ContinuedFractionError once the depth would pass max_depth.  Each
-    sweep runs both tails 1/(d_1 + 1/(d_2 + ... + 1/d_depth)) from the deepest
-    row up, d_n = x A_n, on plain floats with the operation order of the
-    library's A_n, so its bits are those the batched solver must give.
+    Sweeps depths N and N + 1 from N = first_depth and doubles N while the two
+    differ by more than 4 (N + 1) u g, u the unit roundoff and g the depth N + 1
+    value; returns g at depth N + 1 and N, or raises ContinuedFractionError once
+    N would pass max_depth.  Each sweep runs both tails 1/(d_1 + 1/(d_2 + ... +
+    1/d_depth)) from the deepest row up, d_n = x A_n, on plain floats with the
+    operation order of the library's A_n, so its bits are those the batched
+    solver must give.
     """
     s, t, r, alpha = float(chain.s), float(chain.t), float(chain.r), chain.alpha
 
@@ -131,15 +138,52 @@ def cf_two_sweeps(chain, x: float, n_max: int, max_depth: int) -> tuple[float, i
             tails.append(1.0 / acc)
         return tails[0] + tails[1]
 
-    depth, g = n_max, sweep(n_max)
+    depth = first_depth
     while True:
-        deeper = sweep(2 * depth)
-        moved, g, depth = abs(g - deeper), deeper, 2 * depth
-        if not moved > 1e-10:
-            return g, depth
-        if depth > max_depth:
-            raise ContinuedFractionError(f"depth doubling moved g by {moved:.3e} "
-                                         f"at x={x!r}")
+        deep, shallow = sweep(depth + 1), sweep(depth)
+        if not abs(deep - shallow) > 4.0 * (depth + 1) * UNIT_ROUNDOFF * deep:
+            return deep, depth
+        if 2 * depth > max_depth:
+            raise ContinuedFractionError(
+                f"depths {depth} and {depth + 1} of g differ by "
+                f"{abs(deep - shallow) / deep:.3e} relative at x={x!r}")
+        depth *= 2
+
+
+def exact_g_enclosure(chain, x, depth: int) -> tuple[Fraction, Fraction]:
+    """The exact convergents of depths depth and depth + 1 of g(x) for a chain, in
+    rational arithmetic on its float inputs, ordered: on an admissible chain at
+    x > 0 every d_n is positive, so the two enclose g."""
+    s, t, r = chain.s, chain.t, chain.r
+    alpha, x = Fraction(chain.alpha), Fraction(x)
+
+    def d(n):
+        k_sq = t * t + (s * n + r) ** 2
+        return x * (k_sq + alpha * k_sq * k_sq) / (t * (k_sq - s * s))
+
+    def sweep(depth):
+        total = Fraction(0)
+        for sign in (1, -1):
+            acc = d(sign * depth)
+            for n in range(depth - 1, 0, -1):
+                acc = d(sign * n) + 1 / acc
+            total += 1 / acc
+        return total
+
+    return tuple(sorted((sweep(depth), sweep(depth + 1))))
+
+
+def exact_gap_enclosure(chain, depth: int, x=None) -> tuple[Fraction, Fraction]:
+    """Exact lower and upper bounds of the gap f - g of a chain at x, by default at
+    sigma = 0, x = gamma / coupling; f exact and g between its exact convergents
+    of depths depth and depth + 1 (exact_g_enclosure).  The float inputs of the
+    chain (alpha, gamma, coupling) and x are taken as the rationals they hold."""
+    s, t, r = chain.s, chain.t, chain.r
+    x = Fraction(chain.gamma) / Fraction(chain.coupling) if x is None else Fraction(x)
+    q = t * t + r * r
+    f = x * (q + Fraction(chain.alpha) * q * q) / (t * (s * s - q))
+    g_lo, g_hi = exact_g_enclosure(chain, x, depth)
+    return f - g_hi, f - g_lo
 
 
 def name_reads(tree):

@@ -1024,9 +1024,9 @@ GOLDEN = {
     "verify --suite lattice-F":
         "21be9ed5dfc76c87525cd5f75475453d7e2301f3ceafdf3962c80cc4fbf11602",
     "verify --suite rho-l2":
-        "175fbe117f2483625e2e0e79d6b8ce438307c13a254f004b1247dca4fa4a753f",
+        "a8f034066c9de8d44ef804e2244488a9307b3b3a7f06addad2c408e16cfe1a4e",
     "verify --suite trace-k2":
-        "c9bf60dee4cbe252727fc241dcc02edeec2a20f84246870cb34c0ec4b77db59d",
+        "e31d0cff05cd980bb0b72e920e3e047726ccd3c251e47528bb1d243c6b805842",
     "verify --suite psi-negative":
         "7164b63d236407d501ff3cb508a83700ed999e18c48e928103c53b72d856434a",
     "simulate --alpha 0.015625 --gamma 1.0 --grid 32 --dt 0.01 --t-end 0.2 "

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from bardina import instability as inst
 from bardina.spectral import curl, make_grid
 
-from conftest import CHAIN_COUNT_ORACLE, cf_two_sweeps, nodes
+from conftest import (CF_FIRST_DEPTH, CF_MAX_DEPTH, CHAIN_COUNT_ORACLE, DELTA_STAR,
+                      UNIT_ROUNDOFF, cf_two_sweeps, exact_g_enclosure, exact_gap_enclosure,
+                      nodes)
 
 ALPHA = 1.0 / 64.0
 PINNED = inst.Chain(s=8, t=4, r=1, alpha=ALPHA, gamma=1.0, coupling=0.4)
@@ -27,17 +30,15 @@ def x_of(chain, sigma):
     return (chain.gamma + sigma) / chain.coupling
 
 
-def g_from(chain, x, n_max, max_depth=None):
-    """g(x) of a chain from first depth n_max, doubled up to max_depth (default
-    n_max: depths n_max and 2 n_max, no doubling)."""
-    cols = inst._columns([chain])
-    return float(inst._cf(np.arange(1), np.array([x]), n_max, max_depth or n_max,
-                          inst._tabulated(cols, n_max))[0])
-
-
 def g_of(chain, x):
-    """The solvers' g(x) of a chain: first depth _N_MAX, doubled up to _MAX_DEPTH."""
-    return g_from(chain, x, inst._N_MAX, inst._MAX_DEPTH)
+    """The solvers' g(x) of a chain."""
+    return float(inst._cf(inst._columns([chain]), np.array([x]))[0])
+
+
+def g_from(chain, x, first_depth, max_depth=CF_MAX_DEPTH):
+    """g(x) of a chain with its depth N from first_depth, doubled up to max_depth."""
+    with mock.patch.multiple(inst, _FIRST_DEPTH=first_depth, _MAX_DEPTH=max_depth):
+        return g_of(chain, x)
 
 
 def f_of(chain, x):
@@ -217,16 +218,17 @@ class TestContinuedFraction:
 
     def test_depth_insensitive(self):
         x = x_of(PINNED, 0.3)
-        assert abs(g_from(PINNED, x, 8) - g_from(PINNED, x, 64)) < 1e-13
-        assert g_of(PINNED, x) == g_from(PINNED, x, inst._N_MAX)
+        assert abs(g_from(PINNED, x, 8, 8) - g_from(PINNED, x, 64, 64)) < 1e-13
+        assert (inst._FIRST_DEPTH, inst._MAX_DEPTH) == (CF_FIRST_DEPTH, CF_MAX_DEPTH)
+        assert g_of(PINNED, x) == g_from(PINNED, x, CF_FIRST_DEPTH)
 
     def test_nonconvergence_flagged_near_minus_gamma(self):
         x = x_of(PINNED, -1.0 + 1e-10)
         with pytest.raises(inst.ContinuedFractionError, match=rf"at x={x!r}$"):
-            g_from(PINNED, x, 8)
-        # the solvers' g doubles on where two fixed depths stop
-        want, _ = cf_two_sweeps(PINNED, x, inst._N_MAX, inst._MAX_DEPTH)
-        assert g_of(PINNED, x) == want
+            g_from(PINNED, x, 8, 8)
+        # the solvers' g doubles on where one fixed depth stops
+        want, depth = cf_two_sweeps(PINNED, x)
+        assert g_of(PINNED, x) == want and depth > 8
 
 
 def _g_or_error(compute):
@@ -256,33 +258,28 @@ def _chain_and_x(draw):
 
 
 class TestFusedPass:
-    """The pass that makes depths n and 2n together gives the bits of two
+    """The pass that makes depths N and N + 1 together gives the bits of two
     separate sweeps (conftest.cf_two_sweeps), per chain, in any batch."""
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_chain_and_x(), n_max=st.sampled_from([2, 4, 8, 32]))
-    def test_continued_fraction_g_matches_two_sweeps(self, case, n_max):
+    @given(case=_chain_and_x(), first=st.sampled_from([2, 4, 8, 32]))
+    def test_continued_fraction_g_matches_two_sweeps(self, case, first):
+        # at one depth N, then doubled on up to the solvers' own limit
         chain, x = case
-        got = _g_or_error(lambda: g_from(chain, x, n_max))
-        want = _g_or_error(lambda: cf_two_sweeps(chain, x, n_max, n_max)[0])
-        assert _same_bits(got[0], want[0]) and got[1] == want[1]
-        if n_max == inst._N_MAX:  # the solvers' own g, which doubles on up to _MAX_DEPTH
-            own = _g_or_error(lambda: g_of(chain, x))
-            deep = _g_or_error(lambda: cf_two_sweeps(chain, x, n_max, inst._MAX_DEPTH)[0])
-            assert _same_bits(own[0], deep[0]) and own[1] == deep[1]
+        for limit in (first, CF_MAX_DEPTH):
+            got = _g_or_error(lambda: g_from(chain, x, first, limit))
+            want = _g_or_error(lambda: cf_two_sweeps(chain, x, first, limit)[0])
+            assert _same_bits(got[0], want[0]) and got[1] == want[1]
 
     @settings(max_examples=40, deadline=None)
     @given(cases=st.lists(_chain_and_x(), min_size=1, max_size=6),
-           n_max=st.sampled_from([2, 4, 8, 32]), data=st.data())
-    def test_batch_matches_two_sweeps_per_chain(self, cases, n_max, data):
-        # the solvers' own depth limit; a subset of the batch reads a gathered table
+           first=st.sampled_from([2, 4, 8, 32]))
+    def test_batch_matches_two_sweeps_per_chain(self, cases, first):
         chains, xs = zip(*cases)
-        cols = inst._columns(chains)
-        i = np.array(sorted(data.draw(st.sets(st.integers(0, len(chains) - 1), min_size=1))))
-        got = _g_or_error(lambda: inst._cf(i, np.array(xs)[i], n_max, inst._MAX_DEPTH,
-                                           inst._tabulated(cols, n_max)))
-        want = [_g_or_error(lambda k=k: cf_two_sweeps(chains[k], xs[k], n_max,
-                                                      inst._MAX_DEPTH)[0]) for k in i]
+        with mock.patch.object(inst, "_FIRST_DEPTH", first):
+            got = _g_or_error(lambda: inst._cf(inst._columns(chains), np.array(xs)))
+        want = [_g_or_error(lambda k=k: cf_two_sweeps(chains[k], xs[k], first)[0])
+                for k in range(len(chains))]
         errors = [msg for _, msg in want if msg is not None]
         if errors:
             assert got == (None, errors[0])
@@ -291,21 +288,72 @@ class TestFusedPass:
                                   np.array([g for g, _ in want]).view(np.int64))
 
     def test_chains_that_need_depth_doublings(self):
-        # near sigma = -gamma the fraction converges slowly: at n_max = 4 these
-        # chains stop at different depths past 2 n_max
+        # near sigma = -gamma the fraction converges slowly: from N = 4 these
+        # chains stop at different depths past 8
         xs = x_of(PINNED, np.array([-1.0 + 1e-6, -1.0 + 1e-4, -0.99, 0.5]))
-        want = [cf_two_sweeps(PINNED, float(x), 4, inst._MAX_DEPTH) for x in xs]
+        want = [cf_two_sweeps(PINNED, float(x), 4) for x in xs]
         assert len({depth for _, depth in want}) > 2 and max(d for _, d in want) > 8
-        cols = inst._columns([PINNED] * xs.size)
-        got = inst._cf(np.arange(xs.size), xs, 4, inst._MAX_DEPTH, inst._tabulated(cols, 4))
+        with mock.patch.object(inst, "_FIRST_DEPTH", 4):
+            got = inst._cf(inst._columns([PINNED] * xs.size), xs)
         assert np.array_equal(got.view(np.int64), np.array([g for g, _ in want]).view(np.int64))
 
     def test_error_names_the_same_depth_move(self):
         # the ContinuedFractionError path of the fused pass
         x = x_of(PINNED, -1.0 + 1e-10)
-        got = _g_or_error(lambda: g_from(PINNED, x, 8))
+        got = _g_or_error(lambda: g_from(PINNED, x, 8, 8))
         want = _g_or_error(lambda: cf_two_sweeps(PINNED, x, 8, 8)[0])
         assert got[0] is None and got == want
+
+
+def _exact_sign(chain, x=None):
+    """The exact sign of the gap f - g of a chain at x (default sigma = 0), from its
+    exact enclosure, deepened until both ends share a sign."""
+    depth = 8
+    while True:
+        lo, hi = exact_gap_enclosure(chain, depth, x)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        assert depth < 1024, (chain, x)
+        depth *= 2
+
+
+class TestExactEnclosure:
+    """The float gap and g against rational enclosures of the exact ones: on an
+    admissible chain at x > 0 every d_n is positive, so the continued fractions
+    of depths N and N + 1 enclose g (conftest.exact_gap_enclosure)."""
+
+    @pytest.mark.parametrize("delta", [0.05, DELTA_STAR, 0.35])
+    def test_certified_sign_is_the_exact_sign(self, delta):
+        # the sign unstable_count certifies each chain of its lattice by
+        for s in (4, 6, 8, 12, 16, 24, 32, 48, 64, 96):
+            chains = inst.lattice_chains(s, delta, 1.0 / s**2, 1.0)
+            got = np.sign(inst._gap_at_zero(inst._columns(chains)))
+            assert got.tolist() == [_exact_sign(c) for c in chains], s
+
+    @pytest.mark.parametrize("s, alpha", [(8, 1 / 64), (24, 1 / 576), (96, 1 / 96**2),
+                                          (24, 1e-3), (48, 1e-3)])
+    def test_exact_gap_changes_sign_across_the_root(self, s, alpha):
+        # x = (gamma + sigma) / coupling at the sigma solve_sigmas returns, bisected
+        # to (SIGMA_TOL / 2) x; the root x moves with neither gamma nor the coupling
+        chains = inst.lattice_chains(s, DELTA_STAR, alpha, 1.0)
+        _, roots = inst._roots(chains)
+        for chain, x in zip(chains, roots.tolist()):
+            assert _exact_sign(chain, x * (1.0 - inst.SIGMA_TOL)) == -1, chain
+            assert _exact_sign(chain, x * (1.0 + inst.SIGMA_TOL)) == 1, chain
+
+    @pytest.mark.parametrize("s, delta", [(8, DELTA_STAR), (24, 0.05), (48, DELTA_STAR)])
+    def test_g_within_its_bound_of_the_exact_g(self, s, delta):
+        # _cf stops at depth N and returns depth N + 1, within 12 (N + 1) u g of the
+        # exact g; checked at the roots and at sigma = 0, where N reaches 64
+        chains = inst.lattice_chains(s, delta, 1.0 / s**2, 1.0)
+        cols, roots = inst._roots(chains)
+        for xs in (roots, cols[4] / cols[5]):
+            for chain, x, g in zip(chains, xs.tolist(), inst._cf(cols, xs).tolist()):
+                want, depth = cf_two_sweeps(chain, x)
+                assert g == want
+                lo, hi = exact_g_enclosure(chain, x, 2 * depth + 2)
+                bound = 12 * (depth + 1) * Fraction(UNIT_ROUNDOFF) * lo
+                assert Fraction(g) - lo <= bound and hi - Fraction(g) <= bound, (chain, x)
 
 
 class TestFSigma:
@@ -402,14 +450,15 @@ class TestSolveSigmas:
         assert np.array_equal(self._bits(shuffled), self._bits(got)[list(order)])
 
     def test_mixed_depths(self, monkeypatch):
-        # from a first depth of 4 the chains need different numbers of depth doublings
+        # from a first depth of 4 or 32 the chains need other numbers of depth doublings
         chains = self._lattice_chains(24, 1.0)
         want = inst.solve_sigmas(chains)
-        monkeypatch.setattr(inst, "_N_MAX", 4)
-        shallow = inst.solve_sigmas(chains)
-        alone = [inst.solve_sigma(c) for c in chains]
-        assert np.array_equal(self._bits(shallow), self._bits(alone))
-        assert np.array_equal(self._bits(shallow), self._bits(want))
+        for first in (4, 32):
+            monkeypatch.setattr(inst, "_FIRST_DEPTH", first)
+            got = inst.solve_sigmas(chains)
+            alone = [inst.solve_sigma(c) for c in chains]
+            assert np.array_equal(self._bits(got), self._bits(alone))
+            assert np.array_equal(self._bits(got), self._bits(want))
 
     def test_empty_batch(self):
         assert inst.solve_sigmas([]).shape == (0,)

@@ -15,6 +15,10 @@ The package tests an argument for being an integer (`numbers.Integral`) only
 in `spectral._check_int`, and for being finite by a chained comparison ending
 in `math.inf` only in `spectral._check_real`.  Array checks combine their
 comparisons with `&` and are not chained.
+
+The package makes no BLAS reduction or product (`vdot`, `dot`, `inner`,
+`matmul`, `tensordot` or the `@` operator): their sums are ordered by the
+size of the BLAS pool, so their last bits would move with it.
 """
 import ast
 import os
@@ -247,3 +251,38 @@ def test_scan_finds_an_argument_check_outside_its_helper(tmp_path):
         "def grid(x):\n    return (x > 0) & (x < math.inf), 0 < x < 1, x < math.inf\n")
     assert argument_checks(str(tmp_path)) == [
         "other.count:3: numbers.Integral", "spectral.smooth:7: math.inf"]
+
+
+BLAS_CALLS = {"vdot", "dot", "inner", "matmul", "tensordot"}
+
+
+def blas_products(package_dir):
+    """`module:line: name` of every BLAS reduction or product the package calls, as
+    an attribute (np.vdot, a.dot) or as the @ operator."""
+    hits = []
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=name)
+        found = [(node.lineno, node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS]
+        found += [(node.lineno, "@") for node in ast.walk(tree)
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.MatMult)]
+        hits += [f"{name[:-3]}:{line}: {what}" for line, what in sorted(found)]
+    return hits
+
+
+def test_no_blas_product_in_the_package():
+    # its bits would depend on the BLAS pool; numpy's own reductions do not
+    assert blas_products(os.path.join(ROOT, "src", PACKAGE)) == []
+
+
+def test_scan_finds_a_blas_product(tmp_path):
+    (tmp_path / "norms.py").write_text(
+        "import numpy as np\n"
+        "def norm(c):\n    return np.vdot(c, c).real + np.sum(c.real**2)\n"
+        "def apply(m, v):\n    v @= m\n    return m @ v, m.dot(v), np.inner(v, v)\n")
+    assert blas_products(str(tmp_path)) == [
+        "norms:3: vdot", "norms:5: @", "norms:6: @", "norms:6: dot", "norms:6: inner"]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bardina import cli
 from bardina.dynamics import make_state, vorticity_rhs
 from bardina.spectral import (
     ModelParams,
@@ -243,6 +244,22 @@ class TestAlphaInner:
         th = VectorField(g, np.zeros((2, 16, 16), dtype=complex))
         with pytest.raises(ValueError):
             alpha_inner(th, th, -0.5)
+
+
+class TestNorms:
+    def test_same_bits_on_any_blas_pool(self):
+        # a numpy reduction; a BLAS one (vdot) sums a 128^2 field in an order that
+        # depends on the size of the pool
+        pool = cli._openblas_pool()
+        if pool is None or pool[0]() < 2:
+            pytest.skip("numpy's BLAS pool has one thread")
+        g = make_grid(128)
+        f = random_field(g, np.random.default_rng(7))
+        v = VectorField(g, np.stack((f.coeffs, 2.0 * f.coeffs)))
+        want = (f.l2_norm_sq(), v.l2_norm_sq())
+        with cli._blas_pool(1):
+            assert pool[0]() == 1
+            assert (f.l2_norm_sq(), v.l2_norm_sq()) == want
 
 
 class TestRoundTripsAndProjections:
