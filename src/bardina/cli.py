@@ -28,10 +28,7 @@ Exit codes: 0 success, 1 a verify suite failed (or a computation error),
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import functools
-import glob
 import hashlib
 import json
 import os
@@ -44,7 +41,8 @@ from typing import get_args, get_type_hints
 # gains from a second thread (depth-sized eigenvalue problems, thin QRs, and
 # lyapunov's QR of the tangent stack at its default cadence), so start the
 # CLI's pool at one thread unless the environment chose one; --threads caps
-# the pool of any command while it runs (_blas_pool).
+# the pool of any command while it runs (spectral._blas_pool, which also
+# holds the package's own LAPACK calls at one thread).
 _ONE_THREAD_START = "numpy" not in sys.modules and not any(
     os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
                                     "OMP_NUM_THREADS"))
@@ -54,7 +52,8 @@ if _ONE_THREAD_START:
 import numpy as np  # noqa: E402  (after the pool size is chosen)
 
 from . import __version__, instability
-from .spectral import ModelParams, SpectralField, curl, make_grid, random_field, zero_field
+from .spectral import (ModelParams, SpectralField, _blas_pool, _openblas_pool, curl, make_grid,
+                       random_field, zero_field)
 
 # dynamics, io, bounds and inequalities are imported by the commands that run
 # them, so a process that runs instability or bounds does not load the flow
@@ -267,41 +266,6 @@ def _require(cfg: RunConfig, *names: str) -> None:
         raise ConfigError(
             f"{cfg.subcommand}: missing required setting(s): {', '.join(missing)}"
         )
-
-
-def _openblas_pool():
-    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*"))
-    for lib in sorted(libs):
-        handle = ctypes.CDLL(lib)
-        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _blas_pool(threads: int):
-    # threads > 0 caps the BLAS pool while one command runs; the FFT path is
-    # single-threaded
-    pool = _openblas_pool() if threads else None
-    if pool is None:
-        if threads:
-            print("bardina: no OpenBLAS thread setter found; --threads has no effect",
-                  file=sys.stderr)
-        yield
-        return
-    get, put = pool
-    before = get()
-    put(min(threads, before))
-    try:
-        yield
-    finally:
-        put(before)
 
 
 def _make_forcing(cfg: RunConfig, grid, params: ModelParams) -> SpectralField:
@@ -580,6 +544,9 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     try:
         cfg = _effective_config(args)
         _check_targets(cfg)
+        if cfg.threads and _openblas_pool() is None:
+            print("bardina: no OpenBLAS thread setter found; --threads has no effect",
+                  file=sys.stderr)
         with _blas_pool(cfg.threads):
             return _COMMANDS[cfg.subcommand][0](cfg)
     except (ConfigError, OSError) as exc:  # OSError: a path the configuration names

@@ -78,6 +78,7 @@ from .spectral import (
     _band,
     _band_grad,
     _band_index,
+    _blas_pool,
     _check_int,
     _check_real,
     _full,
@@ -89,6 +90,7 @@ from .spectral import (
     _unband,
     curl,
     hermitianize,
+    make_grid,
     stream_velocity,
     zero_field,
 )
@@ -165,19 +167,26 @@ class SimState:
 
     def energy(self) -> float:
         """||omegabar||^2 + alpha*||grad omegabar||^2, the absorbing-ball norm."""
-        w = 1.0 / (1.0 + self.params.alpha * self.grid.k_sq)
+        w = _smoothing(self.grid.n, self.params.alpha)
         c = self.omega.coeffs
         return float((2.0 * np.pi) ** 2 * np.sum((c * np.conj(c)).real * w))
 
     def _diagnostics(self, r0_sq: float) -> "DiagnosticRow":
         """The observer sample of this state, given R0^2 of the flow, which a run
-        computes once."""
+        computes once.  Both sums run in one real temporary, each product in
+        the order of mag * w * w and mag * alpha * |k|^2 * w * w."""
         g = self.grid
         alpha = self.params.alpha
-        w = 1.0 / (1.0 + alpha * g.k_sq)
+        w = _smoothing(g.n, alpha)
         mag = (self.omega.coeffs * np.conj(self.omega.coeffs)).real
-        enstrophy_bar = float((2.0 * np.pi) ** 2 * np.sum(mag * w * w))
-        grad_bar = float((2.0 * np.pi) ** 2 * np.sum(mag * alpha * g.k_sq * w * w))
+        term = np.multiply(mag, w)
+        term *= w
+        enstrophy_bar = float((2.0 * np.pi) ** 2 * np.sum(term))
+        np.multiply(mag, alpha, out=term)
+        term *= g.k_sq
+        term *= w
+        term *= w
+        grad_bar = float((2.0 * np.pi) ** 2 * np.sum(term))
         margin = r0_sq - (enstrophy_bar + grad_bar)
         return DiagnosticRow(self.time, enstrophy_bar, grad_bar, margin)
 
@@ -244,6 +253,15 @@ def _r0_sq_from_curl(params: ModelParams, forcing_curl: SpectralField) -> float:
 
 
 @lru_cache(maxsize=16)
+def _smoothing(n: int, alpha: float) -> np.ndarray:
+    """1/(1+alpha|k|^2) on the full grid, the weight of the observer's
+    filtered norms (read-only, cached per (n, alpha))."""
+    w = 1.0 / (1.0 + alpha * make_grid(n).k_sq)
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=16)
 def _operators(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Band maps of omega to grad psibar and grad omegabar, and the
     multipliers 2 k1 k2 and k2^2 - k1^2 that take the spectra of the
@@ -273,8 +291,9 @@ class _Work:
     in half, side_y holds their values and side_shift the shift of each,
     zero in the tangent rows.  stage, rate and acc are the RK4 stage, one
     rate and the accumulated rate sum.  _rates and its transforms own the
-    rest: scratch, the one pair of half spectra that every inverse and
-    forward transform of the run goes through; base, the samples of grad
+    rest: scratch, the one _sample_scratch that every inverse and forward
+    transform of the run goes through, a pair of half spectra and the
+    pair's contiguous (2, n, K+1) column input; base, the samples of grad
     psibar, and pert, those of grad omegabar, in which the base product is
     formed, and then of each tangent's a', b'; and, when m > 0, prod, a
     tangent's two products, and spec, their band spectra.  Only the band
@@ -317,7 +336,7 @@ class _Work:
     def full(self, first: int, band: np.ndarray, side: np.ndarray) -> np.ndarray:
         """Full-layout coefficients of the stack rows first, first + 1, ... from
         their band coefficients band and the stack's side values side."""
-        out = _unband(self.grid, band)
+        out = _unband(self.grid, band, full=True)
         r, i, j = self.side
         keep = (r >= first) & (r < first + len(band))
         out[r[keep] - first, i[keep], j[keep]] = side[keep]
@@ -388,7 +407,7 @@ def vorticity_rhs(state: SimState) -> SpectralField:
     grid = state.grid
     work = _Work(state, _half(state.omega.coeffs)[None])
     rates, _ = _rates(work, work.y)
-    out = _full(grid, _unband(grid, rates[0])) - state.params.gamma * state.omega.coeffs
+    out = _full(grid, _unband(grid, rates[0], full=True)) - state.params.gamma * state.omega.coeffs
     return SpectralField(grid, out + state.forcing_curl.coeffs)
 
 
@@ -564,7 +583,7 @@ def variational_rhs(theta: VectorField, state: SimState) -> VectorField:
     zeta = curl(theta).coeffs
     work = _Work(state, _half(np.stack((state.omega.coeffs, zeta))))
     rates, _ = _rates(work, work.y)
-    out = _full(grid, _unband(grid, rates[1])) - state.params.gamma * zeta
+    out = _full(grid, _unband(grid, rates[1], full=True)) - state.params.gamma * zeta
     return stream_velocity(SpectralField(grid, out))
 
 
@@ -671,7 +690,8 @@ def _orthonormalize(zetas: np.ndarray, alpha: float) -> tuple[np.ndarray, np.nda
     m = zetas.shape[0]
     weight, unweight = _band_weight(zetas.shape[-1] - 1, alpha)
     cols = (weight * zetas).view(np.float64).reshape(m, -1).T
-    q, r = np.linalg.qr(cols)
+    with _blas_pool(1):  # a QR on more threads sums in another order
+        q, r = np.linalg.qr(cols)
     growth = np.abs(np.diag(r))
     # the columns of r have the norms of those of cols, as q is orthonormal
     growth[~(growth > 1e-12 * np.linalg.norm(r, axis=0))] = 0.0
@@ -694,7 +714,7 @@ def make_tangents(
 ) -> list[VectorField]:
     """n random alpha-orthonormal divergence-free tangent fields."""
     _check_int("n", n, 1)
-    zetas = _full(grid, _unband(grid, _seed_tangents(grid, n, alpha, rng)))
+    zetas = _full(grid, _unband(grid, _seed_tangents(grid, n, alpha, rng), full=True))
     return [stream_velocity(SpectralField(grid, z)) for z in zetas]
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import B2
-from .spectral import SpectralField, _check_int, _check_real
+from .spectral import SpectralField, _blas_pool, _check_int, _check_real
 
 __all__ = [
     "k1",
@@ -293,7 +293,8 @@ def _orthonormal_rows(c: np.ndarray) -> np.ndarray:
     Raises:
         ValueError: if a row degenerates (|r_jj| below 1e-12).
     """
-    q, r = np.linalg.qr(c.T)
+    with _blas_pool(1):  # a QR on more threads sums in another order
+        q, r = np.linalg.qr(c.T)
     if not (np.abs(np.diag(r)) >= 1e-12).all():
         raise ValueError("degenerate draw in Gram-Schmidt")
     return q.T

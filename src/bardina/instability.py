@@ -8,10 +8,12 @@ recurrences ("chains").  For chains whose base mode lies in an explicit
 admissible region the recurrence has a unique real eigenvalue, the root of
 f = g: f is linear, and g sums continued fractions down both tails of the
 ladder, which depths N and N + 1 enclose; N doubles per chain until the two
-agree to their rounding bound.  The coupling L and the damping gamma enter
-f and g only through x = (gamma + sigma) / L, so each chain has one root x,
-which neither moves: sigma = L x - gamma, and the critical coupling, where
-sigma = 0, is gamma / x.  `solve_sigmas` and `solve_lambda0s` bisect x, a
+agree to their rounding bound.  The ladder coefficients A_n hold no x, so a
+batch tabulates them once (_Ladders) for every probe of its solve.  The
+coupling L and the damping gamma enter f and g only through
+x = (gamma + sigma) / L, so each chain has one root x, which neither
+moves: sigma = L x - gamma, and the critical coupling, where sigma = 0, is
+gamma / x.  `solve_sigmas` and `solve_lambda0s` bisect x, a
 batch of chains at once, inside the paper's critical-coupling estimate
 (:func:`coupling_bounds`), which brackets it.
 `chain_matrix_eigens` cross-checks the roots on the truncated tridiagonal matrix
@@ -31,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (FourierGrid, SpectralField, VectorField, _check_int, _check_real,
-                       zero_field, zero_vector_field)
+from .spectral import (FourierGrid, SpectralField, VectorField, _blas_pool, _check_int,
+                       _check_real, zero_field, zero_vector_field)
 
 __all__ = [
     "KolmogorovSpec", "Chain", "ContinuedFractionError", "BracketError",
@@ -221,15 +223,27 @@ def _f(cols: np.ndarray, x) -> np.ndarray:
     return x * (q + alpha * q * q) / (t * (s * s - q))
 
 
-def _ladder_table(cols: np.ndarray, depth: int) -> np.ndarray:
-    """A_n of each chain on both tails, n = 1..depth and -1..-depth: shape (depth, tail, chain)."""
-    n = np.arange(1.0, depth + 1.0)[:, None, None] * np.array([[1.0], [-1.0]])
-    return _ladder_a(*cols[:4], n)
+class _Ladders:
+    """A_n of a batch of chains (columns cols) on both tails, n = 1, 2, ... and
+    -1, -2, ...: A_n holds no x, so the rows are made once per batch and grown,
+    for every chain of it, when a fraction first needs deeper ones."""
+
+    def __init__(self, cols: np.ndarray) -> None:
+        self.cols, self.a = cols, np.empty((0, 2, cols.shape[1]))
+
+    def rows(self, depth: int, i: np.ndarray) -> np.ndarray:
+        """A copy of rows n = +-1 .. +-depth of the chains i: shape (depth, tail, chain)."""
+        have = len(self.a)
+        if depth > have:
+            n = np.arange(have + 1.0, depth + 1.0)[:, None, None] * np.array([[1.0], [-1.0]])
+            self.a = np.concatenate((self.a, _ladder_a(*self.cols[:4], n)))
+        return np.take(self.a[:depth], i, axis=2)
 
 
-def _cf(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """g(x) of each chain of a batch: the sum of its two tails 1/(d_1 + 1/(d_2 + ...)),
-    n = 1, 2, ... and n = -1, -2, ..., d_n = x A_n.
+def _cf(ladders: _Ladders, x: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """g(x) of the chains i of a batch: the sum of each one's two tails
+    1/(d_1 + 1/(d_2 + ...)), n = 1, 2, ... and n = -1, -2, ..., d_n = x A_n, with
+    A_n read off the batch's ladders.
 
     One pass per chain makes the fractions of depths N and N + 1 from the deepest
     row up: the deeper one runs its last row alone, then both run stacked, each
@@ -248,7 +262,7 @@ def _cf(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     g, todo, depth = np.empty(x.size), np.arange(x.size), _FIRST_DEPTH
     while True:
-        d = _ladder_table(cols[:, todo], depth + 1)
+        d = ladders.rows(depth + 1, i[todo])
         np.multiply(x[todo], d, out=d)
         acc = np.stack((d[depth - 1] + 1.0 / d[depth], d[depth - 1]))  # depths N + 1, N
         for d_n in d[depth - 2 :: -1]:
@@ -267,14 +281,14 @@ def _cf(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
         todo, depth = todo[apart], 2 * depth
 
 
-def _gap(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return _f(cols, x) - _cf(cols, x)
+def _gap(ladders: _Ladders, x: np.ndarray, i: np.ndarray) -> np.ndarray:
+    return _f(ladders.cols[:, i], x) - _cf(ladders, x, i)
 
 
 def _gap_at_zero(cols: np.ndarray) -> np.ndarray:
     """The gap f - g of each chain at sigma = 0, x = gamma / coupling: negative exactly
     when its eigenvalue is positive, as the gap changes sign once, from - to +, at the root."""
-    return _gap(cols, cols[4] / cols[5])
+    return _gap(_Ladders(cols), cols[4] / cols[5], np.arange(cols.shape[1]))
 
 
 def _bisect(above, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -318,13 +332,15 @@ def _roots(chains) -> tuple[np.ndarray, np.ndarray]:
     brackets x: gamma / hi < x < gamma / lo.  Unless the gap f - g is < 0 at the
     lower end and > 0 at the upper one, BracketError names the first chain where
     it is not, with f and g at that end; else each [lo, hi] is halved in lockstep.
+    Every probe reads the one _Ladders of the batch.
     """
     chains = list(chains)
     if not all(c.admissible() for c in chains):
         raise ValueError("chain base mode outside the admissible region")
     cols = _columns(chains)
+    ladders, every = _Ladders(cols), np.arange(cols.shape[1])
     hi, lo = cols[4] / np.array([coupling_bounds(c, c.t / c.s) for c in chains]).reshape(-1, 2).T
-    (f_lo, g_lo), (f_hi, g_hi) = ((_f(cols, x), _cf(cols, x)) for x in (lo, hi))
+    (f_lo, g_lo), (f_hi, g_hi) = ((_f(cols, x), _cf(ladders, x, every)) for x in (lo, hi))
     low, high = ~(f_lo - g_lo < 0.0), ~(f_hi - g_hi > 0.0)  # NaN counts as wrong
     wrong = np.flatnonzero(low | high)
     if wrong.size:
@@ -333,7 +349,7 @@ def _roots(chains) -> tuple[np.ndarray, np.ndarray]:
         raise BracketError(f"chain (t={chains[k].t}, r={chains[k].r}): no sign change of f - g "
                            f"on the critical-coupling bracket; at its {end} end "
                            f"x={float(x[k])!r}, f={float(f[k])!r}, g={float(g[k])!r}")
-    return cols, _bisect(lambda x, i: _gap(cols[:, i], x) > 0.0, lo, hi)
+    return cols, _bisect(lambda x, i: _gap(ladders, x, i) > 0.0, lo, hi)
 
 
 def solve_sigmas(chains) -> np.ndarray:
@@ -456,12 +472,15 @@ def chain_matrix_eigens(chains, depth: int | None = None) -> np.ndarray:
             on[i[~ok]] = False
             b, i = b[ok], i[ok]
             b[:, j + 1, j] = np.sqrt(c[ok])  # eigvalsh reads the lower triangle only
-            sigma[i] = np.sqrt(np.maximum(np.linalg.eigvalsh(b)[:, -1], 0.0)) - cols[4, i]
+            with _blas_pool(1):
+                top = np.linalg.eigvalsh(b)[:, -1]
+            sigma[i] = np.sqrt(np.maximum(top, 0.0)) - cols[4, i]
         got = sigma[todo]  # `last` is NaN at the first depth, so no chain stops there
         agree = np.abs(got - last) <= SIGMA_TOL * np.maximum(cols[4, todo], np.abs(got))
         todo = todo[on[todo] & ~agree]
     for k in np.flatnonzero(~on):
-        mu = np.linalg.eigvals(_square_blocks(_inv_ladders(cols[:, k : k + 1], depth), 1)[0])
+        with _blas_pool(1):
+            mu = np.linalg.eigvals(_square_blocks(_inv_ladders(cols[:, k : k + 1], depth), 1)[0])
         sigma[k] = np.sqrt(mu.astype(complex)).real.max() - cols[4, k]
     return sigma
 

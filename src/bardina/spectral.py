@@ -19,24 +19,33 @@ K = (n-1)//3 the mask keeps |k1|, |k2| <= K, so a real field's de-aliased
 coefficients are its (2K+1, K+1) band entries, rows k1 = 0 .. K, -K .. -1
 and columns k2 = 0 .. K.  Derivatives are read off cached, read-only band
 multiplier tables with the k = 0 mode dropped.  Both directions share one
-half-spectrum scratch per run, whose columns k2 > K are zero between
-calls.  An inverse transform writes the band straight into the two row
-blocks of the columns k2 <= K, zeroes their other rows, runs the column
-ifft in place there and the row irfft from the whole array; a forward
-transform runs the row rfft into the scratch and the column fft in place
-on the columns k2 <= K only, copies the band rows out and zeroes the
-columns k2 > K again.  No mask multiply is left.  Only the
-k2 = 0 column of a band can be inexactly Hermitian and is symmetrized; the
-expansion to the full layout is exact, so results are exactly real
+scratch per run (_sample_scratch): half spectra, whose columns k2 > K are
+zero between calls, and a contiguous column input of the columns k2 <= K,
+whose rows K < |k1| are zeroed once, when it is made, and never written.
+An inverse transform writes the band's products straight into the two row
+blocks of the column input, runs the column ifft from there into the
+columns k2 <= K of the half spectra and the row irfft from the whole half
+spectra; a forward transform runs the row rfft into the half spectra and
+the column fft in place on the columns k2 <= K only, copies the band rows
+out and zeroes the columns k2 > K again.  No mask multiply is left.  Only
+the k2 = 0 column of a band can be inexactly Hermitian and is symmetrized;
+the expansion to the full layout is exact, so results are exactly real
 without a full symmetrization per transform.
 
 The package's integer and real parameters go through two checks,
 _check_int and _check_real, whose ValueError names the parameter and its value.
+Its LAPACK calls run inside _blas_pool(1), which holds numpy's OpenBLAS pool
+at one thread while they run: a multi-threaded factorization orders its sums
+by the size of the pool, so its last bits would move with it.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -102,6 +111,41 @@ def _check_real(name: str, value: float, zero_ok: bool = False) -> None:
     if not (0 <= value < math.inf if zero_ok else 0 < value < math.inf):
         rule = "finite and >= 0" if zero_ok else "positive and finite"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+@lru_cache(maxsize=1)
+def _openblas_pool():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "*openblas*"))
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_pool(threads: int):
+    """Cap the OpenBLAS pool at threads (> 0) while the block runs and restore
+    it afterwards; threads = 0, or a numpy without an OpenBLAS thread setter,
+    leaves the pool alone.  The FFT path is single-threaded."""
+    pool = _openblas_pool() if threads else None
+    if pool is None:
+        yield
+        return
+    get, put = pool
+    before = get()
+    put(min(threads, before))
+    try:
+        yield
+    finally:
+        put(before)
 
 
 @lru_cache(maxsize=32, typed=True)  # typed: 64.0 == 64 must not find the grid of 64
@@ -274,21 +318,27 @@ def _band(grid: FourierGrid, coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate((coeffs[..., : cut + 1, : cut + 1], coeffs[..., n - cut :, : cut + 1]), axis=-2)
 
 
-def _unband(grid: FourierGrid, band: np.ndarray) -> np.ndarray:
-    """Half spectra (..., n, n//2+1) of band coefficients, zero off the band."""
+def _unband(grid: FourierGrid, band: np.ndarray, full: bool = False) -> np.ndarray:
+    """Half spectra (..., n, n//2+1) of band coefficients, zero off the band;
+    with full, a full-layout (..., n, n) array holding them in its columns
+    k2 <= n/2, for _full to mirror."""
     n, cut = grid.n, grid.cut
-    half = np.zeros(band.shape[:-2] + (n, n // 2 + 1), dtype=complex)
+    half = np.zeros(band.shape[:-2] + (n, n if full else n // 2 + 1), dtype=complex)
     half[..., : cut + 1, : cut + 1] = band[..., : cut + 1, :]
     half[..., n - cut :, : cut + 1] = band[..., cut + 1 :, :]
     return half
 
 
-def _sample_scratch(grid: FourierGrid, f: int) -> np.ndarray:
-    """The zeroed (f, n, n//2+1) half spectra that _samples and _spectrum
-    share for up to f fields.  Both leave its columns k2 > K zero, so a
-    call of either finds them zero."""
+def _sample_scratch(grid: FourierGrid, f: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scratch that _samples and _spectrum share for up to f fields: zeroed
+    (f, n, n//2+1) half spectra, whose columns k2 > K both leave zero, so a
+    call of either finds them zero, and the contiguous (f, n, K+1) column
+    input of _samples, whose rows K < |k1| are zeroed here and never written
+    again.  For f = 2 at 128^2 the column input, 2 n (K+1) 16 = 176 128
+    bytes, comes beside the 2 n (n/2+1) 16 = 266 240 of the half spectra."""
     n = grid.n
-    return np.zeros((f, n, n // 2 + 1), dtype=complex)
+    return (np.zeros((f, n, n // 2 + 1), dtype=complex),
+            np.zeros((f, n, grid.cut + 1), dtype=complex))
 
 
 def _samples(
@@ -296,46 +346,47 @@ def _samples(
     ops: np.ndarray,
     band: np.ndarray,
     out: np.ndarray,
-    scratch: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Collocation samples (f, n, n) of the real fields with band
     coefficients ops * band, into out: ops is (f, 2K+1, K+1), band one band
     or f.
 
     The two transforms irfft2 makes, on the band only: the products go
-    straight into the two row blocks of the columns k2 <= K of scratch[:f],
-    whose rows K < |k1| are zeroed, the ifft over axis -2 runs in place on
-    those columns, and the irfft over axis -1 makes the samples from the
-    whole half spectra.  scratch is a _sample_scratch for at least f
-    fields.  The inputs are never written.
+    straight into the two row blocks of the contiguous column input of
+    scratch, whose other rows stay zero, the ifft over axis -2 runs from
+    there into the columns k2 <= K of the half spectra of scratch, and the
+    irfft over axis -1 makes the samples from the whole half spectra.
+    scratch is a _sample_scratch for at least f fields.  The inputs are
+    never written.
     """
     n, cut = grid.n, grid.cut
-    cols = scratch[: len(ops), :, : cut + 1]
-    np.multiply(ops[..., : cut + 1, :], band[..., : cut + 1, :], out=cols[:, : cut + 1])
-    np.multiply(ops[..., cut + 1 :, :], band[..., cut + 1 :, :], out=cols[:, n - cut :])
-    cols[:, cut + 1 : n - cut] = 0.0
-    np.fft.ifft(cols, n, axis=-2, norm="forward", out=cols)
-    return np.fft.irfft(scratch[: len(ops)], n, axis=-1, norm="forward", out=out)
+    half, pad = scratch
+    f = len(ops)
+    np.multiply(ops[..., : cut + 1, :], band[..., : cut + 1, :], out=pad[:f, : cut + 1])
+    np.multiply(ops[..., cut + 1 :, :], band[..., cut + 1 :, :], out=pad[:f, n - cut :])
+    np.fft.ifft(pad[:f], n, axis=-2, norm="forward", out=half[:f, :, : cut + 1])
+    return np.fft.irfft(half[:f], n, axis=-1, norm="forward", out=out)
 
 
 def _spectrum(
     grid: FourierGrid,
     samples: np.ndarray,
     out: np.ndarray,
-    scratch: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Band of the spectra of de-aliased products, into out; its k = 0
     entry is zero and its k2 = 0 column, the only one rfft2 leaves inexactly
     Hermitian, is made exactly Hermitian.
 
-    The two transforms rfft2 makes: rfft over axis -1 into scratch[:f],
-    a _sample_scratch for at least f fields, then fft over -2 in place on
-    the columns k2 <= K only, whose band rows are then copied out; the
-    columns k2 > K are zeroed again for _samples.  Band values are rfft2's
-    to the bit.
+    The two transforms rfft2 makes: rfft over axis -1 into the half spectra
+    of scratch, a _sample_scratch for at least f fields, then fft over -2 in
+    place on the columns k2 <= K only, whose band rows are then copied out;
+    the columns k2 > K are zeroed again for _samples.  Band values are
+    rfft2's to the bit.
     """
     n, cut = grid.n, grid.cut
-    c = np.fft.rfft(samples, n, axis=-1, norm="forward", out=scratch[: len(samples)])
+    c = np.fft.rfft(samples, n, axis=-1, norm="forward", out=scratch[0][: len(samples)])
     cols = c[..., : cut + 1]
     np.fft.fft(cols, n, axis=-2, norm="forward", out=cols)
     out[..., : cut + 1, :] = cols[..., : cut + 1, :]
@@ -346,13 +397,14 @@ def _spectrum(
     return out
 
 
-def _full(grid: FourierGrid, half: np.ndarray) -> np.ndarray:
-    """Full-layout coefficients of real fields from their half spectra, exactly."""
+def _full(grid: FourierGrid, c: np.ndarray) -> np.ndarray:
+    """Full-layout coefficients of real fields, exactly, in place: c holds
+    their half spectra in its columns k2 <= n/2, and its columns k2 > n/2 get
+    c(-k) = conj(c(k)), row 0 from itself and row k1 from row n - k1."""
     n = grid.n
-    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
-    out[..., : n // 2 + 1] = half
-    out[..., n // 2 + 1 :] = np.conj(half[..., grid._neg, 1 : n // 2][..., ::-1])
-    return out
+    c[..., 0, n // 2 + 1 :] = np.conj(c[..., 0, n // 2 - 1 : 0 : -1])
+    np.conjugate(c[..., :0:-1, n // 2 - 1 : 0 : -1], out=c[..., 1:, n // 2 + 1 :])
+    return c
 
 
 def random_field(

@@ -43,7 +43,7 @@ from bardina.dynamics import (
 )
 import bardina.dynamics as dyn
 from bardina.dynamics import _check_tangent, _orthonormalize, _r0_sq_from_curl, _renormalize
-from bardina.spectral import _band, _full, _unband
+from bardina.spectral import _band, _blas_pool, _full, _openblas_pool, _unband
 from bardina.instability import (
     Chain,
     KolmogorovSpec,
@@ -71,7 +71,8 @@ def _band_zetas(grid, vectors):
 
 def _band_tangents(grid, zetas):
     """Tangent velocity fields of a band stack of vorticities."""
-    return [stream_velocity(SpectralField(grid, z)) for z in _full(grid, _unband(grid, zetas))]
+    return [stream_velocity(SpectralField(grid, z))
+            for z in _full(grid, _unband(grid, zetas, full=True))]
 
 
 def _random_divfree(grid, rng, band=6):
@@ -516,8 +517,9 @@ class TestRunWorkspace:
         st = _forced_state(grid, rng)
         zetas = [curl(v).coeffs for v in make_tangents(grid, m, PARAMS.alpha, rng)] if m else []
         stack = np.stack([st.omega.coeffs, *zetas])[..., : grid.n // 2 + 1]
-        return [value for value in vars(dyn._Work(st, stack)).values()
-                if isinstance(value, np.ndarray) and value.flags.writeable]
+        values = vars(dyn._Work(st, stack)).values()
+        arrays = [a for v in values for a in (v if isinstance(v, tuple) else (v,))]
+        return [a for a in arrays if isinstance(a, np.ndarray) and a.flags.writeable]
 
     @classmethod
     def _workspace_bytes(cls, grid, rng, m):
@@ -546,19 +548,19 @@ class TestRunWorkspace:
     @pytest.mark.parametrize("m", [0, 1, 8])
     def test_one_transform_scratch_and_two_sample_pairs(self, rng, m):
         # every inverse and forward transform of the run goes through one
-        # pair of half spectra, so no column input of shape (n, K+1) is
-        # left; the samples base and pert hold two fields each, the base
-        # product is formed in pert, and prod, a tangent's two products,
-        # exists only with tangents
+        # pair of half spectra and one contiguous column input of the pair,
+        # (2, n, K+1); the samples base and pert hold two fields each, the
+        # base product is formed in pert, and prod, a tangent's two
+        # products, exists only with tangents
         grid = make_grid(64)
         n, cut = grid.n, grid.cut
         real, cplx = np.dtype(float).itemsize, np.dtype(complex).itemsize
-        scratch = 2 * n * (n // 2 + 1) * cplx
+        scratch = 2 * n * (n // 2 + 1) * cplx + 2 * n * (cut + 1) * cplx
         samples = (2 + 2 + (2 if m else 0)) * n * n * real
-        assert scratch + samples == (264_192 if m else 198_656)
+        assert scratch + samples == (309_248 if m else 243_712)
         assert self._workspace_bytes(grid, rng, m)[0] == scratch + samples
         shapes = [a.shape[-2:] for a in self._workspace_arrays(grid, rng, m)]
-        assert (n, cut + 1) not in shapes
+        assert shapes.count((n, cut + 1)) == 1
         assert shapes.count((n, n // 2 + 1)) == 1
 
     def test_step_with_tangents_converts_one_tangent_at_a_time(self, rng):
@@ -1003,6 +1005,22 @@ class TestGramSchmidt:
         _, norms = _orthonormalize(scaled, PARAMS.alpha)
         assert norms[0] == pytest.approx(3.0, rel=1e-12)
         assert norms[1] == pytest.approx(0.25, rel=1e-12)
+
+    def test_same_bits_on_any_blas_pool(self):
+        # the QR of a 16 256 x 32 real view (32 tangents at 192^2) would go
+        # multi-threaded on a pool of two and sum in another order; it runs
+        # at one thread, so the default pool gives a one-thread process's bits
+        pool = _openblas_pool()
+        if pool is None or pool[0]() < 2:
+            pytest.skip("numpy's BLAS pool has one thread")
+        gen = np.random.default_rng(11)
+        zetas = gen.standard_normal((32, 127, 64)) + 1j * gen.standard_normal((32, 127, 64))
+        pooled = _orthonormalize(zetas, PARAMS.alpha)
+        with _blas_pool(1):
+            assert pool[0]() == 1
+            single = _orthonormalize(zetas, PARAMS.alpha)
+        assert pool[0]() >= 2  # restored
+        assert [a.tobytes() for a in pooled] == [a.tobytes() for a in single]
 
     def test_collapse_reseeds_and_flags(self, rng):
         grid = make_grid(32)

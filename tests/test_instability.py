@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bardina import instability as inst
@@ -30,9 +30,14 @@ def x_of(chain, sigma):
     return (chain.gamma + sigma) / chain.coupling
 
 
+def cf(chains, xs):
+    """The solvers' g of each chain at its x, on a fresh ladder table of the batch."""
+    return inst._cf(inst._Ladders(inst._columns(chains)), np.asarray(xs), np.arange(len(chains)))
+
+
 def g_of(chain, x):
     """The solvers' g(x) of a chain."""
-    return float(inst._cf(inst._columns([chain]), np.array([x]))[0])
+    return float(cf([chain], [x])[0])
 
 
 def g_from(chain, x, first_depth, max_depth=CF_MAX_DEPTH):
@@ -277,7 +282,7 @@ class TestFusedPass:
     def test_batch_matches_two_sweeps_per_chain(self, cases, first):
         chains, xs = zip(*cases)
         with mock.patch.object(inst, "_FIRST_DEPTH", first):
-            got = _g_or_error(lambda: inst._cf(inst._columns(chains), np.array(xs)))
+            got = _g_or_error(lambda: cf(chains, xs))
         want = [_g_or_error(lambda k=k: cf_two_sweeps(chains[k], xs[k], first)[0])
                 for k in range(len(chains))]
         errors = [msg for _, msg in want if msg is not None]
@@ -294,8 +299,22 @@ class TestFusedPass:
         want = [cf_two_sweeps(PINNED, float(x), 4) for x in xs]
         assert len({depth for _, depth in want}) > 2 and max(d for _, d in want) > 8
         with mock.patch.object(inst, "_FIRST_DEPTH", 4):
-            got = inst._cf(inst._columns([PINNED] * xs.size), xs)
+            got = cf([PINNED] * xs.size, xs)
         assert np.array_equal(got.view(np.int64), np.array([g for g, _ in want]).view(np.int64))
+
+    def test_one_ladder_table_serves_every_probe(self):
+        # the table of a batch is made once and grown by rows as a deeper fraction
+        # needs them; probes shallow, deep and shallow again, on any subset of the
+        # batch, read the same A_n as a fresh table per probe
+        chains = [PINNED, replace(PINNED, t=3, r=0), replace(PINNED, t=4, r=-1)]
+        ladders = inst._Ladders(inst._columns(chains))
+        for sigma in (0.5, -1.0 + 1e-6, 0.3, -0.99):
+            for i in ([0, 1, 2], [2, 0], [1]):
+                xs = np.array([x_of(chains[k], sigma) for k in i])
+                got = inst._cf(ladders, xs, np.array(i))
+                assert np.array_equal(got.view(np.int64),
+                                      cf([chains[k] for k in i], xs).view(np.int64))
+        assert len(ladders.a) > inst._FIRST_DEPTH + 1
 
     def test_error_names_the_same_depth_move(self):
         # the ContinuedFractionError path of the fused pass
@@ -317,6 +336,22 @@ def _exact_sign(chain, x=None):
         depth *= 2
 
 
+@st.composite
+def _chain_across_its_threshold(draw):
+    """An admissible chain of region_lattice(s, delta), s <= 96, with alpha and gamma
+    drawn, forced at lambda0 (1 + e) or lambda0 / (1 + e), e in [1e-6, 1], for the
+    critical coupling lambda0 of solve_lambda0s; and whether it is above lambda0."""
+    s = draw(st.integers(2, 96))
+    lattice = inst.region_lattice(s, draw(st.floats(0.01, DELTA_STAR)))
+    assume(lattice)
+    t, r = draw(st.sampled_from(lattice))
+    chain = inst.Chain(s=s, t=t, r=r, alpha=draw(st.floats(0.0, 4.0)) / s**2,
+                       gamma=draw(st.floats(0.1, 10.0)), coupling=1.0)
+    lambda0 = float(inst.solve_lambda0s([chain])[0])
+    factor, above = 1.0 + draw(st.floats(1e-6, 1.0)), draw(st.booleans())
+    return replace(chain, coupling=lambda0 * factor if above else lambda0 / factor), above
+
+
 class TestExactEnclosure:
     """The float gap and g against rational enclosures of the exact ones: on an
     admissible chain at x > 0 every d_n is positive, so the continued fractions
@@ -329,6 +364,22 @@ class TestExactEnclosure:
             chains = inst.lattice_chains(s, delta, 1.0 / s**2, 1.0)
             got = np.sign(inst._gap_at_zero(inst._columns(chains)))
             assert got.tolist() == [_exact_sign(c) for c in chains], s
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_chain_across_its_threshold())
+    def test_certified_sign_is_the_exact_sign_on_drawn_chains(self, case):
+        # above its critical coupling a chain is unstable, the gap at sigma = 0 < 0
+        chain, above = case
+        got = float(inst._gap_at_zero(inst._columns([chain]))[0])
+        assert np.sign(got) == _exact_sign(chain) == (-1 if above else 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_chain_across_its_threshold())
+    def test_exact_gap_changes_sign_across_the_root_of_drawn_chains(self, case):
+        chain, _ = case
+        _, (x,) = inst._roots([chain])
+        assert _exact_sign(chain, x * (1.0 - inst.SIGMA_TOL)) == -1
+        assert _exact_sign(chain, x * (1.0 + inst.SIGMA_TOL)) == 1
 
     @pytest.mark.parametrize("s, alpha", [(8, 1 / 64), (24, 1 / 576), (96, 1 / 96**2),
                                           (24, 1e-3), (48, 1e-3)])
@@ -348,7 +399,7 @@ class TestExactEnclosure:
         chains = inst.lattice_chains(s, delta, 1.0 / s**2, 1.0)
         cols, roots = inst._roots(chains)
         for xs in (roots, cols[4] / cols[5]):
-            for chain, x, g in zip(chains, xs.tolist(), inst._cf(cols, xs).tolist()):
+            for chain, x, g in zip(chains, xs.tolist(), cf(chains, xs).tolist()):
                 want, depth = cf_two_sweeps(chain, x)
                 assert g == want
                 lo, hi = exact_g_enclosure(chain, x, 2 * depth + 2)

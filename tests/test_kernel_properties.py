@@ -12,8 +12,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bardina.dynamics import make_state, make_tangents, variational_rhs, vorticity_rhs
-from bardina.dynamics import _band_weight, _check_real_coeffs, _orthonormalize
+from bardina.dynamics import make_state, make_tangents, simulate, variational_rhs, vorticity_rhs
+from bardina.dynamics import _Work, _band_weight, _check_real_coeffs, _orthonormalize
 from bardina.spectral import (
     ModelParams,
     SpectralField,
@@ -24,7 +24,7 @@ from bardina.spectral import (
     random_field,
     stream_velocity,
 )
-from bardina.spectral import _band, _full, _sample_scratch, _samples, _spectrum, _unband
+from bardina.spectral import _band, _full, _half, _sample_scratch, _samples, _spectrum, _unband
 
 from conftest import alpha_inner
 
@@ -136,7 +136,9 @@ def test_pruned_transforms_match_numpy(n, seed):
     assert np.array_equal(_band(grid, _unband(grid, band)), band)
     out, spec = np.empty((2, n, n)), np.empty(shape, dtype=complex)
     scratch = _sample_scratch(grid, 2)
-    assert scratch.shape == (2, n, n // 2 + 1)
+    half, pad = scratch
+    assert half.shape == (2, n, n // 2 + 1) and pad.shape == (2, n, cut + 1)
+    assert pad.flags.c_contiguous
     for _ in range(3):
         for band in (band, draw()):
             want = np.fft.irfft2(_unband(grid, ops * band), s=(n, n), norm="forward")
@@ -144,6 +146,7 @@ def test_pruned_transforms_match_numpy(n, seed):
             assert _samples(grid, ops, band, out=out, scratch=scratch) is out
             assert np.array_equal(out, want)
             assert np.array_equal(kept, band)  # the input is never written
+            assert not pad[:, cut + 1 : n - cut].any()  # the rows K < |k1| stay zero
 
         for f in (2, 1):
             samples = rng.standard_normal((f, n, n))
@@ -154,7 +157,8 @@ def test_pruned_transforms_match_numpy(n, seed):
             got = spec[:f]
             assert _spectrum(grid, samples, out=got, scratch=scratch) is got
             assert np.array_equal(got, want)
-            assert not scratch[..., cut + 1 :].any()
+            assert not half[..., cut + 1 :].any()
+            assert not pad[:, cut + 1 : n - cut].any()
 
 
 @FEW
@@ -187,7 +191,8 @@ def test_velocity_vorticity_round_trip(n, alpha, seed):
 
 
 def _velocities(grid, band):
-    return [stream_velocity(SpectralField(grid, z)) for z in _full(grid, _unband(grid, band))]
+    return [stream_velocity(SpectralField(grid, z))
+            for z in _full(grid, _unband(grid, band, full=True))]
 
 
 @FEW
@@ -208,7 +213,7 @@ def test_orthonormalize_is_alpha_qr(n, alpha, log_scales, seed):
     ortho, growth = _orthonormalize(zetas, alpha)
     assert ortho.shape == zetas.shape
     a, q = _velocities(grid, zetas), _velocities(grid, ortho)
-    for z in _full(grid, _unband(grid, ortho)):
+    for z in _full(grid, _unband(grid, ortho, full=True)):
         _check_real_coeffs(grid, z, "orthonormalized tangent")
     qq = np.array([[alpha_inner(qi, qj, alpha) for qj in q] for qi in q])
     assert np.abs(qq - np.eye(m)).max() <= 1e-12
@@ -233,3 +238,84 @@ def test_band_gram_is_alpha_inner_of_full_layout(n, alpha, m, seed):
     want = np.array([[alpha_inner(u, v, alpha) for v in vel] for u in vel])
     size = np.sqrt(np.diag(want))
     assert np.all(np.abs(cols @ cols.T - want) <= 1e-13 * np.outer(size, size))
+
+
+def _mirror(grid, half):
+    """Full layout of half spectra by the fancy-index gather c(-k) = conj(c(k))."""
+    n = grid.n
+    out = np.empty(half.shape[:-1] + (n,), dtype=complex)
+    out[..., : n // 2 + 1] = half
+    out[..., n // 2 + 1 :] = np.conj(half[..., grid._neg, 1 : n // 2][..., ::-1])
+    return out
+
+
+def _same_bits(a, b):
+    # equal values and equal signs of every zero, real and imaginary parts alike
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.view(np.float64)), np.signbit(b.view(np.float64))))
+
+
+@FEW
+@given(n=st.integers(2, 32).map(lambda half: 2 * half), m=st.integers(0, 3), seed=SEEDS)
+@example(n=6, m=0, seed=1)
+@example(n=18, m=2, seed=2)
+def test_full_layout_is_the_fancy_index_mirror(n, m, seed):
+    # _full mirrors by two slice assignments in place, _Work.full writes band and
+    # side entries straight into the full layout; both give the gather's bits,
+    # signs of zeros included
+    rng = _rng(seed)
+    grid = make_grid(n)
+    cut = grid.cut
+    band = rng.standard_normal((1 + m, 2 * cut + 1, cut + 1)) * (1 + 1j)
+    band[..., ::3, ::2] *= -0.0  # zeros of both signs
+    assert _same_bits(_full(grid, _unband(grid, band, full=True)), _mirror(grid, _unband(grid, band)))
+
+    state = make_state(_full_band_field(grid, rng), ModelParams(alpha=0.25, gamma=0.5),
+                       forcing_curl=_full_band_field(grid, rng))
+    stack = np.concatenate((_half(state.omega.coeffs)[None],
+                            _unband(grid, band[1:]) + _half(_full_band_field(grid, rng).coeffs)))
+    work = _Work(state, stack)
+    for first, rows in ((0, 1 + m), (0, 1), (m, 1)):
+        got = work.full(first, work.y[first : first + rows], work.side_y)
+        want = _unband(grid, work.y[first : first + rows])
+        r, i, j = work.side
+        keep = (r >= first) & (r < first + rows)
+        want[r[keep] - first, i[keep], j[keep]] = work.side_y[keep]
+        assert _same_bits(got, _mirror(grid, want))
+    assert _same_bits(work.full(0, work.y[:1], work.side_y)[0], state.omega.coeffs)
+
+
+def _reference_sample(state):
+    """energy() and the sums of _diagnostics as the plain expressions."""
+    c, grid, alpha = state.omega.coeffs, state.grid, state.params.alpha
+    w = 1.0 / (1.0 + alpha * grid.k_sq)
+    mag = (c * np.conj(c)).real
+    return (float((2.0 * np.pi) ** 2 * np.sum(mag * w)),
+            float((2.0 * np.pi) ** 2 * np.sum(mag * w * w)),
+            float((2.0 * np.pi) ** 2 * np.sum(mag * alpha * grid.k_sq * w * w)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 64).map(lambda half: 2 * half), alpha=ALPHAS, seed=SEEDS,
+       log_scale=st.floats(-3.0, 2.0))
+@example(n=6, alpha=1.0, seed=1, log_scale=0.0)
+@example(n=128, alpha=1.0 / 64.0, seed=2, log_scale=1.0)
+def test_observer_sample_is_the_reference_expression(n, alpha, seed, log_scale):
+    # energy and _diagnostics read a cached 1/(1+alpha|k|^2) and reuse one
+    # temporary; their sums are those of the expressions to the bit, on a
+    # checked state and on the states a run publishes
+    rng = _rng(seed)
+    grid = make_grid(n)
+    state = make_state(SpectralField(grid, 10.0**log_scale * _full_band_field(grid, rng).coeffs),
+                       ModelParams(alpha=alpha, gamma=1.0),
+                       forcing_curl=_full_band_field(grid, rng))
+    energy, enstrophy_bar, grad_bar = _reference_sample(state)
+    assert state.energy() == energy
+    r0_sq = 3.0 * energy
+    row = state._diagnostics(r0_sq)
+    assert (row.enstrophy_bar, row.grad_enstrophy_bar) == (enstrophy_bar, grad_bar)
+    assert row.r0_margin == r0_sq - (enstrophy_bar + grad_bar)
+    final, rows = simulate(state, 2e-6, 1e-6)
+    energy, enstrophy_bar, grad_bar = _reference_sample(final)
+    assert final.energy() == energy
+    assert (rows[-1].enstrophy_bar, rows[-1].grad_enstrophy_bar) == (enstrophy_bar, grad_bar)

@@ -18,7 +18,10 @@ comparisons with `&` and are not chained.
 
 The package makes no BLAS reduction or product (`vdot`, `dot`, `inner`,
 `matmul`, `tensordot` or the `@` operator): their sums are ordered by the
-size of the BLAS pool, so their last bits would move with it.
+size of the BLAS pool, so their last bits would move with it.  For the same
+reason every `numpy.linalg` call other than `norm` (a numpy reduction when
+given an axis) runs inside a `with _blas_pool(1):` block, which holds the
+pool at one thread.
 """
 import ast
 import os
@@ -286,3 +289,52 @@ def test_scan_finds_a_blas_product(tmp_path):
         "def apply(m, v):\n    v @= m\n    return m @ v, m.dot(v), np.inner(v, v)\n")
     assert blas_products(str(tmp_path)) == [
         "norms:3: vdot", "norms:5: @", "norms:6: @", "norms:6: dot", "norms:6: inner"]
+
+
+def unpooled_lapack(package_dir):
+    """`module:line: linalg.name` of every `linalg` call other than `norm` in the
+    package that no enclosing `with _blas_pool(1):` holds at one thread."""
+    hits = []
+
+    def one_thread(item):
+        call = item.context_expr
+        return (isinstance(call, ast.Call) and len(call.args) == 1
+                and isinstance(call.args[0], ast.Constant) and call.args[0].value == 1
+                and getattr(call.func, "id", getattr(call.func, "attr", None)) == "_blas_pool")
+
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, name), encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=name)
+
+        def visit(node, held):
+            if isinstance(node, ast.With) and any(one_thread(item) for item in node.items):
+                held = True
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "linalg" and func.attr != "norm" and not held):
+                hits.append(f"{name[:-3]}:{node.lineno}: linalg.{func.attr}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, held)
+
+        visit(tree, False)
+    return hits
+
+
+def test_every_lapack_call_runs_on_one_blas_thread():
+    # a threaded factorization orders its sums by the pool size, as a BLAS product does
+    assert unpooled_lapack(os.path.join(ROOT, "src", PACKAGE)) == []
+
+
+def test_scan_finds_a_lapack_call_outside_the_one_thread_pool(tmp_path):
+    (tmp_path / "solve.py").write_text(
+        "import numpy as np\n"
+        "from .spectral import _blas_pool\n"
+        "def qr(a):\n    with _blas_pool(1):\n        q, r = np.linalg.qr(a)\n"
+        "    return q, np.linalg.norm(r, axis=0), np.linalg.eigvalsh(a)\n"
+        "def eig(a, spectral):\n    with spectral._blas_pool(2):\n"
+        "        return np.linalg.eigvals(a)\n"
+        "def both(a, spectral):\n    with open(a), spectral._blas_pool(1):\n"
+        "        return np.linalg.svd(a)\n")
+    assert unpooled_lapack(str(tmp_path)) == ["solve:6: linalg.eigvalsh", "solve:9: linalg.eigvals"]
